@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, laws
+from .ensembles import EnsembleSpec
 from .linalg import matrix_to_dict
 
 DEFAULT_TRIALS = 200
@@ -52,10 +53,24 @@ def _parse_laws(text):
     if text == "all":
         return laws.law_names()
     names = [x.strip() for x in text.split(",") if x.strip()]
+    if not names:
+        raise UsageError(f"no law named in {text!r}")
     for name in names:
-        if name not in laws.law_names() and name not in laws.SWEEPS:
-            raise UsageError(f"unknown law {name!r}")
+        if name in laws.law_names():
+            continue
+        if name in laws.SWEEPS:
+            raise UsageError(f"{name!r} is a sweep, not a law; run it with "
+                             f"`meanscope sweep --law {name}`")
+        raise UsageError(f"unknown law {name!r}")
     return names
+
+
+def _check_ensemble(n, m, fieldname, kappa):
+    """Reject out-of-range ensemble settings before anything is sampled."""
+    try:
+        EnsembleSpec(n=n, m=m, field=fieldname, kappa_max=kappa)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_config(path):
@@ -95,7 +110,6 @@ def _cycle_m(trial, fixed):
 def cmd_verify(args):
     config = _load_config(args.config) if args.config else {}
     law_list = _parse_laws(_resolve(args, config, "laws", "all"))
-    law_list = [x for x in law_list if x in laws.law_names()]
     trials = int(_resolve(args, config, "trials", DEFAULT_TRIALS))
     if trials < 0:
         raise UsageError("trials must be non-negative")
@@ -103,10 +117,11 @@ def cmd_verify(args):
     tol = float(_resolve(args, config, "tol", DEFAULT_TOL))
     kappa = float(_resolve(args, config, "kappa_max", DEFAULT_KAPPA))
     fieldname = _resolve(args, config, "field", "complex")
-    if fieldname not in ("real", "complex"):
-        raise UsageError(f"field must be real or complex, got {fieldname!r}")
     fixed_n = _resolve(args, config, "n", None)
     fixed_m = _resolve(args, config, "m", None)
+    # cycled n and m are in range by construction; fixed ones are checked
+    _check_ensemble(1 if fixed_n is None else fixed_n, _cycle_m(0, fixed_m),
+                    fieldname, kappa)
 
     started = time.monotonic()
     per_law = {}
@@ -177,6 +192,7 @@ def _build_instance_from_args(args, config, law_for_instance):
     fieldname = _resolve(args, config, "field", "complex")
     n = int(_resolve(args, config, "n", 3))
     m = int(_resolve(args, config, "m", 2))
+    _check_ensemble(n, m, fieldname, kappa)
     boundary = None
     if getattr(args, "boundary", None):
         try:

@@ -27,6 +27,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
+        if self.m < 1:
+            raise ValueError(f"tuple length m must be >= 1, got {self.m}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         if self.kappa_max < 1.0:

@@ -32,6 +32,7 @@ from .linalg import (
 from .ensembles import (
     EnsembleSpec,
     REGION_BOUNDARY,
+    REGIONS,
     random_invertible,
     random_ordered_pair,
     random_pd,
@@ -211,6 +212,31 @@ def _inst_rng(espec, tag):
         np.random.SeedSequence((int(espec.seed) & (2**63 - 1), 101, tag)))
 
 
+def _path_sum(d, As, Bs):
+    """The path sum sum_j A_j sigma B_j for the mean sigma described by d."""
+    return pd_sum([means.mean(d, a, b) for a, b in zip(As, Bs)])
+
+
+def _path_pair(As, Bs, u, r=0.0):
+    """(S(u), S(1-u)), where S(u) sums the points u of the interpolation
+    paths of exponent r (the geodesics A_j #_u B_j for r = 0)."""
+    return (_path_sum(means.path_mean(r, u), As, Bs),
+            _path_sum(means.path_mean(r, 1.0 - u), As, Bs))
+
+
+def _tensor_sum(x, y):
+    """The symmetrized tensor product x (x) y + y (x) x."""
+    return kron(x, y) + kron(y, x)
+
+
+def _callebaut_st(inst):
+    """The instance's (s, t), which must lie in the Callebaut region."""
+    s, t = inst.params["s"], inst.params["t"]
+    if not REGIONS["callebaut"](s, t):
+        raise InstanceError(f"(s={s}, t={t}) outside the Callebaut region")
+    return s, t
+
+
 # ---------------------------------------------------------------------------
 # mean-axioms: normalization, congruence equivariance, joint monotonicity
 # ---------------------------------------------------------------------------
@@ -265,7 +291,7 @@ def _sample_superadditivity(espec, boundary):
 
 def _check_superadditivity(inst, tol):
     d = inst.sigma
-    lhs = pd_sum([means.mean(d, a, b) for a, b in zip(inst.As, inst.Bs)])
+    lhs = _path_sum(d, inst.As, inst.Bs)
     rhs = means.mean(d, pd_sum(inst.As), pd_sum(inst.Bs))
     links = (_ineq("superadditivity", lhs, rhs, tol),)
     return CheckResult("superadditivity", _summary(inst), links)
@@ -306,17 +332,20 @@ def _sample_callebaut_operator(espec, boundary):
                        params={"sigma": means.format_descriptor(sigma)})
 
 
+def _outer_links(As, Bs, mid, tol):
+    """sum_j A_j # B_j <= mid <= (sum A_j) # (sum B_j)."""
+    lo = _path_sum(means.geometric(), As, Bs)
+    hi = means.geomean(pd_sum(As), pd_sum(Bs))
+    return (_ineq("lower-link", lo, mid, tol),
+            _ineq("upper-link", mid, hi, tol))
+
+
 def _check_callebaut_operator(inst, tol):
     d = inst.sigma
-    dd = means.dual(d)
-    pairs = list(zip(inst.As, inst.Bs))
-    lo = pd_sum([means.geomean(a, b) for a, b in pairs])
-    mid = means.geomean(pd_sum([means.mean(d, a, b) for a, b in pairs]),
-                        pd_sum([means.mean(dd, a, b) for a, b in pairs]))
-    hi = means.geomean(pd_sum(inst.As), pd_sum(inst.Bs))
-    links = (_ineq("lower-link", lo, mid, tol),
-             _ineq("upper-link", mid, hi, tol))
-    return CheckResult("callebaut-operator", _summary(inst), links)
+    mid = means.geomean(_path_sum(d, inst.As, inst.Bs),
+                        _path_sum(means.dual(d), inst.As, inst.Bs))
+    return CheckResult("callebaut-operator", _summary(inst),
+                       _outer_links(inst.As, inst.Bs, mid, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +364,10 @@ def _sample_geo_path_callebaut(espec, boundary):
                        params={"s": float(s)})
 
 
-def _geo_path_mid(As, Bs, s):
-    pairs = list(zip(As, Bs))
-    return means.geomean(
-        pd_sum([means.mean(means.geometric_path(s), a, b) for a, b in pairs]),
-        pd_sum([means.mean(means.geometric_path(1.0 - s), a, b) for a, b in pairs]))
-
-
 def _check_geo_path_callebaut(inst, tol):
-    s = inst.params["s"]
-    pairs = list(zip(inst.As, inst.Bs))
-    lo = pd_sum([means.geomean(a, b) for a, b in pairs])
-    mid = _geo_path_mid(inst.As, inst.Bs, s)
-    hi = means.geomean(pd_sum(inst.As), pd_sum(inst.Bs))
-    links = (_ineq("lower-link", lo, mid, tol),
-             _ineq("upper-link", mid, hi, tol))
-    return CheckResult("geo-path-callebaut", _summary(inst), links)
+    mid = means.geomean(*_path_pair(inst.As, inst.Bs, inst.params["s"]))
+    return CheckResult("geo-path-callebaut", _summary(inst),
+                       _outer_links(inst.As, inst.Bs, mid, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +393,8 @@ def _sample_path_monotonicity(espec, boundary):
 
 def _path_dual_symmetry_residual(r, t):
     """Residual of the hypothesis dual(sigma_t) = sigma_{1-t} on a grid."""
-    d = means.power_path(r, t) if abs(r) >= means.R_GEOMETRIC_CUTOFF \
-        else means.geometric_path(t)
-    flipped = means.power_path(r, 1.0 - t) if abs(r) >= means.R_GEOMETRIC_CUTOFF \
-        else means.geometric_path(1.0 - t)
-    f = means.representing_fn(means.dual(d))
-    g = means.representing_fn(flipped)
+    f = means.representing_fn(means.dual(means.path_mean(r, t)))
+    g = means.representing_fn(means.path_mean(r, 1.0 - t))
     grid = np.geomspace(0.1, 10.0, 9)
     return max(abs(f(float(x)) - g(float(x))) / max(1.0, abs(g(float(x))))
                for x in grid)
@@ -400,10 +413,7 @@ def _check_path_monotonicity(inst, tol):
                         f"(residual {hyp:.3e})")
 
     def F(u):
-        pairs = list(zip(inst.As, inst.Bs))
-        return means.geomean(
-            pd_sum([means.path_point(r, u, a, b) for a, b in pairs]),
-            pd_sum([means.path_point(r, 1.0 - u, a, b) for a, b in pairs]))
+        return means.geomean(*_path_pair(inst.As, inst.Bs, u, r))
 
     links = (_ineq("path-monotonicity", F(s), F(t), tol),)
     return CheckResult("path-monotonicity", _summary(inst), links)
@@ -452,9 +462,7 @@ def _sample_scalar_callebaut(espec, boundary):
 
 def _check_scalar_callebaut(inst, tol):
     p = inst.params
-    s, t = p["s"], p["t"]
-    if not ((0.0 <= t <= s <= 0.5) or (0.5 <= s <= t <= 1.0)):
-        raise InstanceError(f"(s={s}, t={t}) outside the Callebaut region")
+    s, t = _callebaut_st(inst)
     v0, v1, v2, v3 = scalar_callebaut_chain(inst.a_seq, inst.b_seq, s, t)
     links = [
         _scalar_ineq("geometric-vs-s", v0, v1),
@@ -524,53 +532,65 @@ def _sample_tensor(espec, boundary, law):
                        Bs=[random_pd(espec, 1)], params={})
 
 
-def _vshape_links(values, grid, pivot, tol):
-    """Pairwise Loewner links: decreasing left of the pivot, increasing right."""
+def _vshape_links(grid, values, pivot, tol):
+    """Loewner links between neighbouring points of a curve with its minimum
+    at the pivot: decreasing left of it, increasing right of it.  One entry
+    per neighbouring pair; None for the pair that straddles the pivot."""
     links = []
     for (t0, v0), (t1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if t1 <= pivot + 1e-12:
             links.append(_ineq(f"decreasing {t0:g}->{t1:g}", v1, v0, tol))
         elif t0 >= pivot - 1e-12:
             links.append(_ineq(f"increasing {t0:g}->{t1:g}", v0, v1, tol))
+        else:
+            links.append(None)
     return links
 
 
-def _check_tensor_f(inst, tol):
-    a, b = inst.As[0], inst.Bs[0]
-    grid = vshape_grid(-1.0, 1.0, 0.0)
-    values = [tensor_f_value(a, b, t) for t in grid]
-    links = _vshape_links(values, grid, 0.0, tol)
-    return CheckResult("tensor-f", _summary(inst), tuple(links))
-
-
-def _check_tensor_g(inst, tol):
-    a, b = inst.As[0], inst.Bs[0]
-    grid = vshape_grid(0.0, 1.0, 0.5)
-    values = [tensor_g_value(a, b, t) for t in grid]
-    links = _vshape_links(values, grid, 0.5, tol)
-    return CheckResult("tensor-g", _summary(inst), tuple(links))
+def _check_tensor(inst, tol):
+    """The law's SWEEPS curve over its V-shaped grid, linked pairwise."""
+    sw = SWEEPS[inst.law]
+    grid = vshape_grid(*sw.domain, sw.pivot)
+    values = [sw.evaluator(inst, t) for t in grid]
+    links = _vshape_links(grid, values, sw.pivot, tol)
+    return CheckResult(inst.law, _summary(inst),
+                       tuple(link for link in links if link is not None))
 
 
 # ---------------------------------------------------------------------------
 # matrix-callebaut: the tensor-product chain of Callebaut type
 # ---------------------------------------------------------------------------
 
+def callebaut_sums(As, Bs, s, t):
+    """The sums both matrix Callebaut chains are built from, each evaluated
+    once: sum_j A_j # B_j, the pairs (S(s), S(1-s)) and (S(t), S(1-t)) with
+    S(u) = sum_j A_j #_u B_j, sum A_j and sum B_j."""
+    return (_path_sum(means.geometric(), As, Bs), _path_pair(As, Bs, s),
+            _path_pair(As, Bs, t), pd_sum(As), pd_sum(Bs))
+
+
+def _kron_members(sums):
+    sharp, s_pair, t_pair, sa, sb = sums
+    return (2.0 * kron(sharp, sharp), _tensor_sum(*s_pair),
+            _tensor_sum(*t_pair), _tensor_sum(sa, sb))
+
+
+def _hadamard_members(sums):
+    sharp, s_pair, t_pair, sa, sb = sums
+    return (hadamard(sharp, sharp), hadamard(*s_pair), hadamard(*t_pair),
+            hadamard(sa, sb))
+
+
 def matrix_callebaut_members(As, Bs, s, t):
     """The four chain members (each Hermitian of dimension n^2), in order."""
-    pairs = list(zip(As, Bs))
-    sharp = pd_sum([means.geomean(a, b) for a, b in pairs]).hermitian
+    return _kron_members(callebaut_sums(As, Bs, s, t))
 
-    def member(u):
-        su = pd_sum([means.mean(means.geometric_path(u), a, b)
-                     for a, b in pairs]).hermitian
-        s1u = pd_sum([means.mean(means.geometric_path(1.0 - u), a, b)
-                      for a, b in pairs]).hermitian
-        return kron(su, s1u) + kron(s1u, su)
 
-    sa = pd_sum(As).hermitian
-    sb = pd_sum(Bs).hermitian
-    return (2.0 * kron(sharp, sharp), member(s), member(t),
-            kron(sa, sb) + kron(sb, sa))
+def _chain_links(members, tol):
+    m0, m1, m2, m3 = members
+    return [_ineq("geometric-vs-s", m0, m1, tol),
+            _ineq("s-vs-t", m1, m2, tol),
+            _ineq("t-vs-outer", m2, m3, tol)]
 
 
 def _sample_matrix_callebaut(espec, boundary):
@@ -585,40 +605,16 @@ def _sample_matrix_callebaut(espec, boundary):
                        params={"s": float(s), "t": float(t)})
 
 
-def _require_callebaut_region(s, t):
-    if not ((0.0 <= t <= s <= 0.5) or (0.5 <= s <= t <= 1.0)):
-        raise InstanceError(f"(s={s}, t={t}) outside the Callebaut region")
-
-
 def _check_matrix_callebaut(inst, tol):
-    s, t = inst.params["s"], inst.params["t"]
-    _require_callebaut_region(s, t)
-    m0, m1, m2, m3 = matrix_callebaut_members(inst.As, inst.Bs, s, t)
-    links = (_ineq("geometric-vs-s", m0, m1, tol),
-             _ineq("s-vs-t", m1, m2, tol),
-             _ineq("t-vs-outer", m2, m3, tol))
-    return CheckResult("matrix-callebaut", _summary(inst), links)
+    members = matrix_callebaut_members(inst.As, inst.Bs, *_callebaut_st(inst))
+    return CheckResult("matrix-callebaut", _summary(inst),
+                       tuple(_chain_links(members, tol)))
 
 
 # ---------------------------------------------------------------------------
 # hadamard-callebaut: the entrywise-product corollary, cross-checked against
 # the principal submatrix of the tensor chain
 # ---------------------------------------------------------------------------
-
-def hadamard_callebaut_members(As, Bs, s, t):
-    pairs = list(zip(As, Bs))
-    sharp = pd_sum([means.geomean(a, b) for a, b in pairs]).hermitian
-
-    def member(u):
-        su = pd_sum([means.mean(means.geometric_path(u), a, b)
-                     for a, b in pairs]).hermitian
-        s1u = pd_sum([means.mean(means.geometric_path(1.0 - u), a, b)
-                      for a, b in pairs]).hermitian
-        return hadamard(su, s1u)
-
-    return (hadamard(sharp, sharp), member(s), member(t),
-            hadamard(pd_sum(As).hermitian, pd_sum(Bs).hermitian))
-
 
 def _sample_hadamard_callebaut(espec, boundary):
     inst = _sample_matrix_callebaut(espec, boundary)
@@ -627,16 +623,13 @@ def _sample_hadamard_callebaut(espec, boundary):
 
 
 def _check_hadamard_callebaut(inst, tol):
-    s, t = inst.params["s"], inst.params["t"]
-    _require_callebaut_region(s, t)
-    h = hadamard_callebaut_members(inst.As, inst.Bs, s, t)
-    links = [_ineq("geometric-vs-s", h[0], h[1], tol),
-             _ineq("s-vs-t", h[1], h[2], tol),
-             _ineq("t-vs-outer", h[2], h[3], tol)]
+    sums = callebaut_sums(inst.As, inst.Bs, *_callebaut_st(inst))
+    h = _hadamard_members(sums)
+    links = _chain_links(h, tol)
     # derivation route: twice each Hadamard member is the principal
-    # submatrix of the corresponding tensor chain member
-    tensor = matrix_callebaut_members(inst.As, inst.Bs, s, t)
-    for i, (hm, tm) in enumerate(zip(h, tensor)):
+    # submatrix of the corresponding tensor chain member, built from the
+    # same sums
+    for i, (hm, tm) in enumerate(zip(h, _kron_members(sums))):
         links.append(_eq(f"submatrix-consistency-{i}", 2.0 * hm,
                          kron_diagonal_block(tm, inst.n), tol=SUBMATRIX_TOL))
     return CheckResult("hadamard-callebaut", _summary(inst), tuple(links))
@@ -755,8 +748,8 @@ def _check_wada(inst, tol):
     x = means.mean(d, a, b).hermitian
     y = means.mean(means.dual(d), a, b).hermitian
     lo = kron(sharp, sharp)
-    mid = 0.5 * (kron(x, y) + kron(y, x))
-    hi = 0.5 * (kron(a.hermitian, b.hermitian) + kron(b.hermitian, a.hermitian))
+    mid = 0.5 * _tensor_sum(x, y)
+    hi = 0.5 * _tensor_sum(a.hermitian, b.hermitian)
     links = (_ineq("lower-link", lo, mid, tol),
              _ineq("upper-link", mid, hi, tol))
     return CheckResult("wada", _summary(inst), links)
@@ -779,9 +772,9 @@ register_law("scalar-callebaut", _sample_scalar_callebaut,
              _check_scalar_callebaut, region="callebaut")
 register_law("power-lemma", _sample_power_lemma, _check_power_lemma)
 register_law("tensor-f", lambda e, b: _sample_tensor(e, b, "tensor-f"),
-             _check_tensor_f, n_cap=3)
+             _check_tensor, n_cap=3)
 register_law("tensor-g", lambda e, b: _sample_tensor(e, b, "tensor-g"),
-             _check_tensor_g, n_cap=3)
+             _check_tensor, n_cap=3)
 register_law("matrix-callebaut", _sample_matrix_callebaut,
              _check_matrix_callebaut, n_cap=3, region="callebaut")
 register_law("hadamard-callebaut", _sample_hadamard_callebaut,
@@ -845,12 +838,7 @@ def _sweep_tensor_g(inst, t):
 
 
 def _sweep_matrix_callebaut_middle(inst, t):
-    pairs = list(zip(inst.As, inst.Bs))
-    su = pd_sum([means.mean(means.geometric_path(t), a, b)
-                 for a, b in pairs]).hermitian
-    s1u = pd_sum([means.mean(means.geometric_path(1.0 - t), a, b)
-                  for a, b in pairs]).hermitian
-    return kron(su, s1u) + kron(s1u, su)
+    return _tensor_sum(*_path_pair(inst.As, inst.Bs, t))
 
 
 def _sweep_scalar_callebaut_f(inst, t):
@@ -886,24 +874,13 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
         raise InstanceError(
             f"grid [{grid[0]}, {grid[-1]}] outside domain [{lo}, {hi}]")
     values = [sw.evaluator(instance, t) for t in grid]
+    links = [None] + _vshape_links(grid, values, sw.pivot, tol)
     points = []
-    prev = None
-    for t, v in zip(grid, values):
+    for t, v, link in zip(grid, values, links):
         lam = v.decomposition().eigenvalues
-        margin, holds = float("nan"), True
-        if prev is not None:
-            t0, v0 = prev
-            if t <= sw.pivot + 1e-12:
-                verdict = loewner_leq(v, v0, tol)       # decreasing side
-            elif t0 >= sw.pivot - 1e-12:
-                verdict = loewner_leq(v0, v, tol)       # increasing side
-            else:
-                verdict = None                          # straddles the pivot
-            if verdict is not None:
-                margin, holds = verdict.margin, verdict.holds
-        points.append(CurvePoint(t=t, trace=v.trace(),
-                                 lambda_min=float(lam[0]),
-                                 lambda_max=float(lam[-1]),
-                                 link_margin=margin, link_holds=holds))
-        prev = (t, v)
+        points.append(CurvePoint(
+            t=t, trace=v.trace(), lambda_min=float(lam[0]),
+            lambda_max=float(lam[-1]),
+            link_margin=float("nan") if link is None else link.margin,
+            link_holds=link is None or link.holds))
     return Curve(law=name, grid=tuple(grid), points=tuple(points))

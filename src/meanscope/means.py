@@ -30,6 +30,8 @@ R_GEOMETRIC_CUTOFF = 1e-8
 
 _KINDS = ("arithmetic", "harmonic", "geometric", "wgeo", "power", "powerpath",
           "geopath", "dual")
+_REQUIRED = {"wgeo": ("p",), "power": ("r",), "powerpath": ("r", "t"),
+             "geopath": ("t",)}
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ class MeanDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown mean kind {self.kind!r}")
+        for name in _REQUIRED.get(self.kind, ()):
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} mean requires parameter {name!r}")
         if self.kind == "wgeo" and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"weighted geometric exponent {self.p} outside [0, 1]")
         if self.kind in ("power", "powerpath") and not -1.0 <= self.r <= 1.0:
@@ -156,13 +161,19 @@ def geomean(A, B):
     return mean(geometric(), A, B)
 
 
+def path_mean(r, t):
+    """Descriptor of the point t of the interpolational path of exponent r;
+    r ~ 0 is the geodesic #_t."""
+    if abs(r) < R_GEOMETRIC_CUTOFF:
+        return geometric_path(t)
+    return power_path(r, t)
+
+
 def path_point(r, t, A, B):
     """Point on the interpolational path; r ~ 0 is the geodesic A #_t B."""
     if not -1.0 <= r <= 1.0:
         raise ValueError(f"path exponent {r} outside [-1, 1]")
-    if abs(r) < R_GEOMETRIC_CUTOFF:
-        return mean(geometric_path(t), A, B)
-    return mean(power_path(r, t), A, B)
+    return mean(path_mean(r, t), A, B)
 
 
 def descriptors_match(d1, d2, grid=None, tol=1e-12):

@@ -32,6 +32,16 @@ class TestVerify:
         assert code == 2
         assert "no-such-law" in err
 
+    def test_sweep_name_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--laws", "scalar-callebaut-f")
+        assert code == 2
+        assert "scalar-callebaut-f" in err and "meanscope sweep" in err
+
+    def test_empty_law_list_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--laws", ",")
+        assert code == 2
+        assert "no law" in err
+
     def test_zero_trials(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, "verify", "--laws", "wada", "--trials", "0",
@@ -126,6 +136,23 @@ class TestRepro:
     def test_unknown_law(self, capsys):
         code, _, err = run(capsys, "repro", "--law", "bogus", "--seed", "1")
         assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--laws", "wada", "--trials", "1"),
+    ("sweep", "--law", "tensor-g", "--grid", "0:1:0.5"),
+    ("repro", "--law", "wada"),
+])
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "0"), ("--m", "0"), ("--kappa-max", "0.5"),
+])
+def test_out_of_range_ensemble_is_usage_error(tmp_path, capsys, command,
+                                              flag, value):
+    code, _, err = run(capsys, *command, "--seed", "1", flag, value,
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 class TestFailurePath:

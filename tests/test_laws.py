@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meanscope import laws, means
+from meanscope import laws, linalg, means
 from meanscope.laws import (
     InstanceError,
     callebaut_f,
@@ -163,6 +163,35 @@ class TestHadamardCallebaut:
         assert len(sub) == 4
         for link in sub:
             assert link.residual <= 1e-13
+
+
+    def test_shares_sums_with_tensor_chain(self, monkeypatch):
+        inst = make_instance("hadamard-callebaut", 0, n=3, m=4)
+        twin = make_instance("matrix-callebaut", 0, n=3, m=4)
+        assert inst.params == twin.params
+        calls, blocks = [], []
+        eig, block = linalg.eig_hermitian, laws.kron_diagonal_block
+
+        def counted_eig(*args, **kwargs):
+            calls.append(args[0].n)
+            return eig(*args, **kwargs)
+
+        def recorded_block(tm, n):
+            blocks.append(tm)
+            return block(tm, n)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", counted_eig)
+        monkeypatch.setattr(laws, "kron_diagonal_block", recorded_block)
+        assert check_law("hadamard-callebaut", inst).holds
+        hadamard_eigs = len(calls)
+        calls.clear()
+        assert check_law("matrix-callebaut", twin).holds
+        assert hadamard_eigs <= len(calls)
+        members = matrix_callebaut_members(inst.As, inst.Bs,
+                                           inst.params["s"], inst.params["t"])
+        assert len(blocks) == len(members)
+        for used, member in zip(blocks, members):
+            assert np.array_equal(used.array, member.array)
 
 
 class TestPathMonotonicity:

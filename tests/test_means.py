@@ -73,6 +73,10 @@ class TestRepresentingFn:
             power_path(0.5, 1.5)
         with pytest.raises(ValueError):
             MeanDescriptor("nope")
+        for kind, missing in (("wgeo", "'p'"), ("power", "'r'"),
+                              ("geopath", "'t'"), ("powerpath", "'r'")):
+            with pytest.raises(ValueError, match=missing):
+                MeanDescriptor(kind)
 
 
 class TestDual:
