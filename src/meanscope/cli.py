@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -16,13 +17,16 @@ import time
 import numpy as np
 
 from . import __version__, laws
-from .ensembles import EnsembleSpec
+from .ensembles import REGIONS, EnsembleSpec
 from .linalg import matrix_to_dict
 
 DEFAULT_TRIALS = 200
 DEFAULT_TOL = laws.DEFAULT_TOL
 DEFAULT_KAPPA = 1e4
 SEED_ENV_VAR = "MEANSCOPE_SEED"
+# The JSON type of each config key's value; flag values are typed by argparse.
+CONFIG_TYPES = {"laws": str, "field": str, "trials": int, "seed": int,
+                "n": int, "m": int, "tol": float, "kappa_max": float}
 
 
 class UsageError(Exception):
@@ -86,16 +90,38 @@ def _resolve(args, config, key, default):
     v = getattr(args, key.replace("-", "_"), None)
     if v is not None:
         return v
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    v = config[key]
+    want = CONFIG_TYPES[key]
+    # a JSON integer is a valid float; true/false are not numbers
+    if isinstance(v, bool) or not isinstance(
+            v, (int, float) if want is float else want):
+        raise UsageError(
+            f"config key {key!r} must be of type {want.__name__}, got {v!r}")
+    return v
 
 
 def _resolve_seed(args, config):
     v = _resolve(args, config, "seed", None)
-    if v is None:
-        v = os.environ.get(SEED_ENV_VAR)
-    return int(v) if v is not None else 0
+    if v is not None:
+        return v
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
+
+
+def _resolve_tol(args, config):
+    """The link tolerance.  Every margin comparison with a NaN tolerance is
+    false, so a NaN or negative one would read as a violated law."""
+    tol = float(_resolve(args, config, "tol", DEFAULT_TOL))
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"tol must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _cycle_n(trial, fixed, cap):
@@ -114,7 +140,7 @@ def cmd_verify(args):
     if trials < 0:
         raise UsageError("trials must be non-negative")
     seed = _resolve_seed(args, config)
-    tol = float(_resolve(args, config, "tol", DEFAULT_TOL))
+    tol = _resolve_tol(args, config)
     kappa = float(_resolve(args, config, "kappa_max", DEFAULT_KAPPA))
     fieldname = _resolve(args, config, "field", "complex")
     fixed_n = _resolve(args, config, "n", None)
@@ -199,6 +225,10 @@ def _build_instance_from_args(args, config, law_for_instance):
             s, t = (float(x) for x in args.boundary.split(","))
         except ValueError:
             raise UsageError(f"bad boundary {args.boundary!r}, expected s,t")
+        region = laws.law_spec(law_for_instance).region
+        if region is not None and not REGIONS[region](s, t):
+            raise UsageError(f"boundary {args.boundary!r} lies outside the "
+                             f"{region} region of {law_for_instance}")
         boundary = (s, t)
     return laws.sample_instance(law_for_instance, n=n, m=m,
                                 fieldname=fieldname, kappa_max=kappa,
@@ -218,7 +248,7 @@ def cmd_sweep(args):
     else:
         lo, hi = sw.domain
         grid = list(np.linspace(lo, hi, 17))
-    tol = float(_resolve(args, config, "tol", DEFAULT_TOL))
+    tol = _resolve_tol(args, config)
     inst, _ = _build_instance_from_args(args, config, sw.instance_law)
     curve = laws.sweep_law(name, inst, grid, tol=tol)
     rows = [["t", "trace", "lambda_min", "lambda_max", "monotone_link_margin"]]
@@ -239,7 +269,7 @@ def cmd_repro(args):
     name = args.law
     if name not in laws.law_names():
         raise UsageError(f"unknown law {name!r}")
-    tol = float(_resolve(args, config, "tol", DEFAULT_TOL))
+    tol = _resolve_tol(args, config)
     inst, seed = _build_instance_from_args(args, config, name)
     result = laws.check_law(name, inst, tol=tol)
     dump = {

@@ -13,7 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import HermitianMatrix, PDMatrix
+from .linalg import PDMatrix
+
+# random_pd_tuple seeds matrix j of tuple i as i * TUPLE_STRIDE + j, so the
+# tuples of one instance stay disjoint only for m <= TUPLE_STRIDE.
+TUPLE_STRIDE = 1000
 
 
 @dataclass(frozen=True)
@@ -27,12 +31,14 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"tuple length m must be >= 1, got {self.m}")
+        if not 1 <= self.m <= TUPLE_STRIDE:
+            raise ValueError(
+                f"tuple length m must be in [1, {TUPLE_STRIDE}], got {self.m}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if self.kappa_max < 1.0:
-            raise ValueError(f"kappa_max must be >= 1, got {self.kappa_max}")
+        if not (np.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
+            raise ValueError(
+                f"kappa_max must be finite and >= 1, got {self.kappa_max}")
 
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
@@ -64,14 +70,14 @@ def random_pd(spec, index=0):
     half_log = 0.5 * np.log(spec.kappa_max)
     lam = np.exp(rng.uniform(-half_log, half_log, size=n))
     if n == 1:
-        return PDMatrix(HermitianMatrix([[lam[0]]]))
+        return PDMatrix([[lam[0]]])
     q = _haar_unitary(rng, n, spec.field)
-    return PDMatrix(HermitianMatrix((q * lam) @ q.conj().T))
+    return PDMatrix((q * lam) @ q.conj().T)
 
 
 def random_pd_tuple(spec, index=0):
     """m independent PD matrices (for the summed inequality instances)."""
-    return [random_pd(spec, index * 1000 + j) for j in range(spec.m)]
+    return [random_pd(spec, index * TUPLE_STRIDE + j) for j in range(spec.m)]
 
 
 def random_ordered_pair(spec, index=0):
@@ -80,7 +86,7 @@ def random_ordered_pair(spec, index=0):
     rng = _rng(spec, 1, index)
     g = _gaussian(rng, spec.n, spec.field)
     bump = g.conj().T @ g * (0.25 / spec.n)
-    b = PDMatrix(HermitianMatrix(a.array + bump))
+    b = PDMatrix(a.array + bump)
     return a, b
 
 

@@ -229,11 +229,12 @@ def _tensor_sum(x, y):
     return kron(x, y) + kron(y, x)
 
 
-def _callebaut_st(inst):
-    """The instance's (s, t), which must lie in the Callebaut region."""
+def _region_st(inst):
+    """The instance's (s, t), which must lie in its law's parameter region."""
+    region = law_spec(inst.law).region
     s, t = inst.params["s"], inst.params["t"]
-    if not REGIONS["callebaut"](s, t):
-        raise InstanceError(f"(s={s}, t={t}) outside the Callebaut region")
+    if not REGIONS[region](s, t):
+        raise InstanceError(f"(s={s}, t={t}) outside the {region} region")
     return s, t
 
 
@@ -265,9 +266,9 @@ def _check_mean_axioms(inst, tol):
                      HermitianMatrix.identity(n), tol=1e-13))
     x, y = inst.As[0], inst.Bs[0]
     c = inst.congruence
-    lhs = congruence(c, means.mean(d, x, y).hermitian)
-    rhs = means.mean(d, PDMatrix(congruence(c, x.hermitian)),
-                     PDMatrix(congruence(c, y.hermitian))).hermitian
+    lhs = congruence(c, means.mean(d, x, y))
+    rhs = means.mean(d, PDMatrix(congruence(c, x)),
+                     PDMatrix(congruence(c, y)))
     links.append(_eq("congruence-equivariance", lhs, rhs))
     (a, b), (cc, dd) = inst.ordered
     links.append(_ineq("joint-monotonicity",
@@ -401,9 +402,8 @@ def _path_dual_symmetry_residual(r, t):
 
 
 def _check_path_monotonicity(inst, tol):
-    s, t, r = inst.params["s"], inst.params["t"], inst.params["r"]
-    if not min(t, 1.0 - t) - 1e-12 <= s <= max(t, 1.0 - t) + 1e-12:
-        raise InstanceError(f"s={s} is not between t={t} and 1-t={1.0 - t}")
+    s, t = _region_st(inst)
+    r = inst.params["r"]
     hyp = max(_path_dual_symmetry_residual(r, u) for u in (t, s, 0.25))
     if hyp > EQUALITY_TOL:
         return CheckResult(
@@ -462,7 +462,7 @@ def _sample_scalar_callebaut(espec, boundary):
 
 def _check_scalar_callebaut(inst, tol):
     p = inst.params
-    s, t = _callebaut_st(inst)
+    s, t = _region_st(inst)
     v0, v1, v2, v3 = scalar_callebaut_chain(inst.a_seq, inst.b_seq, s, t)
     links = [
         _scalar_ineq("geometric-vs-s", v0, v1),
@@ -490,17 +490,17 @@ def _sample_power_lemma(espec, boundary):
 
 def _check_power_lemma(inst, tol):
     a = inst.As[0]
-    rhs = power(a, 1.0).hermitian + power(a, -1.0).hermitian
+    rhs = power(a, 1.0) + power(a, -1.0)
     links = []
     for r in inst.params["r_grid"]:
-        lhs = power(a, r).hermitian + power(a, -r).hermitian
+        lhs = power(a, r) + power(a, -r)
         links.append(_ineq(f"r={r:g}", lhs, rhs, tol))
     # degenerate endpoints: r=0 collapses to 2I, r=1 collapses to the bound
     links.append(_eq("r0-degenerate",
-                     power(a, 0.0).hermitian + power(a, -0.0).hermitian,
+                     power(a, 0.0) + power(a, -0.0),
                      2.0 * HermitianMatrix.identity(inst.n)))
     links.append(_eq("r1-degenerate",
-                     power(a, 1.0).hermitian + power(a, -1.0).hermitian, rhs))
+                     power(a, 1.0) + power(a, -1.0), rhs))
     return CheckResult("power-lemma", _summary(inst), tuple(links))
 
 
@@ -510,14 +510,14 @@ def _check_power_lemma(inst, tol):
 
 def tensor_f_value(a, b, t):
     """A^{1+t} x B^{1-t} + A^{1-t} x B^{1+t}."""
-    return (kron(power(a, 1.0 + t).hermitian, power(b, 1.0 - t).hermitian) +
-            kron(power(a, 1.0 - t).hermitian, power(b, 1.0 + t).hermitian))
+    return (kron(power(a, 1.0 + t), power(b, 1.0 - t)) +
+            kron(power(a, 1.0 - t), power(b, 1.0 + t)))
 
 
 def tensor_g_value(a, b, t):
     """A^t x B^{1-t} + A^{1-t} x B^t."""
-    return (kron(power(a, t).hermitian, power(b, 1.0 - t).hermitian) +
-            kron(power(a, 1.0 - t).hermitian, power(b, t).hermitian))
+    return (kron(power(a, t), power(b, 1.0 - t)) +
+            kron(power(a, 1.0 - t), power(b, t)))
 
 
 def vshape_grid(lo, hi, pivot, points_per_side=9):
@@ -606,7 +606,7 @@ def _sample_matrix_callebaut(espec, boundary):
 
 
 def _check_matrix_callebaut(inst, tol):
-    members = matrix_callebaut_members(inst.As, inst.Bs, *_callebaut_st(inst))
+    members = matrix_callebaut_members(inst.As, inst.Bs, *_region_st(inst))
     return CheckResult("matrix-callebaut", _summary(inst),
                        tuple(_chain_links(members, tol)))
 
@@ -623,7 +623,7 @@ def _sample_hadamard_callebaut(espec, boundary):
 
 
 def _check_hadamard_callebaut(inst, tol):
-    sums = callebaut_sums(inst.As, inst.Bs, *_callebaut_st(inst))
+    sums = callebaut_sums(inst.As, inst.Bs, *_region_st(inst))
     h = _hadamard_members(sums)
     links = _chain_links(h, tol)
     # derivation route: twice each Hadamard member is the principal
@@ -653,9 +653,9 @@ def _check_hadamard_power(inst, tol):
     t = inst.params["t"]
     m = len(inst.As)
     avg = 1.0 / m
-    p_half = pd_sum([power(a, 0.5) for a in inst.As], scale=avg).hermitian
-    p_t = pd_sum([power(a, t) for a in inst.As], scale=avg).hermitian
-    p_1t = pd_sum([power(a, 1.0 - t) for a in inst.As], scale=avg).hermitian
+    p_half = pd_sum([power(a, 0.5) for a in inst.As], scale=avg)
+    p_t = pd_sum([power(a, t) for a in inst.As], scale=avg)
+    p_1t = pd_sum([power(a, 1.0 - t) for a in inst.As], scale=avg)
     diag_part = HermitianMatrix(
         sum(np.diag(np.diagonal(a.array)) for a in inst.As) * avg)
     links = (_ineq("sqrt-vs-t", hadamard(p_half, p_half),
@@ -744,12 +744,12 @@ def _sample_wada(espec, boundary):
 def _check_wada(inst, tol):
     d = inst.sigma
     a, b = inst.As[0], inst.Bs[0]
-    sharp = means.geomean(a, b).hermitian
-    x = means.mean(d, a, b).hermitian
-    y = means.mean(means.dual(d), a, b).hermitian
+    sharp = means.geomean(a, b)
+    x = means.mean(d, a, b)
+    y = means.mean(means.dual(d), a, b)
     lo = kron(sharp, sharp)
     mid = 0.5 * _tensor_sum(x, y)
-    hi = 0.5 * _tensor_sum(a.hermitian, b.hermitian)
+    hi = 0.5 * _tensor_sum(a, b)
     links = (_ineq("lower-link", lo, mid, tol),
              _ineq("upper-link", mid, hi, tol))
     return CheckResult("wada", _summary(inst), links)

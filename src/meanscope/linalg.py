@@ -107,13 +107,29 @@ class HermitianMatrix:
     def n(self):
         return self._a.shape[0]
 
-    @staticmethod
-    def identity(n):
-        return HermitianMatrix(np.eye(n))
+    @classmethod
+    def identity(cls, n):
+        return cls(np.eye(n))
+
+    @classmethod
+    def diagonal(cls, values):
+        return cls(np.diag(np.asarray(values, dtype=float)))
 
     @staticmethod
-    def diagonal(values):
-        return HermitianMatrix(np.diag(np.asarray(values, dtype=float)))
+    def _from_eigensystem(eigenvalues, unitary):
+        """U diag(eigenvalues) U* with that spectral decomposition cached.
+
+        Used by spectral maps (e.g. matrix powers) where the eigensystem of
+        the result is known exactly; avoids re-running the eigensolver.
+        """
+        order = np.argsort(eigenvalues, kind="stable")
+        lam = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float)[order])
+        u = np.ascontiguousarray(unitary[:, order])
+        h = HermitianMatrix((u * lam) @ u.conj().T)
+        lam.flags.writeable = False
+        u.flags.writeable = False
+        h._spec = SpectralDecomposition(lam, u)
+        return h
 
     def decomposition(self):
         """Cached spectral decomposition (computed by the Jacobi solver)."""
@@ -145,24 +161,27 @@ class HermitianMatrix:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"HermitianMatrix(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
 
 
-class PDMatrix:
+class PDMatrix(HermitianMatrix):
     """A positive definite Hermitian matrix.
 
-    Construction runs the eigensolver and rejects matrices whose smallest
-    eigenvalue is not strictly positive relative to the largest (condition
-    number above ``CONDITION_CAP``).
+    Construction rejects matrices whose smallest eigenvalue is not strictly
+    positive relative to the largest (condition number above
+    ``CONDITION_CAP``).  A HermitianMatrix argument is adopted as is: its
+    read-only entries and any cached decomposition are shared, not copied or
+    recomputed.  Anything else is validated by ``HermitianMatrix``.
     """
 
-    __slots__ = ("_h",)
+    __slots__ = ()
 
-    def __init__(self, hermitian):
-        if isinstance(hermitian, np.ndarray) or isinstance(hermitian, (list, tuple)):
-            hermitian = HermitianMatrix(hermitian)
-        spec = hermitian.decomposition()
-        lam = spec.eigenvalues
+    def __init__(self, entries):
+        if isinstance(entries, HermitianMatrix):
+            self._a, self._spec = entries._a, entries._spec
+        else:
+            HermitianMatrix.__init__(self, entries)
+        lam = self.decomposition().eigenvalues
         lo, hi = float(lam[0]), float(lam[-1])
         if hi <= 0.0 or lo <= PD_RELATIVE_FLOOR * hi:
             raise NotPositiveDefiniteError(
@@ -172,54 +191,6 @@ class PDMatrix:
             raise NotPositiveDefiniteError(
                 f"condition number {hi / lo:.3e} exceeds cap {CONDITION_CAP:.0e}"
             )
-        self._h = hermitian
-
-    @property
-    def hermitian(self):
-        return self._h
-
-    @property
-    def array(self):
-        return self._h.array
-
-    @property
-    def n(self):
-        return self._h.n
-
-    def decomposition(self):
-        return self._h.decomposition()
-
-    def norm_2(self):
-        return self._h.norm_2()
-
-    @staticmethod
-    def identity(n):
-        return PDMatrix(HermitianMatrix.identity(n))
-
-    @staticmethod
-    def _from_eigensystem(eigenvalues, unitary):
-        """Trusted constructor from a known spectral decomposition.
-
-        Used by spectral maps (e.g. matrix powers) where the eigensystem of
-        the result is available exactly; avoids re-running the eigensolver.
-        """
-        order = np.argsort(eigenvalues, kind="stable")
-        lam = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float)[order])
-        u = np.ascontiguousarray(unitary[:, order])
-        a = (u * lam) @ u.conj().T
-        h = HermitianMatrix(a)
-        lam.flags.writeable = False
-        u.flags.writeable = False
-        h._spec = SpectralDecomposition(lam, u)
-        lo, hi = float(lam[0]), float(lam[-1])
-        if hi <= 0.0 or lo <= PD_RELATIVE_FLOOR * hi or hi / lo > CONDITION_CAP:
-            raise NotPositiveDefiniteError(
-                f"not positive definite: eigenvalue range [{lo:.3e}, {hi:.3e}]"
-            )
-        return PDMatrix(h)
-
-    def __repr__(self):
-        return f"PDMatrix(n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -243,7 +214,7 @@ def _require_same_dim(a, b):
 
 
 def eig_hermitian(A, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a HermitianMatrix by cyclic complex Jacobi rotations.
 
     Returns a SpectralDecomposition with eigenvalues ascending.  Converges
     when the off-diagonal Frobenius norm drops below
@@ -251,10 +222,7 @@ def eig_hermitian(A, max_sweeps=JACOBI_MAX_SWEEPS):
     off-diagonal residual) if that does not happen within ``max_sweeps``
     sweeps.  Deterministic for a fixed input.
     """
-    if isinstance(A, HermitianMatrix):
-        m = np.array(A.array, dtype=np.complex128)
-    else:
-        m = np.array(HermitianMatrix(A).array, dtype=np.complex128)
+    m = np.array(A.array, dtype=np.complex128)
     n = m.shape[0]
     u = np.eye(n, dtype=np.complex128)
     fro = np.linalg.norm(m)
@@ -320,7 +288,7 @@ def _finish_decomposition(m, u, original):
     order = np.argsort(lam, kind="stable")
     lam = np.ascontiguousarray(lam[order])
     u = np.ascontiguousarray(u[:, order])
-    a = original.array if isinstance(original, HermitianMatrix) else np.asarray(original)
+    a = original.array
     fro = np.linalg.norm(a)
     recon = float(np.linalg.norm((u * lam) @ u.conj().T - a))
     ortho = float(np.linalg.norm(u.conj().T @ u - np.eye(len(lam))))
@@ -365,7 +333,8 @@ def apply_function(A, fn):
 def power(A, t):
     """Fractional power of a PD matrix; power(A, 0) = I, power(A, -1) = inverse."""
     spec = A.decomposition()
-    return PDMatrix._from_eigensystem(spec.eigenvalues ** float(t), spec.unitary)
+    return PDMatrix(HermitianMatrix._from_eigensystem(
+        spec.eigenvalues ** float(t), spec.unitary))
 
 
 def congruence(C, X):
@@ -409,22 +378,17 @@ def kron_diagonal_block(T, n):
 def loewner_leq(A, B, tol=1e-8):
     """Test A <= B in the Loewner order, reporting the margin either way."""
     _require_same_dim(A, B)
-    a = A.hermitian if isinstance(A, PDMatrix) else A
-    b = B.hermitian if isinstance(B, PDMatrix) else B
-    diff = b - a
-    margin = float(diff.decomposition().eigenvalues[0])
-    scale = a.norm_2() + b.norm_2()
+    margin = float((B - A).decomposition().eigenvalues[0])
+    scale = A.norm_2() + B.norm_2()
     holds = margin >= -tol * max(1.0, scale)
     return LoewnerVerdict(holds=holds, margin=margin, scale=scale, tolerance=tol)
 
 
 def rel_residual(X, Y):
     """Relative Frobenius distance, floored at unit scale."""
-    x = X.hermitian if isinstance(X, PDMatrix) else X
-    y = Y.hermitian if isinstance(Y, PDMatrix) else Y
-    _require_same_dim(x, y)
-    denom = max(1.0, x.norm_fro(), y.norm_fro())
-    return float(np.linalg.norm(x.array - y.array)) / denom
+    _require_same_dim(X, Y)
+    denom = max(1.0, X.norm_fro(), Y.norm_fro())
+    return float(np.linalg.norm(X.array - Y.array)) / denom
 
 
 def pd_sum(mats, scale=1.0):
@@ -434,7 +398,7 @@ def pd_sum(mats, scale=1.0):
     acc = mats[0].array.copy()
     for m in mats[1:]:
         acc = acc + m.array
-    return PDMatrix(HermitianMatrix(acc * float(scale)))
+    return PDMatrix(acc * float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +407,7 @@ def pd_sum(mats, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def matrix_to_dict(A):
-    a = A.array if isinstance(A, (HermitianMatrix, PDMatrix)) else np.asarray(A)
+    a = A.array
     n = a.shape[0]
     is_real = float(np.max(np.abs(a.imag))) == 0.0
     entries = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    HermitianMatrix,
-    PDMatrix,
-    apply_function,
-    _require_same_dim,
-)
+from .linalg import PDMatrix, apply_function, _require_same_dim
 
 # Below this magnitude the power-mean exponent r is treated as the
 # geometric limit r -> 0 to avoid the 1/r blowup.
@@ -151,10 +146,10 @@ def mean(d, A, B):
     half = (u * np.sqrt(lam)) @ u.conj().T
     inv_half = (u / np.sqrt(lam)) @ u.conj().T
     m = inv_half @ B.array @ inv_half
-    middle = PDMatrix(HermitianMatrix((m + m.conj().T) / 2.0))
+    middle = PDMatrix((m + m.conj().T) / 2.0)
     fm = apply_function(middle, representing_fn(d))
     out = half @ fm.array @ half
-    return PDMatrix(HermitianMatrix((out + out.conj().T) / 2.0))
+    return PDMatrix((out + out.conj().T) / 2.0)
 
 
 def geomean(A, B):

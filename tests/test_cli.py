@@ -4,7 +4,7 @@ import json
 import pytest
 
 from meanscope import laws
-from meanscope.cli import main
+from meanscope.cli import SEED_ENV_VAR, main
 from meanscope.linalg import matrix_from_dict
 
 
@@ -144,7 +144,9 @@ class TestRepro:
     ("repro", "--law", "wada"),
 ])
 @pytest.mark.parametrize("flag, value", [
-    ("--n", "0"), ("--m", "0"), ("--kappa-max", "0.5"),
+    ("--n", "0"), ("--m", "0"), ("--m", "1001"), ("--kappa-max", "0.5"),
+    ("--kappa-max", "nan"), ("--kappa-max", "inf"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
 ])
 def test_out_of_range_ensemble_is_usage_error(tmp_path, capsys, command,
                                               flag, value):
@@ -153,6 +155,41 @@ def test_out_of_range_ensemble_is_usage_error(tmp_path, capsys, command,
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, env, named", [
+    ({"laws": ["wada"]}, None, "'laws'"),
+    ({"n": "3"}, None, "'n'"),
+    ({"trials": True}, None, "'trials'"),
+    ({"tol": "abc"}, None, "'tol'"),
+    ({"seed": "x"}, None, "'seed'"),
+    ({}, "zz", SEED_ENV_VAR),
+])
+def test_mistyped_setting_is_usage_error(tmp_path, capsys, monkeypatch,
+                                         config, env, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"laws": "wada", "trials": 1, **config}))
+    if env is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    code, _, err = run(capsys, "verify", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("law, boundary", [
+    ("matrix-callebaut", "0.9,0.1"),
+    ("path-monotonicity", "0.9,0.5"),
+    ("geo-path-callebaut", "1.5,0.5"),
+])
+def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
+    code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "1",
+                            "--n", "2", "--m", "1", "--boundary", boundary)
+    assert code == 2
+    assert "region" in err and stdout == ""
 
 
 class TestFailurePath:

@@ -4,6 +4,7 @@ import pytest
 from meanscope.ensembles import (
     REGIONS,
     REGION_BOUNDARY,
+    TUPLE_STRIDE,
     EnsembleSpec,
     random_invertible,
     random_ordered_pair,
@@ -59,6 +60,14 @@ class TestRandomPD:
             EnsembleSpec(n=2, field="quaternion")
         with pytest.raises(ValueError):
             EnsembleSpec(n=2, kappa_max=0.5)
+        for kappa in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                EnsembleSpec(n=2, kappa_max=kappa)
+        # matrix j of tuple i is seeded i * TUPLE_STRIDE + j: a longer tuple
+        # would reuse the next tuple's matrices
+        EnsembleSpec(n=2, m=TUPLE_STRIDE)
+        with pytest.raises(ValueError):
+            EnsembleSpec(n=2, m=TUPLE_STRIDE + 1)
 
 
 class TestOrderedPair:

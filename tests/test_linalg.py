@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from meanscope import linalg
 from meanscope.linalg import (
+    CONDITION_CAP,
     ConvergenceError,
     DimensionError,
     FunctionDomainError,
@@ -41,6 +43,19 @@ def random_pd_raw(rng, n, spread=2.0):
     q, _ = np.linalg.qr(g)
     lam = np.exp(rng.uniform(-np.log(spread), np.log(spread), size=n))
     return PDMatrix(HermitianMatrix((q * lam) @ q.conj().T))
+
+
+def count_eigs(monkeypatch):
+    """Record the dimension of every eigendecomposition from now on."""
+    calls = []
+    eig = linalg.eig_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counted)
+    return calls
 
 
 class TestHermitianMatrix:
@@ -136,6 +151,22 @@ class TestPDMatrix:
         a = PDMatrix(HermitianMatrix([[2.0, 1.0], [1.0, 2.0]]))
         assert a.decomposition() is a.decomposition()
 
+    def test_is_a_hermitian_matrix(self):
+        a = PDMatrix([[2.0, 1.0], [1.0, 2.0]])
+        assert isinstance(a, HermitianMatrix)
+        assert isinstance(PDMatrix.identity(2), PDMatrix)
+        assert repr(a) == "PDMatrix(n=2)"
+        # arithmetic leaves the PD type: a difference need not be PD
+        assert type(a - a) is HermitianMatrix
+
+    def test_adopts_decomposed_matrix_without_eig(self, monkeypatch):
+        h = HermitianMatrix([[2.0, 1.0], [1.0, 2.0]])
+        spec = h.decomposition()
+        calls = count_eigs(monkeypatch)
+        a = PDMatrix(h)
+        assert a.array is h.array and a.decomposition() is spec
+        assert calls == []
+
 
 class TestApplyFunction:
     def test_sqrt_of_diagonal(self):
@@ -192,6 +223,18 @@ class TestPower:
         rng = np.random.default_rng(12)
         a = random_pd_raw(rng, 3)
         assert np.allclose(power(a, -1.0).array @ a.array, np.eye(3), atol=1e-10)
+
+    def test_power_of_decomposed_runs_no_eig(self, monkeypatch):
+        a = random_pd_raw(np.random.default_rng(14), 4)
+        calls = count_eigs(monkeypatch)
+        p = power(a, 0.3)
+        assert isinstance(p, PDMatrix) and p.decomposition() is not None
+        assert calls == []
+
+    def test_power_beyond_condition_cap_rejected(self):
+        a = PDMatrix.diagonal([CONDITION_CAP ** 0.5, 1.0])
+        with pytest.raises(NotPositiveDefiniteError):
+            power(a, 3.0)
 
     def test_cube_root_roundtrip(self):
         rng = np.random.default_rng(13)

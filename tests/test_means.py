@@ -136,9 +136,9 @@ class TestMean:
         b = random_pd(rng, 3)
         c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         for d in FAMILY:
-            lhs = congruence(c, mean(d, a, b).hermitian)
-            rhs = mean(d, PDMatrix(congruence(c, a.hermitian)),
-                       PDMatrix(congruence(c, b.hermitian)))
+            lhs = congruence(c, mean(d, a, b))
+            rhs = mean(d, PDMatrix(congruence(c, a)),
+                       PDMatrix(congruence(c, b)))
             assert rel_residual(lhs, rhs) <= 1e-9
 
     def test_scalar_consistency(self):
