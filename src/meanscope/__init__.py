@@ -9,6 +9,7 @@ from .linalg import (  # noqa: F401
     SpectralDecomposition,
     LoewnerVerdict,
     eig_hermitian,
+    eig_jacobi,
     apply_function,
     power,
     congruence,

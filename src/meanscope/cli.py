@@ -230,9 +230,16 @@ def _build_instance_from_args(args, config, law_for_instance):
             raise UsageError(f"boundary {args.boundary!r} lies outside the "
                              f"{region} region of {law_for_instance}")
         boundary = (s, t)
-    return laws.sample_instance(law_for_instance, n=n, m=m,
-                                fieldname=fieldname, kappa_max=kappa,
-                                seed=seed, boundary=boundary), seed
+    try:
+        inst = laws.sample_instance(law_for_instance, n=n, m=m,
+                                    fieldname=fieldname, kappa_max=kappa,
+                                    seed=seed, boundary=boundary)
+    except ValueError as exc:
+        if boundary is None:
+            raise
+        raise UsageError(f"boundary {args.boundary!r} lies outside the "
+                         f"parameter region of {law_for_instance}: {exc}")
+    return inst, seed
 
 
 def cmd_sweep(args):

@@ -668,11 +668,18 @@ def _check_hadamard_power(inst, tol):
 # interpolation-identity: geodesic reparametrization of the geometric path
 # ---------------------------------------------------------------------------
 
+def _path_params(*ts):
+    """Path parameters forced by a boundary; ValueError unless in [0, 1]."""
+    for t in ts:
+        means.geometric_path(t)
+    return ts
+
+
 def _sample_interpolation_identity(espec, boundary):
     rng = _inst_rng(espec, 7)
     p, q, r = rng.uniform(0.0, 1.0, size=3)
     if boundary is not None:
-        r = boundary[0]
+        (r,) = _path_params(boundary[0])
     return LawInstance(law="interpolation-identity", seed=espec.seed,
                        n=espec.n, m=1, field=espec.field,
                        As=[random_pd(espec, 0)], Bs=[random_pd(espec, 1)],
@@ -699,7 +706,7 @@ def _sample_path_axioms(espec, boundary):
     r = float(rng.uniform(-1.0, 1.0))
     p, q = rng.uniform(0.0, 1.0, size=2)
     if boundary is not None:
-        p, q = boundary
+        p, q = _path_params(*boundary)
     return LawInstance(law="path-axioms", seed=espec.seed, n=espec.n, m=1,
                        field=espec.field, As=[random_pd(espec, 0)],
                        Bs=[random_pd(espec, 1)],

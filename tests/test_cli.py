@@ -184,6 +184,8 @@ def test_mistyped_setting_is_usage_error(tmp_path, capsys, monkeypatch,
     ("matrix-callebaut", "0.9,0.1"),
     ("path-monotonicity", "0.9,0.5"),
     ("geo-path-callebaut", "1.5,0.5"),
+    ("path-axioms", "1.5,0.5"),
+    ("interpolation-identity", "1.5,0.5"),
 ])
 def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
     code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "1",

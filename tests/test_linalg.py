@@ -18,6 +18,7 @@ from meanscope.linalg import (
     apply_function,
     congruence,
     eig_hermitian,
+    eig_jacobi,
     hadamard,
     kron,
     kron_diagonal_block,
@@ -134,8 +135,24 @@ class TestEig:
         rng = np.random.default_rng(1)
         h = random_hermitian(rng, 6)
         with pytest.raises(ConvergenceError) as err:
-            eig_hermitian(h, max_sweeps=1)
+            eig_jacobi(h, max_sweeps=1)
         assert err.value.off_residual > 0
+
+    def test_lapack_agrees_with_jacobi_oracle(self):
+        # the matrices of acceptance criterion 1: n = 1..16, complex field
+        rng = np.random.default_rng(20260826)
+        for k in range(100):
+            n = (k % 16) + 1
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = HermitianMatrix((g + g.conj().T) / 2)
+            budget = 1e-12 * max(1.0, h.norm_fro())
+            fast, oracle = eig_hermitian(h), eig_jacobi(h)
+            assert np.max(np.abs(fast.eigenvalues - oracle.eigenvalues)) <= budget
+            for d in (fast, oracle):
+                recon = (d.unitary * d.eigenvalues) @ d.unitary.conj().T
+                assert np.linalg.norm(recon - h.array) <= budget, n
+                assert np.linalg.norm(
+                    d.unitary.conj().T @ d.unitary - np.eye(n)) <= 1e-12, n
 
 
 class TestPDMatrix:
@@ -146,6 +163,14 @@ class TestPDMatrix:
     def test_rejects_ill_conditioned(self):
         with pytest.raises(NotPositiveDefiniteError):
             PDMatrix(HermitianMatrix.diagonal([1e13, 1.0]))
+
+    def test_condition_cap_is_the_one_bound(self):
+        PDMatrix.diagonal([0.99 * CONDITION_CAP, 1.0])
+        for lam in ([1.01 * CONDITION_CAP, 1.0], [1.0, 0.0], [-1.0, -2.0]):
+            with pytest.raises(NotPositiveDefiniteError,
+                               match=r"cap 1e\+12: eigenvalue range \[") as err:
+                PDMatrix.diagonal(lam)
+            assert f"{min(lam):.3e}, {max(lam):.3e}]" in str(err.value)
 
     def test_accepts_and_caches(self):
         a = PDMatrix(HermitianMatrix([[2.0, 1.0], [1.0, 2.0]]))
