@@ -44,8 +44,9 @@ def _parse_grid(text):
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise UsageError(f"bad grid {text!r}, expected a:b:step")
-    if step <= 0 or b <= a:
-        raise UsageError(f"bad grid {text!r}: need a < b and step > 0")
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b <= a:
+        raise UsageError(
+            f"bad grid {text!r}: need finite a < b and step > 0")
     count = int(round((b - a) / step))
     grid = [a + i * step for i in range(count + 1)]
     if grid[-1] > b + 1e-12:
@@ -80,9 +81,17 @@ def _check_ensemble(n, m, fieldname, kappa):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} holds a {type(config).__name__}, "
+                         f"not a JSON object")
+    unknown = sorted(set(config) - set(CONFIG_TYPES))
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r} in {path}; "
+                         f"known keys: {sorted(CONFIG_TYPES)}")
+    return config
 
 
 def _resolve(args, config, key, default):

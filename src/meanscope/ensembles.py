@@ -9,7 +9,7 @@ same seed always reproduces the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class EnsembleSpec:
         if not (np.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
             raise ValueError(
                 f"kappa_max must be finite and >= 1, got {self.kappa_max}")
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 def _rng(spec, *index):

@@ -19,6 +19,7 @@ import numpy as np
 from . import means
 from .linalg import (
     HermitianMatrix,
+    LoewnerVerdict,
     PDMatrix,
     congruence,
     hadamard,
@@ -181,12 +182,8 @@ def _eq(label, X, Y, tol=EQUALITY_TOL):
 
 
 def _scalar_ineq(label, lo, hi, tol=SCALAR_TOL):
-    from .linalg import LoewnerVerdict
-    scale = max(abs(lo), abs(hi))
-    margin = hi - lo
-    return IneqLink(label, LoewnerVerdict(
-        holds=margin >= -tol * max(1.0, scale),
-        margin=float(margin), scale=float(scale), tolerance=tol))
+    return IneqLink(label, LoewnerVerdict.judge(hi - lo, max(abs(lo), abs(hi)),
+                                                tol))
 
 
 # A roster of concrete means used by laws quantified over "any mean".
@@ -394,11 +391,9 @@ def _sample_path_monotonicity(espec, boundary):
 
 def _path_dual_symmetry_residual(r, t):
     """Residual of the hypothesis dual(sigma_t) = sigma_{1-t} on a grid."""
-    f = means.representing_fn(means.dual(means.path_mean(r, t)))
-    g = means.representing_fn(means.path_mean(r, 1.0 - t))
-    grid = np.geomspace(0.1, 10.0, 9)
-    return max(abs(f(float(x)) - g(float(x))) / max(1.0, abs(g(float(x))))
-               for x in grid)
+    return means.representing_gap(means.path_mean(r, 1.0 - t),
+                                  means.dual(means.path_mean(r, t)),
+                                  np.geomspace(0.1, 10.0, 9))
 
 
 def _check_path_monotonicity(inst, tol):
@@ -508,16 +503,10 @@ def _check_power_lemma(inst, tol):
 # tensor-f / tensor-g: V-shaped Loewner monotonicity of tensor sums
 # ---------------------------------------------------------------------------
 
-def tensor_f_value(a, b, t):
-    """A^{1+t} x B^{1-t} + A^{1-t} x B^{1+t}."""
-    return (kron(power(a, 1.0 + t), power(b, 1.0 - t)) +
-            kron(power(a, 1.0 - t), power(b, 1.0 + t)))
-
-
-def tensor_g_value(a, b, t):
-    """A^t x B^{1-t} + A^{1-t} x B^t."""
-    return (kron(power(a, t), power(b, 1.0 - t)) +
-            kron(power(a, 1.0 - t), power(b, t)))
+def power_tensor_sum(a, b, p, q):
+    """A^p x B^q + A^q x B^p: the tensor-f curve at (p, q) = (1+t, 1-t),
+    the tensor-g curve at (t, 1-t)."""
+    return kron(power(a, p), power(b, q)) + kron(power(a, q), power(b, p))
 
 
 def vshape_grid(lo, hi, pivot, points_per_side=9):
@@ -837,11 +826,11 @@ class SweepSpec:
 
 
 def _sweep_tensor_f(inst, t):
-    return tensor_f_value(inst.As[0], inst.Bs[0], t)
+    return power_tensor_sum(inst.As[0], inst.Bs[0], 1.0 + t, 1.0 - t)
 
 
 def _sweep_tensor_g(inst, t):
-    return tensor_g_value(inst.As[0], inst.Bs[0], t)
+    return power_tensor_sum(inst.As[0], inst.Bs[0], t, 1.0 - t)
 
 
 def _sweep_matrix_callebaut_middle(inst, t):

@@ -62,10 +62,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     unitary: np.ndarray
 
-    @property
-    def n(self):
-        return self.eigenvalues.shape[0]
-
 
 class HermitianMatrix:
     """An n-by-n self-adjoint complex matrix.
@@ -114,22 +110,6 @@ class HermitianMatrix:
     @classmethod
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @staticmethod
-    def _from_eigensystem(eigenvalues, unitary):
-        """U diag(eigenvalues) U* with that spectral decomposition cached.
-
-        Used by spectral maps (e.g. matrix powers) where the eigensystem of
-        the result is known exactly; avoids re-running the eigensolver.
-        """
-        order = np.argsort(eigenvalues, kind="stable")
-        lam = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float)[order])
-        u = np.ascontiguousarray(unitary[:, order])
-        h = HermitianMatrix((u * lam) @ u.conj().T)
-        lam.flags.writeable = False
-        u.flags.writeable = False
-        h._spec = SpectralDecomposition(lam, u)
-        return h
 
     def decomposition(self):
         """Cached spectral decomposition (computed by ``eig_hermitian``)."""
@@ -205,6 +185,13 @@ class LoewnerVerdict:
     margin: float
     scale: float
     tolerance: float
+
+    @classmethod
+    def judge(cls, margin, scale, tolerance):
+        """The verdict on a margin, by the pass rule above."""
+        margin, scale = float(margin), float(scale)
+        return cls(holds=margin >= -tolerance * max(1.0, scale),
+                   margin=margin, scale=scale, tolerance=tolerance)
 
 
 def _require_same_dim(a, b):
@@ -286,8 +273,6 @@ def eig_jacobi(A, max_sweeps=JACOBI_MAX_SWEEPS):
                 m[p, p] = m[p, p].real
                 m[q, q] = m[q, q].real
                 u[:, (p, q)] = u[:, (p, q)] @ g
-    else:
-        converged = False
     if not converged:
         off = _offdiag_norm(m)
         if off > target:
@@ -304,13 +289,22 @@ def _offdiag_norm(m):
     return float(np.linalg.norm(off))
 
 
-def _finish_decomposition(lam, u, original):
+def _sorted_spectrum(lam, u):
+    """A read-only SpectralDecomposition with the eigenvalues ascending."""
     order = np.argsort(lam, kind="stable")
     lam = np.ascontiguousarray(lam[order])
     u = np.ascontiguousarray(u[:, order])
+    lam.flags.writeable = False
+    u.flags.writeable = False
+    return SpectralDecomposition(lam, u)
+
+
+def _finish_decomposition(lam, u, original):
+    spec = _sorted_spectrum(lam, u)
+    lam, u = spec.eigenvalues, spec.unitary
     a = original.array
     fro = np.linalg.norm(a)
-    recon = float(np.linalg.norm((u * lam) @ u.conj().T - a))
+    recon = float(np.linalg.norm(congruence_diag(u, lam) - a))
     ortho = float(np.linalg.norm(u.conj().T @ u - np.eye(len(lam))))
     if recon > DECOMP_TOL * max(1.0, fro) or ortho > DECOMP_TOL:
         raise ConvergenceError(
@@ -318,43 +312,47 @@ def _finish_decomposition(lam, u, original):
             f"unitarity {ortho:.3e}",
             off_residual=recon,
         )
-    lam.flags.writeable = False
-    u.flags.writeable = False
-    return SpectralDecomposition(lam, u)
+    return spec
+
+
+def spectral_values(fn, eigenvalues):
+    """fn applied once to the whole eigenvalue array, checked to be finite
+    and real; FunctionDomainError names the first eigenvalue where not."""
+    v = np.asarray(fn(eigenvalues))
+    ok = np.isfinite(v)
+    if v.dtype.kind == "c":
+        ok &= abs(v.imag) <= 1e-12 * np.maximum(1.0, abs(v.real))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise FunctionDomainError(f"function value {v[i]!r} at eigenvalue "
+                                  f"{eigenvalues[i]!r} is not finite real")
+    return v.real
+
+
+def congruence_diag(c, values):
+    """The array C diag(values) C*; with C unitary, a spectral calculus."""
+    return (c * values) @ c.conj().T
 
 
 def apply_function(A, fn):
-    """Spectral application of a scalar function to a PD matrix.
-
-    Returns U diag(fn(lambda_i)) U* as a HermitianMatrix.  Raises
-    FunctionDomainError naming the offending eigenvalue if fn is undefined
-    or non-finite there.
+    """U diag(fn(lambda)) U* as a HermitianMatrix carrying that spectral
+    decomposition, so no eigensolver runs on it.  ``fn`` takes the array of
+    eigenvalues and returns the array of their images, as numpy ufuncs do;
+    FunctionDomainError names an eigenvalue where a value is not finite real.
     """
     spec = A.decomposition()
-    values = np.empty(spec.n, dtype=float)
-    for i, lam in enumerate(spec.eigenvalues):
-        try:
-            v = fn(float(lam))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise FunctionDomainError(
-                f"function undefined at eigenvalue {lam!r}: {exc}"
-            ) from exc
-        v = complex(v)
-        if abs(v.imag) > 1e-12 * max(1.0, abs(v.real)) or not math.isfinite(v.real):
-            raise FunctionDomainError(
-                f"function value {v!r} at eigenvalue {lam!r} is not finite real"
-            )
-        values[i] = v.real
-    u = spec.unitary
-    out = (u * values) @ u.conj().T
-    return HermitianMatrix((out + out.conj().T) / 2.0)
+    out_spec = _sorted_spectrum(spectral_values(fn, spec.eigenvalues),
+                                spec.unitary)
+    out = HermitianMatrix(congruence_diag(out_spec.unitary,
+                                          out_spec.eigenvalues))
+    out._spec = out_spec
+    return out
 
 
 def power(A, t):
     """Fractional power of a PD matrix; power(A, 0) = I, power(A, -1) = inverse."""
-    spec = A.decomposition()
-    return PDMatrix(HermitianMatrix._from_eigensystem(
-        spec.eigenvalues ** float(t), spec.unitary))
+    t = float(t)
+    return PDMatrix(apply_function(A, lambda lam: lam ** t))
 
 
 def congruence(C, X):
@@ -368,12 +366,12 @@ def congruence(C, X):
     return HermitianMatrix((out + out.conj().T) / 2.0)
 
 
-def kron(A, B, dim_cap=TENSOR_DIM_CAP):
+def kron(A, B):
     """Kronecker (tensor) product of two Hermitian matrices."""
     out = A.n * B.n
-    if out > dim_cap:
+    if out > TENSOR_DIM_CAP:
         raise TensorSizeError(
-            f"tensor product dimension {out} exceeds cap {dim_cap}"
+            f"tensor product dimension {out} exceeds cap {TENSOR_DIM_CAP}"
         )
     return HermitianMatrix(np.kron(A.array, B.array))
 
@@ -398,10 +396,8 @@ def kron_diagonal_block(T, n):
 def loewner_leq(A, B, tol=1e-8):
     """Test A <= B in the Loewner order, reporting the margin either way."""
     _require_same_dim(A, B)
-    margin = float((B - A).decomposition().eigenvalues[0])
-    scale = A.norm_2() + B.norm_2()
-    holds = margin >= -tol * max(1.0, scale)
-    return LoewnerVerdict(holds=holds, margin=margin, scale=scale, tolerance=tol)
+    margin = (B - A).decomposition().eigenvalues[0]
+    return LoewnerVerdict.judge(margin, A.norm_2() + B.norm_2(), tol)
 
 
 def rel_residual(X, Y):

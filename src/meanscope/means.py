@@ -12,12 +12,12 @@ duals (representing function t -> t / f(t)) of any of these.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PDMatrix, apply_function, _require_same_dim
+from .linalg import (PDMatrix, congruence, congruence_diag, spectral_values,
+                     _require_same_dim)
 
 # Below this magnitude the power-mean exponent r is treated as the
 # geometric limit r -> 0 to avoid the 1/r blowup.
@@ -108,20 +108,20 @@ def dual(d):
 
 
 def representing_fn(d):
-    """Scalar representing function on (0, inf) with f(1) = 1."""
+    """Representing function on (0, inf) with f(1) = 1, elementwise on arrays."""
     if d.kind == "arithmetic":
         return lambda x: (1.0 + x) / 2.0
     if d.kind == "harmonic":
         return lambda x: 2.0 * x / (1.0 + x)
     if d.kind == "geometric":
-        return math.sqrt
+        return np.sqrt
     if d.kind == "wgeo":
         p = d.p
         return lambda x: x ** p
     if d.kind == "power":
         r = d.r
         if abs(r) < R_GEOMETRIC_CUTOFF:
-            return math.sqrt
+            return np.sqrt
         return lambda x: ((1.0 + x ** r) / 2.0) ** (1.0 / r)
     if d.kind == "powerpath":
         r, t = d.r, d.t
@@ -138,18 +138,18 @@ def representing_fn(d):
 
 
 def mean(d, A, B):
-    """Evaluate the mean: A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}."""
+    """A sigma B = C diag(f(L)) C*, where M = A^{-1/2} B A^{-1/2} = U L U*
+    and C = A^{1/2} U: this is A^{1/2} f(M) A^{1/2}, with f(M) never formed."""
     _require_same_dim(A, B)
     spec = A.decomposition()
-    u = spec.unitary
-    lam = spec.eigenvalues
-    half = (u * np.sqrt(lam)) @ u.conj().T
-    inv_half = (u / np.sqrt(lam)) @ u.conj().T
-    m = inv_half @ B.array @ inv_half
-    middle = PDMatrix((m + m.conj().T) / 2.0)
-    fm = apply_function(middle, representing_fn(d))
-    out = half @ fm.array @ half
-    return PDMatrix((out + out.conj().T) / 2.0)
+    root = np.sqrt(spec.eigenvalues)
+    inv_half = congruence_diag(spec.unitary, 1.0 / root)
+    # M is Hermitian only up to round-off that grows with cond(A), often
+    # beyond HermitianMatrix's input slack; congruence symmetrizes it
+    middle = PDMatrix(congruence(inv_half, B)).decomposition()
+    c = congruence_diag(spec.unitary, root) @ middle.unitary
+    values = spectral_values(representing_fn(d), middle.eigenvalues)
+    return PDMatrix(congruence_diag(c, values))
 
 
 def geomean(A, B):
@@ -171,15 +171,20 @@ def path_point(r, t, A, B):
     return mean(path_mean(r, t), A, B)
 
 
+def representing_gap(d1, d2, grid):
+    """Largest relative gap |f1 - f2| / max(1, |f1|) between the
+    representing functions of d1 and d2 over a grid of points."""
+    x = np.asarray(grid, dtype=float)
+    f1 = representing_fn(d1)(x)
+    gap = np.abs(f1 - representing_fn(d2)(x)) / np.maximum(1.0, np.abs(f1))
+    return float(np.max(gap))
+
+
 def descriptors_match(d1, d2, grid=None, tol=1e-12):
     """Extensional equality: compare representing functions on a grid."""
     if grid is None:
         grid = np.geomspace(0.05, 20.0, 25)
-    f1, f2 = representing_fn(d1), representing_fn(d2)
-    return all(
-        abs(f1(float(x)) - f2(float(x))) <= tol * max(1.0, abs(f1(float(x))))
-        for x in grid
-    )
+    return representing_gap(d1, d2, grid) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,15 @@ class TestSweep:
                            "--grid", "1:0:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:1", "nan:1:0.5"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run(capsys, "sweep", "--law", "tensor-g",
+                                "--grid", grid, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestRepro:
     def test_repro_matches_report(self, tmp_path, capsys):
@@ -178,6 +187,26 @@ def test_mistyped_setting_is_usage_error(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert err.startswith("error:") and named in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ('"seed"', "str"),
+    ('["wada"]', "list"),
+    ('{"laws": "wada", "trials": 1, "trails": 5}', "'trails'"),
+])
+@pytest.mark.parametrize("command", [
+    ("verify",),
+    ("sweep", "--law", "tensor-g", "--grid", "0:1:0.5"),
+    ("repro", "--law", "wada"),
+])
+def test_config_shape_is_usage_error(tmp_path, capsys, text, named, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, stdout, err = run(capsys, *command, "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert stdout == "" and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("law, boundary", [

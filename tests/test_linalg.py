@@ -228,6 +228,34 @@ class TestApplyFunction:
             apply_function(a, lambda t: np.log(t - 1.0))
         assert "0.5" in str(err.value)
 
+    def test_complex_value_names_eigenvalue(self):
+        a = PDMatrix(HermitianMatrix.diagonal([2.0, 0.5, 3.0]))
+        with pytest.raises(FunctionDomainError) as err:
+            apply_function(a, lambda t: np.sqrt(t - 1.0 + 0j))
+        assert "0.5" in str(err.value) and "2.0" not in str(err.value)
+
+    def test_fn_sees_the_eigenvalue_array_once(self):
+        a = random_pd_raw(np.random.default_rng(7), 4)
+        seen = []
+
+        def fn(lam):
+            seen.append(lam)
+            return np.sqrt(lam)
+
+        apply_function(a, fn)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], a.decomposition().eigenvalues)
+
+    def test_result_carries_its_spectrum(self, monkeypatch):
+        a = random_pd_raw(np.random.default_rng(8), 4)
+        lam = a.decomposition().eigenvalues
+        calls = count_eigs(monkeypatch)
+        out = PDMatrix(apply_function(a, lambda t: 1.0 / t))
+        assert calls == []
+        assert np.array_equal(out.decomposition().eigenvalues,
+                              np.sort(1.0 / lam))
+        assert np.allclose(out.array @ a.array, np.eye(4), atol=1e-12)
+
 
 class TestPower:
     def test_half_power(self):
@@ -384,6 +412,22 @@ class TestLoewner:
     def test_verdict_invariant(self):
         v = LoewnerVerdict(holds=True, margin=0.5, scale=2.0, tolerance=1e-8)
         assert v.holds == (v.margin >= -v.tolerance * max(1.0, v.scale))
+
+    def test_judge_is_the_pass_rule(self):
+        # the tolerance scales with max(1, scale)
+        assert LoewnerVerdict.judge(-1e-8, 0.5, 1e-8).holds
+        assert not LoewnerVerdict.judge(-1.1e-8, 0.5, 1e-8).holds
+        assert LoewnerVerdict.judge(-2e-8, 2.0, 1e-8).holds
+        v = LoewnerVerdict.judge(np.float64(-3e-8), np.float64(2.0), 1e-8)
+        assert type(v.holds) is bool and type(v.margin) is float
+        assert not v.holds
+
+    def test_loewner_leq_judges_its_margin(self):
+        rng = np.random.default_rng(23)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        v = loewner_leq(a, b, 1e-3)
+        assert v == LoewnerVerdict.judge(v.margin, a.norm_2() + b.norm_2(),
+                                         1e-3)
 
 
 class TestMatrixIO:

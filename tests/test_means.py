@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from meanscope.linalg import HermitianMatrix, PDMatrix, congruence, rel_residual
+from meanscope.linalg import (
+    HermitianMatrix,
+    PDMatrix,
+    apply_function,
+    congruence,
+    loewner_leq,
+    power,
+    rel_residual,
+)
 from meanscope import means
 from meanscope.means import (
     MeanDescriptor,
@@ -59,6 +67,20 @@ class TestRepresentingFn:
         grid = np.geomspace(0.01, 100.0, 60)
         vals = [f(float(x)) for x in grid]
         assert all(v1 >= v0 - 1e-12 for v0, v1 in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("d", FAMILY, ids=format_descriptor)
+    def test_maps_arrays_elementwise(self, d):
+        f = representing_fn(d)
+        grid = np.geomspace(0.01, 100.0, 30)
+        assert np.allclose(f(grid), [f(float(x)) for x in grid],
+                           rtol=1e-14, atol=0.0)
+
+    def test_representing_gap(self):
+        assert means.representing_gap(geometric(), geometric(),
+                                      np.geomspace(0.1, 10.0, 9)) == 0.0
+        # at x = 4: |2.5 - 2| / 2.5
+        assert means.representing_gap(arithmetic(), geometric(),
+                                      [1.0, 4.0]) == pytest.approx(0.2)
 
     def test_power_zero_is_geometric_limit(self):
         assert descriptors_match(power_mean(0.0), geometric())
@@ -121,6 +143,46 @@ class TestMean:
             f = representing_fn(d)
             out = mean(d, PDMatrix.identity(2), PDMatrix(2.5 * HermitianMatrix.identity(2)))
             assert np.allclose(out.array, f(2.5) * np.eye(2), atol=1e-12)
+
+    def test_matches_sandwich_formula(self):
+        # A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}
+        rng = np.random.default_rng(4)
+        a = random_pd(rng, 4)
+        b = random_pd(rng, 4)
+        half, inv_half = power(a, 0.5).array, power(a, -0.5).array
+        middle = PDMatrix(inv_half @ b.array @ inv_half)
+        for d in FAMILY:
+            fm = apply_function(middle, representing_fn(d)).array
+            expected = HermitianMatrix(half @ fm @ half)
+            assert rel_residual(mean(d, a, b), expected) <= 1e-12
+
+    def test_ill_conditioned_first_argument(self):
+        # A^{-1/2} B A^{-1/2} is Hermitian only up to round-off that grows
+        # with cond(A); with B near A it is near I, and that round-off is
+        # far above the 1e-13 slack HermitianMatrix allows its input
+        for seed in range(10):
+            a = random_pd(np.random.default_rng(seed), 3, spread=10 ** 3.5)
+            b = PDMatrix(a.array + 1e-3 * np.eye(3))
+            for d in FAMILY:
+                out = mean(d, a, b)      # A <= B, so A <= A sigma B <= B
+                assert loewner_leq(a, out).holds and loewner_leq(out, b).holds
+
+    def test_builds_two_matrices(self, monkeypatch):
+        # the middle factor and the result; f(middle) is never a matrix
+        rng = np.random.default_rng(5)
+        a = random_pd(rng, 3)
+        b = random_pd(rng, 3)
+        a.decomposition()
+        built = []
+        init = HermitianMatrix.__init__
+
+        def counted(self, entries):
+            built.append(self)
+            init(self, entries)
+
+        monkeypatch.setattr(HermitianMatrix, "__init__", counted)
+        out = mean(power_mean(0.5), a, b)
+        assert len(built) == 2 and built[-1] is out
 
     def test_geometric_mean_riccati(self):
         rng = np.random.default_rng(2)
