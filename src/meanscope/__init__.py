@@ -9,7 +9,6 @@ from .linalg import (  # noqa: F401
     SpectralDecomposition,
     LoewnerVerdict,
     eig_hermitian,
-    eig_jacobi,
     apply_function,
     power,
     congruence,

@@ -7,6 +7,7 @@ Reports are JSON (structured, round-trippable); curves are CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -18,11 +19,12 @@ import numpy as np
 
 from . import __version__, laws
 from .ensembles import REGIONS, EnsembleSpec
-from .linalg import matrix_to_dict
+from .linalg import LinalgError, matrix_to_dict
 
 DEFAULT_TRIALS = 200
 DEFAULT_TOL = laws.DEFAULT_TOL
 DEFAULT_KAPPA = 1e4
+GRID_MAX_POINTS = 10_001
 SEED_ENV_VAR = "MEANSCOPE_SEED"
 # The JSON type of each config key's value; flag values are typed by argparse.
 CONFIG_TYPES = {"laws": str, "field": str, "trials": int, "seed": int,
@@ -47,7 +49,11 @@ def _parse_grid(text):
     if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b <= a:
         raise UsageError(
             f"bad grid {text!r}: need finite a < b and step > 0")
-    count = int(round((b - a) / step))
+    steps = (b - a) / step          # inf when the quotient overflows
+    if not steps < GRID_MAX_POINTS - 0.5:
+        raise UsageError(f"grid {text!r} has {steps + 1:.4g} points; at "
+                         f"most {GRID_MAX_POINTS} points are allowed")
+    count = int(round(steps))
     grid = [a + i * step for i in range(count + 1)]
     if grid[-1] > b + 1e-12:
         grid = grid[:-1]
@@ -133,6 +139,19 @@ def _resolve_tol(args, config):
     return tol
 
 
+@contextlib.contextmanager
+def _trial(law, seed, n, m):
+    """Exit 2 naming the trial when its linear algebra fails: its matrices
+    lie beyond what the float checks support (a power that squares a large
+    --kappa-max past the condition cap, say), which is no verdict."""
+    try:
+        yield
+    except LinalgError as exc:
+        raise UsageError(f"{law}: trial seed={seed} n={n} m={m} failed in "
+                         f"linear algebra: {type(exc).__name__}: {exc}"
+                         ) from None
+
+
 def _cycle_n(trial, fixed, cap):
     n = fixed if fixed is not None else (trial % 6) + 1
     return min(n, cap)
@@ -146,8 +165,8 @@ def cmd_verify(args):
     config = _load_config(args.config) if args.config else {}
     law_list = _parse_laws(_resolve(args, config, "laws", "all"))
     trials = int(_resolve(args, config, "trials", DEFAULT_TRIALS))
-    if trials < 0:
-        raise UsageError("trials must be non-negative")
+    if trials < 1:
+        raise UsageError(f"trials must be at least 1, got {trials}")
     seed = _resolve_seed(args, config)
     tol = _resolve_tol(args, config)
     kappa = float(_resolve(args, config, "kappa_max", DEFAULT_KAPPA))
@@ -172,10 +191,12 @@ def cmd_verify(args):
             n = _cycle_n(k, fixed_n, spec.n_cap)
             m = _cycle_m(k, fixed_m)
             boundary = boundaries[k] if k < len(boundaries) else None
-            inst = laws.sample_instance(name, n=n, m=m, fieldname=fieldname,
-                                        kappa_max=kappa, seed=cs,
-                                        boundary=boundary)
-            result = laws.check_law(name, inst, tol=tol)
+            with _trial(name, cs, n, m):
+                inst = laws.sample_instance(name, n=n, m=m,
+                                            fieldname=fieldname,
+                                            kappa_max=kappa, seed=cs,
+                                            boundary=boundary)
+                result = laws.check_law(name, inst, tol=tol)
             if result.status == "skip":
                 skips += 1
                 continue
@@ -194,6 +215,8 @@ def cmd_verify(args):
                          "skips": skips, "worst": worst,
                          "failing_seeds": failing}
 
+    # a law whose every trial skipped checked nothing, which is no pass
+    nocheck = [name for name, r in per_law.items() if r["skips"] == trials]
     report = {
         "version": __version__,
         "config": {"laws": sorted(law_list), "trials": trials, "seed": seed,
@@ -201,7 +224,7 @@ def cmd_verify(args):
                    "n": fixed_n, "m": fixed_m},
         "laws": per_law,
         "wall_clock_sec": round(time.monotonic() - started, 6),
-        "exit_status": 1 if any_fail else 0,
+        "exit_status": 1 if any_fail or nocheck else 0,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -218,37 +241,46 @@ def cmd_verify(args):
         for name in sorted(per_law):
             for f in per_law[name]["failing_seeds"]:
                 print(f"FAIL {name} seed={f['seed']} n={f['n']} m={f['m']}")
+    for name in nocheck:
+        print(f"NOCHECK {name}: all {trials} trials skipped")
     return report["exit_status"]
 
 
-def _build_instance_from_args(args, config, law_for_instance):
+def _parse_boundary(text, law):
+    """The (s, t) forced by ``repro --boundary``, for a law that reads it."""
+    spec = laws.law_spec(law)
+    if not spec.reads_boundary:
+        raise UsageError(f"{law} reads no --boundary: its trial would be "
+                         f"the same without it")
+    try:
+        s, t = (float(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"bad boundary {text!r}, expected s,t")
+    if spec.region is not None and not REGIONS[spec.region](s, t):
+        raise UsageError(f"boundary {text!r} lies outside the "
+                         f"{spec.region} region of {law}")
+    return s, t
+
+
+def _build_instance_from_args(args, config, law_for_instance, boundary=None):
+    """The instance given by the flags, and the trial guard to check it in."""
     seed = _resolve_seed(args, config)
     kappa = float(_resolve(args, config, "kappa_max", DEFAULT_KAPPA))
     fieldname = _resolve(args, config, "field", "complex")
     n = int(_resolve(args, config, "n", 3))
     m = int(_resolve(args, config, "m", 2))
     _check_ensemble(n, m, fieldname, kappa)
-    boundary = None
-    if getattr(args, "boundary", None):
-        try:
-            s, t = (float(x) for x in args.boundary.split(","))
-        except ValueError:
-            raise UsageError(f"bad boundary {args.boundary!r}, expected s,t")
-        region = laws.law_spec(law_for_instance).region
-        if region is not None and not REGIONS[region](s, t):
-            raise UsageError(f"boundary {args.boundary!r} lies outside the "
-                             f"{region} region of {law_for_instance}")
-        boundary = (s, t)
     try:
-        inst = laws.sample_instance(law_for_instance, n=n, m=m,
-                                    fieldname=fieldname, kappa_max=kappa,
-                                    seed=seed, boundary=boundary)
+        with _trial(law_for_instance, seed, n, m):
+            inst = laws.sample_instance(law_for_instance, n=n, m=m,
+                                        fieldname=fieldname, kappa_max=kappa,
+                                        seed=seed, boundary=boundary)
     except ValueError as exc:
         if boundary is None:
             raise
         raise UsageError(f"boundary {args.boundary!r} lies outside the "
                          f"parameter region of {law_for_instance}: {exc}")
-    return inst, seed
+    return inst, seed, _trial(law_for_instance, seed, n, m)
 
 
 def cmd_sweep(args):
@@ -258,6 +290,9 @@ def cmd_sweep(args):
         raise UsageError(
             f"law {name!r} is not sweepable; choose from "
             f"{sorted(laws.SWEEPS)}")
+    if args.boundary is not None:
+        raise UsageError(f"sweep {name} reads no --boundary: no sweep curve "
+                         f"depends on (s, t)")
     sw = laws.SWEEPS[name]
     if args.grid:
         grid = _parse_grid(args.grid)
@@ -265,8 +300,9 @@ def cmd_sweep(args):
         lo, hi = sw.domain
         grid = list(np.linspace(lo, hi, 17))
     tol = _resolve_tol(args, config)
-    inst, _ = _build_instance_from_args(args, config, sw.instance_law)
-    curve = laws.sweep_law(name, inst, grid, tol=tol)
+    inst, _, trial = _build_instance_from_args(args, config, sw.instance_law)
+    with trial:
+        curve = laws.sweep_law(name, inst, grid, tol=tol)
     rows = [["t", "trace", "lambda_min", "lambda_max", "monotone_link_margin"]]
     for p in curve.points:
         margin = "" if np.isnan(p.link_margin) else repr(p.link_margin)
@@ -286,8 +322,11 @@ def cmd_repro(args):
     if name not in laws.law_names():
         raise UsageError(f"unknown law {name!r}")
     tol = _resolve_tol(args, config)
-    inst, seed = _build_instance_from_args(args, config, name)
-    result = laws.check_law(name, inst, tol=tol)
+    boundary = (None if args.boundary is None
+                else _parse_boundary(args.boundary, name))
+    inst, seed, trial = _build_instance_from_args(args, config, name, boundary)
+    with trial:
+        result = laws.check_law(name, inst, tol=tol)
     dump = {
         "law": name,
         "seed": seed,

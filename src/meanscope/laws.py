@@ -130,14 +130,18 @@ class LawSpec:
     check: object
     n_cap: int = 6
     region: str = None
+    reads_boundary: bool = False   # whether the sampler uses a forced (s, t)
 
 
 _LAWS = {}
 
 
-def register_law(name, sampler, check, n_cap=6, region=None):
+def register_law(name, sampler, check, n_cap=6, region=None,
+                 reads_boundary=False):
+    """Register a law; one with a parameter region reads a boundary."""
     _LAWS[name] = LawSpec(name=name, sampler=sampler, check=check,
-                          n_cap=n_cap, region=region)
+                          n_cap=n_cap, region=region,
+                          reads_boundary=reads_boundary or region is not None)
 
 
 def law_names():
@@ -778,8 +782,9 @@ register_law("hadamard-callebaut", _sample_hadamard_callebaut,
 register_law("hadamard-power", _sample_hadamard_power, _check_hadamard_power,
              region="unit")
 register_law("interpolation-identity", _sample_interpolation_identity,
-             _check_interpolation_identity)
-register_law("path-axioms", _sample_path_axioms, _check_path_axioms)
+             _check_interpolation_identity, reads_boundary=True)
+register_law("path-axioms", _sample_path_axioms, _check_path_axioms,
+             reads_boundary=True)
 register_law("wada", _sample_wada, _check_wada, n_cap=3)
 
 

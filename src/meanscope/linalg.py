@@ -1,10 +1,9 @@
 """Dense Hermitian linear algebra on small matrices.
 
 Everything downstream (means, inequality checks) is built from the pieces
-here: a validated LAPACK eigensolver for complex Hermitian matrices (with a
-cyclic Jacobi solver kept as its reference oracle), spectral matrix
-functions, congruence, Kronecker/Hadamard products, and Loewner-order
-comparison with explicit margins.
+here: a validated LAPACK eigensolver for complex Hermitian matrices,
+spectral matrix functions, congruence, Kronecker/Hadamard products, and
+Loewner-order comparison with explicit margins.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -12,15 +11,12 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-13          # relative symmetry slack accepted on input
 CONDITION_CAP = 1e12           # PDMatrix needs lambda_max / lambda_min below this
-JACOBI_SWEEP_TOL = 1e-14       # off-diagonal Frobenius norm target, relative
-JACOBI_MAX_SWEEPS = 64
 DECOMP_TOL = 1e-12             # reconstruction / unitarity budget
 TENSOR_DIM_CAP = 64            # kron refuses results larger than this
 
@@ -42,9 +38,7 @@ class NotPositiveDefiniteError(LinalgError):
 
 
 class ConvergenceError(LinalgError):
-    def __init__(self, message, off_residual):
-        super().__init__(message)
-        self.off_residual = off_residual
+    pass
 
 
 class FunctionDomainError(LinalgError):
@@ -203,10 +197,9 @@ def eig_hermitian(A):
     """Diagonalize a HermitianMatrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns a SpectralDecomposition with eigenvalues ascending.  The result
-    is validated like every decomposition: reconstruction and unitarity
-    residuals above ``DECOMP_TOL`` raise ConvergenceError.  A 1-by-1 matrix
-    is its own eigenvalue and runs no solver.  ``eig_jacobi`` is the
-    reference oracle this solver is tested against.
+    is validated: reconstruction and unitarity residuals above
+    ``DECOMP_TOL`` raise ConvergenceError.  A 1-by-1 matrix is its own
+    eigenvalue and runs no solver.
     """
     a = A.array
     if a.shape[0] == 1:
@@ -214,79 +207,6 @@ def eig_hermitian(A):
             np.real(np.diagonal(a)), np.eye(1, dtype=np.complex128), A)
     lam, u = np.linalg.eigh(a)
     return _finish_decomposition(lam, u, A)
-
-
-def eig_jacobi(A, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Diagonalize a HermitianMatrix by cyclic complex Jacobi rotations.
-
-    Returns a SpectralDecomposition with eigenvalues ascending.  Converges
-    when the off-diagonal Frobenius norm drops below
-    ``JACOBI_SWEEP_TOL * ||A||_F``; raises ConvergenceError (carrying the
-    off-diagonal residual) if that does not happen within ``max_sweeps``
-    sweeps.  Deterministic for a fixed input.
-
-    The reference oracle for ``eig_hermitian``: slow (a Python loop over
-    rotations) but of known high relative accuracy (Demmel & Veselic,
-    "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal. Appl.
-    1992).  Nothing in the package calls it; the tests compare against it.
-    """
-    m = np.array(A.array, dtype=np.complex128)
-    n = m.shape[0]
-    u = np.eye(n, dtype=np.complex128)
-    fro = np.linalg.norm(m)
-    if n == 1 or fro == 0.0:
-        return _finish_decomposition(np.real(np.diagonal(m)), u, A)
-
-    target = JACOBI_SWEEP_TOL * fro
-    converged = False
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(m)
-        if off <= target:
-            converged = True
-            break
-        skip = target / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                absb = abs(apq)
-                if absb <= skip:
-                    continue
-                app = m[p, p].real
-                aqq = m[q, q].real
-                phase = apq / absb
-                tau = (aqq - app) / (2.0 * absb)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # G = diag(1, conj(phase)) . [[c, s], [-s, c]]
-                g = np.array(
-                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]],
-                    dtype=np.complex128,
-                )
-                m[:, (p, q)] = m[:, (p, q)] @ g
-                m[(p, q), :] = g.conj().T @ m[(p, q), :]
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real
-                m[q, q] = m[q, q].real
-                u[:, (p, q)] = u[:, (p, q)] @ g
-    if not converged:
-        off = _offdiag_norm(m)
-        if off > target:
-            raise ConvergenceError(
-                f"Jacobi sweep limit {max_sweeps} reached with off-diagonal "
-                f"residual {off:.3e} (target {target:.3e})",
-                off_residual=float(off),
-            )
-    return _finish_decomposition(np.real(np.diagonal(m)), u, A)
-
-
-def _offdiag_norm(m):
-    off = m - np.diag(np.diagonal(m))
-    return float(np.linalg.norm(off))
 
 
 def _sorted_spectrum(lam, u):
@@ -309,9 +229,7 @@ def _finish_decomposition(lam, u, original):
     if recon > DECOMP_TOL * max(1.0, fro) or ortho > DECOMP_TOL:
         raise ConvergenceError(
             f"eigendecomposition failed validation: reconstruction {recon:.3e}, "
-            f"unitarity {ortho:.3e}",
-            off_residual=recon,
-        )
+            f"unitarity {ortho:.3e}")
     return spec
 
 

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from meanscope import laws
-from meanscope.cli import SEED_ENV_VAR, main
+from meanscope import cli, laws
+from meanscope.cli import GRID_MAX_POINTS, SEED_ENV_VAR, main
 from meanscope.linalg import matrix_from_dict
 
 
@@ -43,12 +43,37 @@ class TestVerify:
         assert "no law" in err
 
     def test_zero_trials(self, tmp_path, capsys):
+        # a run that checks nothing is no pass
         out = tmp_path / "report.json"
-        code, _, _ = run(capsys, "verify", "--laws", "wada", "--trials", "0",
-                         "--out", str(out))
-        assert code == 0
-        block = json.loads(out.read_text())["laws"]["wada"]
-        assert block["trials"] == 0 and block["worst"] is None
+        code, _, err = run(capsys, "verify", "--laws", "wada", "--trials", "0",
+                           "--out", str(out))
+        assert code == 2
+        assert "trials" in err and not out.exists()
+
+    def test_law_with_every_trial_skipped_is_no_pass(self, tmp_path, capsys):
+        def sampler(espec, boundary):
+            inst = laws._sample_wada(espec, boundary)
+            inst.law = "wada-skipped"
+            return inst
+
+        def check(inst, tol):
+            return laws.CheckResult("wada-skipped", {}, (), skipped=True,
+                                    skip_reason="always")
+
+        laws.register_law("wada-skipped", sampler, check)
+        try:
+            out = tmp_path / "report.json"
+            code, stdout, _ = run(capsys, "verify", "--laws",
+                                  "wada,wada-skipped", "--trials", "2",
+                                  "--out", str(out))
+            assert code == 1
+            assert "NOCHECK wada-skipped" in stdout
+            assert "NOCHECK wada " not in stdout and "FAIL" not in stdout
+            report = json.loads(out.read_text())
+            assert report["exit_status"] == 1
+            assert report["laws"]["wada-skipped"]["skips"] == 2
+        finally:
+            del laws._LAWS["wada-skipped"]
 
     def test_report_roundtrips(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -110,6 +135,19 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--law", "tensor-g",
                            "--grid", "1:0:0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:1:1e-6",
+                                      "0:1:9.99e-5"])
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run(capsys, "sweep", "--law", "tensor-g",
+                                "--grid", grid, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "at most 10001 points" in err
+        assert stdout == "" and not out.exists()
+
+    def test_largest_grid_is_accepted(self):
+        assert len(cli._parse_grid("0:1:1e-4")) == GRID_MAX_POINTS
 
     @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:1", "nan:1:0.5"])
     def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
@@ -221,6 +259,57 @@ def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
                             "--n", "2", "--m", "1", "--boundary", boundary)
     assert code == 2
     assert "region" in err and stdout == ""
+
+
+@pytest.mark.parametrize("law", [
+    "mean-axioms", "superadditivity", "sharp-identity", "callebaut-operator",
+    "power-lemma", "tensor-f", "tensor-g", "wada",
+])
+def test_boundary_for_law_that_reads_none_is_usage_error(capsys, law):
+    code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "5",
+                            "--n", "2", "--boundary", "0.3,0.2")
+    assert code == 2
+    assert err.startswith("error:") and law in err and stdout == ""
+
+
+def test_laws_that_read_a_boundary():
+    readers = {name for name in laws.law_names()
+               if laws.law_spec(name).reads_boundary}
+    assert readers == {"path-monotonicity", "geo-path-callebaut",
+                       "scalar-callebaut", "matrix-callebaut",
+                       "hadamard-callebaut", "hadamard-power",
+                       "interpolation-identity", "path-axioms"}
+
+
+@pytest.mark.parametrize("sweep", sorted(laws.SWEEPS))
+def test_sweep_boundary_is_usage_error(tmp_path, capsys, sweep):
+    # no sweep curve depends on (s, t), whichever law samples its instance
+    out = tmp_path / "curve.csv"
+    code, stdout, err = run(capsys, "sweep", "--law", sweep, "--n", "2",
+                            "--grid", "0:1:0.5", "--boundary", "0.2,0.1",
+                            "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and sweep in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--laws", "tensor-f", "--trials", "12", "--seed", "12"),
+    ("repro", "--law", "tensor-f", "--seed", "3200267337503137566",
+     "--n", "2", "--m", "2"),
+    ("sweep", "--law", "tensor-f", "--seed", "3200267337503137566",
+     "--n", "2", "--m", "2", "--grid", "0:1:0.5"),
+])
+def test_linalg_error_in_trial_is_usage_error(tmp_path, capsys, command):
+    # at kappa 1e7, A^2 in tensor-f's t = 1 link squares a condition number
+    # near 1e7 past the 1e12 cap; the message names the trial to repro
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *command, "--kappa-max", "1e7",
+                       "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: tensor-f: trial seed=3200267337503137566 "
+                          "n=2 m=2 ")
+    assert "NotPositiveDefiniteError" in err and not out.exists()
 
 
 class TestFailurePath:

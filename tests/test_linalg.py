@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from meanscope import linalg
 from meanscope.linalg import (
     CONDITION_CAP,
@@ -18,7 +19,6 @@ from meanscope.linalg import (
     apply_function,
     congruence,
     eig_hermitian,
-    eig_jacobi,
     hadamard,
     kron,
     kron_diagonal_block,
@@ -131,14 +131,7 @@ class TestEig:
         recon = (d.unitary * d.eigenvalues) @ d.unitary.conj().T
         assert np.linalg.norm(recon - h.array) <= 1e-12 * max(1, h.norm_fro())
 
-    def test_sweep_limit_raises(self):
-        rng = np.random.default_rng(1)
-        h = random_hermitian(rng, 6)
-        with pytest.raises(ConvergenceError) as err:
-            eig_jacobi(h, max_sweeps=1)
-        assert err.value.off_residual > 0
-
-    def test_lapack_agrees_with_jacobi_oracle(self):
+    def test_lapack_agrees_with_mpmath_oracle(self):
         # the matrices of acceptance criterion 1: n = 1..16, complex field
         rng = np.random.default_rng(20260826)
         for k in range(100):
@@ -146,13 +139,28 @@ class TestEig:
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = HermitianMatrix((g + g.conj().T) / 2)
             budget = 1e-12 * max(1.0, h.norm_fro())
-            fast, oracle = eig_hermitian(h), eig_jacobi(h)
-            assert np.max(np.abs(fast.eigenvalues - oracle.eigenvalues)) <= budget
-            for d in (fast, oracle):
-                recon = (d.unitary * d.eigenvalues) @ d.unitary.conj().T
-                assert np.linalg.norm(recon - h.array) <= budget, n
-                assert np.linalg.norm(
-                    d.unitary.conj().T @ d.unitary - np.eye(n)) <= 1e-12, n
+            d = eig_hermitian(h)
+            assert np.max(np.abs(d.eigenvalues - oracle.eigenvalues(h))) \
+                <= budget, n
+            recon = (d.unitary * d.eigenvalues) @ d.unitary.conj().T
+            assert np.linalg.norm(recon - h.array) <= budget, n
+            assert np.linalg.norm(
+                d.unitary.conj().T @ d.unitary - np.eye(n)) <= 1e-12, n
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lam, u: (lam * (1.0 + 1e-9), u),          # eigenvalues off
+        lambda lam, u: (lam, u * (1.0 + 1e-9)),          # vectors not unitary
+        lambda lam, u: (lam, u[:, ::-1]),                # vectors mismatched
+        # a null vector stretched: A is still reconstructed, U not unitary
+        lambda lam, u: (lam, u * np.where(abs(lam) < 1e-9, 2.0, 1.0)),
+    ], ids=["eigenvalues", "scaled-vectors", "swapped-vectors", "null-vector"])
+    def test_corrupted_eigh_output_rejected(self, monkeypatch, corrupt):
+        h = random_hermitian(np.random.default_rng(2), 6)
+        h = h - h.decomposition().eigenvalues[0] * HermitianMatrix.identity(6)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: corrupt(*eigh(a)))
+        with pytest.raises(ConvergenceError, match="failed validation"):
+            eig_hermitian(h)
 
 
 class TestPDMatrix:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracle
+from meanscope import ensembles
 from meanscope.linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -155,6 +157,16 @@ class TestMean:
             fm = apply_function(middle, representing_fn(d)).array
             expected = HermitianMatrix(half @ fm @ half)
             assert rel_residual(mean(d, a, b), expected) <= 1e-12
+
+    def test_matches_exact_mean(self):
+        # the default ensemble (kappa 1e4) against 30-digit arithmetic
+        for n in range(1, 7):
+            for seed in range(3):
+                spec = ensembles.EnsembleSpec(n=n, seed=seed)
+                a, b = ensembles.random_pd(spec, 0), ensembles.random_pd(spec, 1)
+                for d, exact in zip(FAMILY, oracle.means(FAMILY, a, b)):
+                    err = np.linalg.norm(mean(d, a, b).array - exact)
+                    assert err <= 1e-10 * np.linalg.norm(exact), (n, seed, d)
 
     def test_ill_conditioned_first_argument(self):
         # A^{-1/2} B A^{-1/2} is Hermitian only up to round-off that grows
