@@ -12,8 +12,10 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -33,6 +35,15 @@ CONFIG_TYPES = {"laws": str, "field": str, "trials": int, "seed": int,
 
 class UsageError(Exception):
     pass
+
+
+_NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
+
+
+def _skip_category(reason):
+    """A skip reason with its numbers blanked to '#', so that trials skipped
+    for one cause tally together in the report."""
+    return _NUMBER.sub("#", reason)
 
 
 def child_seed(master, law_index, trial):
@@ -184,8 +195,10 @@ def cmd_verify(args):
         spec = laws.law_spec(name)
         boundaries = laws.boundary_params(name)
         passes = fails = skips = 0
+        skip_reasons = Counter()
         worst = None
         failing = []
+        law_started = time.monotonic()
         for k in range(trials):
             cs = child_seed(seed, law_index, k)
             n = _cycle_n(k, fixed_n, spec.n_cap)
@@ -199,6 +212,7 @@ def cmd_verify(args):
                 result = laws.check_law(name, inst, tol=tol)
             if result.status == "skip":
                 skips += 1
+                skip_reasons[_skip_category(result.skip_reason)] += 1
                 continue
             if result.holds:
                 passes += 1
@@ -213,7 +227,9 @@ def cmd_verify(args):
         any_fail = any_fail or fails > 0
         per_law[name] = {"trials": trials, "passes": passes, "fails": fails,
                          "skips": skips, "worst": worst,
-                         "failing_seeds": failing}
+                         "failing_seeds": failing,
+                         "skip_reasons": dict(sorted(skip_reasons.items())),
+                         "wall_sec": round(time.monotonic() - law_started, 6)}
 
     # a law whose every trial skipped checked nothing, which is no pass
     nocheck = [name for name, r in per_law.items() if r["skips"] == trials]
@@ -302,7 +318,10 @@ def cmd_sweep(args):
     tol = _resolve_tol(args, config)
     inst, _, trial = _build_instance_from_args(args, config, sw.instance_law)
     with trial:
-        curve = laws.sweep_law(name, inst, grid, tol=tol)
+        try:
+            curve = laws.sweep_law(name, inst, grid, tol=tol)
+        except laws.InstanceError as exc:     # a grid the family cannot take
+            raise UsageError(f"sweep {name}: {exc}") from None
     rows = [["t", "trace", "lambda_min", "lambda_max", "monotone_link_margin"]]
     for p in curve.points:
         margin = "" if np.isnan(p.link_margin) else repr(p.link_margin)

@@ -29,6 +29,7 @@ from .linalg import (
     pd_sum,
     power,
     rel_residual,
+    stack,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -181,6 +182,15 @@ def _ineq(label, A, B, tol):
     return IneqLink(label, loewner_leq(A, B, tol))
 
 
+def _chain(labels, members, tol):
+    """The links members[i] <= members[i+1] between neighbouring matrices
+    of a stack, one per label, from one stacked Loewner comparison."""
+    members.decomposition()     # computed once; the slices below share it
+    verdicts = loewner_leq(members[:-1], members[1:], tol)
+    return tuple(IneqLink(label, v)
+                 for label, v in zip(labels, verdicts, strict=True))
+
+
 def _eq(label, X, Y, tol=EQUALITY_TOL):
     return EqLink(label, rel_residual(X, Y), tol)
 
@@ -213,16 +223,23 @@ def _inst_rng(espec, tag):
         np.random.SeedSequence((int(espec.seed) & (2**63 - 1), 101, tag)))
 
 
-def _path_sum(d, As, Bs):
-    """The path sum sum_j A_j sigma B_j for the mean sigma described by d."""
-    return pd_sum([means.mean(d, a, b) for a, b in zip(As, Bs)])
+def _path_sums(ds, As, Bs):
+    """The path sums sum_j A_j sigma B_j, one for each descriptor in ds, as
+    a stack; every mean comes from one call on the stacked pairs."""
+    family = means.mean(ds, stack(As), stack(Bs))
+    return pd_sum([family[:, j] for j in range(len(As))])
 
 
-def _path_pair(As, Bs, u, r=0.0):
-    """(S(u), S(1-u)), where S(u) sums the points u of the interpolation
-    paths of exponent r (the geodesics A_j #_u B_j for r = 0)."""
-    return (_path_sum(means.path_mean(r, u), As, Bs),
-            _path_sum(means.path_mean(r, 1.0 - u), As, Bs))
+def _sums(As, Bs):
+    """sum_j A_j and sum_j B_j, as a stack of two."""
+    pairs = stack([stack(As), stack(Bs)])
+    return pd_sum([pairs[:, j] for j in range(len(As))])
+
+
+def _pair(u, r=0.0):
+    """The points u and 1-u of the interpolation path of exponent r (the
+    geodesic #_u for r = 0), whose path sums are S(u) and S(1-u)."""
+    return means.path_mean(r, u), means.path_mean(r, 1.0 - u)
 
 
 def _tensor_sum(x, y):
@@ -260,21 +277,19 @@ def _sample_mean_axioms(espec, boundary):
 
 def _check_mean_axioms(inst, tol):
     d = inst.sigma
-    n = inst.n
-    eye = PDMatrix.identity(n)
-    links = []
-    links.append(_eq("normalization", means.mean(d, eye, eye),
-                     HermitianMatrix.identity(n), tol=1e-13))
+    eye = PDMatrix.identity(inst.n)
     x, y = inst.As[0], inst.Bs[0]
     c = inst.congruence
-    lhs = congruence(c, means.mean(d, x, y))
-    rhs = means.mean(d, PDMatrix(congruence(c, x)),
-                     PDMatrix(congruence(c, y)))
-    links.append(_eq("congruence-equivariance", lhs, rhs))
     (a, b), (cc, dd) = inst.ordered
-    links.append(_ineq("joint-monotonicity",
-                       means.mean(d, a, cc), means.mean(d, b, dd), tol))
-    return CheckResult("mean-axioms", _summary(inst), tuple(links))
+    # I s I, x s y, (C*xC) s (C*yC), A s C and B s D in one call
+    unit, xy, cxy, ac, bd = means.mean(
+        d, stack([eye, x, PDMatrix(congruence(c, x)), a, b]),
+        stack([eye, y, PDMatrix(congruence(c, y)), cc, dd]))
+    links = (_eq("normalization", unit, HermitianMatrix.identity(inst.n),
+                 tol=1e-13),
+             _eq("congruence-equivariance", congruence(c, xy), cxy),
+             _ineq("joint-monotonicity", ac, bd, tol))
+    return CheckResult("mean-axioms", _summary(inst), links)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +308,8 @@ def _sample_superadditivity(espec, boundary):
 
 def _check_superadditivity(inst, tol):
     d = inst.sigma
-    lhs = _path_sum(d, inst.As, inst.Bs)
-    rhs = means.mean(d, pd_sum(inst.As), pd_sum(inst.Bs))
+    (lhs,) = _path_sums([d], inst.As, inst.Bs)
+    rhs = means.mean(d, *_sums(inst.As, inst.Bs))
     links = (_ineq("superadditivity", lhs, rhs, tol),)
     return CheckResult("superadditivity", _summary(inst), links)
 
@@ -314,9 +329,9 @@ def _sample_sharp_identity(espec, boundary):
 
 def _check_sharp_identity(inst, tol):
     d = inst.sigma
-    a, b = inst.As[0], inst.Bs[0]
-    left = means.geomean(means.mean(d, a, b), means.mean(means.dual(d), a, b))
-    links = (_eq("sharp-identity", left, means.geomean(a, b)),)
+    x, y, sharp = means.mean((d, means.dual(d), means.geometric()),
+                             inst.As[0], inst.Bs[0])
+    links = (_eq("sharp-identity", means.geomean(x, y), sharp),)
     return CheckResult("sharp-identity", _summary(inst), links)
 
 
@@ -334,20 +349,19 @@ def _sample_callebaut_operator(espec, boundary):
                        params={"sigma": means.format_descriptor(sigma)})
 
 
-def _outer_links(As, Bs, mid, tol):
-    """sum_j A_j # B_j <= mid <= (sum A_j) # (sum B_j)."""
-    lo = _path_sum(means.geometric(), As, Bs)
-    hi = means.geomean(pd_sum(As), pd_sum(Bs))
-    return (_ineq("lower-link", lo, mid, tol),
-            _ineq("upper-link", mid, hi, tol))
+def _outer_links(As, Bs, pair, tol):
+    """sum_j A_j # B_j <= S1 # S2 <= (sum A_j) # (sum B_j), where S1 and S2
+    are the path sums of the two descriptors in ``pair``."""
+    s1, s2, lo = _path_sums((*pair, means.geometric()), As, Bs)
+    sa, sb = _sums(As, Bs)
+    mid, hi = means.geomean(stack([s1, sa]), stack([s2, sb]))
+    return _chain(("lower-link", "upper-link"), stack([lo, mid, hi]), tol)
 
 
 def _check_callebaut_operator(inst, tol):
     d = inst.sigma
-    mid = means.geomean(_path_sum(d, inst.As, inst.Bs),
-                        _path_sum(means.dual(d), inst.As, inst.Bs))
     return CheckResult("callebaut-operator", _summary(inst),
-                       _outer_links(inst.As, inst.Bs, mid, tol))
+                       _outer_links(inst.As, inst.Bs, (d, means.dual(d)), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +381,9 @@ def _sample_geo_path_callebaut(espec, boundary):
 
 
 def _check_geo_path_callebaut(inst, tol):
-    mid = means.geomean(*_path_pair(inst.As, inst.Bs, inst.params["s"]))
     return CheckResult("geo-path-callebaut", _summary(inst),
-                       _outer_links(inst.As, inst.Bs, mid, tol))
+                       _outer_links(inst.As, inst.Bs,
+                                    _pair(inst.params["s"]), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +424,19 @@ def _check_path_monotonicity(inst, tol):
             skipped=True,
             skip_reason=f"dual-symmetry hypothesis fails for r={r} "
                         f"(residual {hyp:.3e})")
-
-    def F(u):
-        return means.geomean(*_path_pair(inst.As, inst.Bs, u, r))
-
-    links = (_ineq("path-monotonicity", F(s), F(t), tol),)
+    links = (_path_monotonicity_link(inst, s, t, tol),)
     return CheckResult("path-monotonicity", _summary(inst), links)
+
+
+def _path_monotonicity_link(inst, s, t, tol):
+    """F(s) <= F(t) for F(u) = S(u) # S(1-u), with S the path sums of the
+    instance's exponent r; a theorem only where the dual-symmetry
+    hypothesis holds."""
+    ss, s1, ts, t1 = _path_sums((*_pair(s, inst.params["r"]),
+                                 *_pair(t, inst.params["r"])),
+                                inst.As, inst.Bs)
+    fs, ft = means.geomean(stack([ss, ts]), stack([s1, t1]))
+    return _ineq("path-monotonicity", fs, ft, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +509,20 @@ def _sample_power_lemma(espec, boundary):
 
 
 def _check_power_lemma(inst, tol):
-    a = inst.As[0]
-    rhs = power(a, 1.0) + power(a, -1.0)
-    links = []
-    for r in inst.params["r_grid"]:
-        lhs = power(a, r) + power(a, -r)
-        links.append(_ineq(f"r={r:g}", lhs, rhs, tol))
-    # degenerate endpoints: r=0 collapses to 2I, r=1 collapses to the bound
-    links.append(_eq("r0-degenerate",
-                     power(a, 0.0) + power(a, -0.0),
+    rs = list(inst.params["r_grid"])
+    # A^r + A^-r as one stack: the bound (r = 1), the grid, and the
+    # degenerate endpoints r = 0, which collapses to 2I, and r = 1, which
+    # collapses to the bound
+    exps = [1.0, *rs, 0.0, 1.0]
+    sums = power(inst.As[0], exps) + power(inst.As[0], [-x for x in exps])
+    linked = sums[:-2]
+    linked.decomposition()    # one eigendecomposition serves every norm
+    rhs = linked[0]
+    links = [IneqLink(f"r={r:g}", v) for r, v in
+             zip(rs, loewner_leq(linked[1:], rhs, tol), strict=True)]
+    links.append(_eq("r0-degenerate", sums[-2],
                      2.0 * HermitianMatrix.identity(inst.n)))
-    links.append(_eq("r1-degenerate",
-                     power(a, 1.0) + power(a, -1.0), rhs))
+    links.append(_eq("r1-degenerate", sums[-1], rhs))
     return CheckResult("power-lemma", _summary(inst), tuple(links))
 
 
@@ -509,7 +532,8 @@ def _check_power_lemma(inst, tol):
 
 def power_tensor_sum(a, b, p, q):
     """A^p x B^q + A^q x B^p: the tensor-f curve at (p, q) = (1+t, 1-t),
-    the tensor-g curve at (t, 1-t)."""
+    the tensor-g curve at (t, 1-t).  For sequences p and q, the stack of
+    the values at each pair (p[i], q[i])."""
     return kron(power(a, p), power(b, q)) + kron(power(a, q), power(b, p))
 
 
@@ -528,24 +552,33 @@ def _sample_tensor(espec, boundary, law):
 def _vshape_links(grid, values, pivot, tol):
     """Loewner links between neighbouring points of a curve with its minimum
     at the pivot: decreasing left of it, increasing right of it.  One entry
-    per neighbouring pair; None for the pair that straddles the pivot."""
-    links = []
-    for (t0, v0), (t1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+    per neighbouring pair; None for the pair that straddles the pivot.
+    ``values`` is the stack of the curve's values; one eigendecomposition
+    of it gives every norm, and one of the stacked differences every
+    margin."""
+    labels, lo, hi = [], [], []       # link k checks values[lo] <= values[hi]
+    for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
         if t1 <= pivot + 1e-12:
-            links.append(_ineq(f"decreasing {t0:g}->{t1:g}", v1, v0, tol))
+            labels.append(f"decreasing {t0:g}->{t1:g}")
+            lo.append(i + 1)
+            hi.append(i)
         elif t0 >= pivot - 1e-12:
-            links.append(_ineq(f"increasing {t0:g}->{t1:g}", v0, v1, tol))
+            labels.append(f"increasing {t0:g}->{t1:g}")
+            lo.append(i)
+            hi.append(i + 1)
         else:
-            links.append(None)
-    return links
+            labels.append(None)
+    values.decomposition()      # computed once; the slices below share it
+    verdicts = iter(loewner_leq(values[lo], values[hi], tol) if lo else ())
+    return [None if label is None else IneqLink(label, next(verdicts))
+            for label in labels]
 
 
 def _check_tensor(inst, tol):
     """The law's SWEEPS curve over its V-shaped grid, linked pairwise."""
     sw = SWEEPS[inst.law]
     grid = vshape_grid(*sw.domain, sw.pivot)
-    values = [sw.evaluator(inst, t) for t in grid]
-    links = _vshape_links(grid, values, sw.pivot, tol)
+    links = _vshape_links(grid, sw.evaluator(inst, grid), sw.pivot, tol)
     return CheckResult(inst.law, _summary(inst),
                        tuple(link for link in links if link is not None))
 
@@ -556,34 +589,23 @@ def _check_tensor(inst, tol):
 
 def callebaut_sums(As, Bs, s, t):
     """The sums both matrix Callebaut chains are built from, each evaluated
-    once: sum_j A_j # B_j, the pairs (S(s), S(1-s)) and (S(t), S(1-t)) with
-    S(u) = sum_j A_j #_u B_j, sum A_j and sum B_j."""
-    return (_path_sum(means.geometric(), As, Bs), _path_pair(As, Bs, s),
-            _path_pair(As, Bs, t), pd_sum(As), pd_sum(Bs))
-
-
-def _kron_members(sums):
-    sharp, s_pair, t_pair, sa, sb = sums
-    return (2.0 * kron(sharp, sharp), _tensor_sum(*s_pair),
-            _tensor_sum(*t_pair), _tensor_sum(sa, sb))
-
-
-def _hadamard_members(sums):
-    sharp, s_pair, t_pair, sa, sb = sums
-    return (hadamard(sharp, sharp), hadamard(*s_pair), hadamard(*t_pair),
-            hadamard(sa, sb))
+    once, as two stacks X and Y whose slices pair up: sum_j A_j # B_j with
+    itself, S(s) with S(1-s), S(t) with S(1-t), and sum A_j with sum B_j,
+    where S(u) = sum_j A_j #_u B_j."""
+    sharp, ss, s1, ts, t1 = _path_sums(
+        (means.geometric(), *_pair(s), *_pair(t)), As, Bs)
+    sa, sb = _sums(As, Bs)
+    return stack([sharp, ss, ts, sa]), stack([sharp, s1, t1, sb])
 
 
 def matrix_callebaut_members(As, Bs, s, t):
-    """The four chain members (each Hermitian of dimension n^2), in order."""
-    return _kron_members(callebaut_sums(As, Bs, s, t))
+    """The four chain members (each Hermitian of dimension n^2), in order,
+    as a stack.  The first, 2 kron(sharp, sharp), is the tensor sum of sharp
+    with itself, which has the same bits: doubling is exact."""
+    return _tensor_sum(*callebaut_sums(As, Bs, s, t))
 
 
-def _chain_links(members, tol):
-    m0, m1, m2, m3 = members
-    return [_ineq("geometric-vs-s", m0, m1, tol),
-            _ineq("s-vs-t", m1, m2, tol),
-            _ineq("t-vs-outer", m2, m3, tol)]
+_CHAIN_LABELS = ("geometric-vs-s", "s-vs-t", "t-vs-outer")
 
 
 def _sample_matrix_callebaut(espec, boundary):
@@ -601,7 +623,7 @@ def _sample_matrix_callebaut(espec, boundary):
 def _check_matrix_callebaut(inst, tol):
     members = matrix_callebaut_members(inst.As, inst.Bs, *_region_st(inst))
     return CheckResult("matrix-callebaut", _summary(inst),
-                       tuple(_chain_links(members, tol)))
+                       _chain(_CHAIN_LABELS, members, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +639,16 @@ def _sample_hadamard_callebaut(espec, boundary):
 
 def _check_hadamard_callebaut(inst, tol):
     sums = callebaut_sums(inst.As, inst.Bs, *_region_st(inst))
-    h = _hadamard_members(sums)
-    links = _chain_links(h, tol)
+    h = hadamard(*sums)
     # derivation route: twice each Hadamard member is the principal
     # submatrix of the corresponding tensor chain member, built from the
     # same sums
-    for i, (hm, tm) in enumerate(zip(h, _kron_members(sums))):
-        links.append(_eq(f"submatrix-consistency-{i}", 2.0 * hm,
-                         kron_diagonal_block(tm, inst.n), tol=SUBMATRIX_TOL))
-    return CheckResult("hadamard-callebaut", _summary(inst), tuple(links))
+    residuals = rel_residual(
+        2.0 * h, kron_diagonal_block(_tensor_sum(*sums), inst.n))
+    links = _chain(_CHAIN_LABELS, h, tol) + tuple(
+        EqLink(f"submatrix-consistency-{i}", float(r), SUBMATRIX_TOL)
+        for i, r in enumerate(residuals))
+    return CheckResult("hadamard-callebaut", _summary(inst), links)
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +669,15 @@ def _check_hadamard_power(inst, tol):
     t = inst.params["t"]
     m = len(inst.As)
     avg = 1.0 / m
-    p_half = pd_sum([power(a, 0.5) for a in inst.As], scale=avg)
-    p_t = pd_sum([power(a, t) for a in inst.As], scale=avg)
-    p_1t = pd_sum([power(a, 1.0 - t) for a in inst.As], scale=avg)
+    # the averages of A_j^{1/2}, A_j^t and A_j^{1-t}, as a stack
+    powers = power(stack(inst.As), [0.5, t, 1.0 - t])
+    p_half, p_t, p_1t = pd_sum([powers[:, j] for j in range(m)], scale=avg)
     diag_part = HermitianMatrix(
         sum(np.diag(np.diagonal(a.array)) for a in inst.As) * avg)
-    links = (_ineq("sqrt-vs-t", hadamard(p_half, p_half),
-                   hadamard(p_t, p_1t), tol),
-             _ineq("t-vs-diagonal", hadamard(p_t, p_1t), diag_part, tol))
-    return CheckResult("hadamard-power", _summary(inst), links)
+    products = hadamard(stack([p_half, p_t]), stack([p_half, p_1t]))
+    members = stack([*products, diag_part])
+    return CheckResult("hadamard-power", _summary(inst),
+                       _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +704,10 @@ def _sample_interpolation_identity(espec, boundary):
 
 def _check_interpolation_identity(inst, tol):
     p, q, r = inst.params["p"], inst.params["q"], inst.params["r"]
-    a, b = inst.As[0], inst.Bs[0]
-    x = means.mean(means.geometric_path(p), a, b)
-    y = means.mean(means.geometric_path(q), a, b)
+    x, y, rhs = means.mean([means.geometric_path(u)
+                            for u in (p, q, (1.0 - r) * p + r * q)],
+                           inst.As[0], inst.Bs[0])
     lhs = means.mean(means.geometric_path(r), x, y)
-    rhs = means.mean(means.geometric_path((1.0 - r) * p + r * q), a, b)
     links = (_eq("reparametrization", lhs, rhs),)
     return CheckResult("interpolation-identity", _summary(inst), links)
 
@@ -710,22 +732,20 @@ def _check_path_axioms(inst, tol):
     r, p, q = inst.params["r"], inst.params["p"], inst.params["q"]
     a, b = inst.As[0], inst.Bs[0]
     base = means.power_mean(r)
-    links = [
-        _eq("left-endpoint", means.path_point(r, 0.0, a, b), a),
-        _eq("right-endpoint", means.path_point(r, 1.0, a, b), b),
-        _eq("midpoint-is-mean", means.path_point(r, 0.5, a, b),
-            means.mean(base, a, b)),
-        _eq("interpolation-midpoint",
-            means.mean(base, means.path_point(r, p, a, b),
-                       means.path_point(r, q, a, b)),
-            means.path_point(r, (p + q) / 2.0, a, b)),
-    ]
-    # norm continuity, probed by a small parameter step
+    # norm continuity is probed by a small parameter step from t0
     t0 = min(max(p, 1e-6), 1.0 - 1e-6)
     step = 1e-7
-    links.append(_eq("continuity", means.path_point(r, t0, a, b),
-                     means.path_point(r, t0 + step, a, b), tol=1e-3))
-    return CheckResult("path-axioms", _summary(inst), tuple(links))
+    ts = (0.0, 1.0, 0.5, p, q, (p + q) / 2.0, t0, t0 + step)
+    left, right, mid, at_p, at_q, at_pq, at_t0, at_step, mean_ab = means.mean(
+        [means.path_mean(r, u) for u in ts] + [base], a, b)
+    links = (
+        _eq("left-endpoint", left, a),
+        _eq("right-endpoint", right, b),
+        _eq("midpoint-is-mean", mid, mean_ab),
+        _eq("interpolation-midpoint", means.mean(base, at_p, at_q), at_pq),
+        _eq("continuity", at_t0, at_step, tol=1e-3),
+    )
+    return CheckResult("path-axioms", _summary(inst), links)
 
 
 # ---------------------------------------------------------------------------
@@ -744,15 +764,12 @@ def _sample_wada(espec, boundary):
 def _check_wada(inst, tol):
     d = inst.sigma
     a, b = inst.As[0], inst.Bs[0]
-    sharp = means.geomean(a, b)
-    x = means.mean(d, a, b)
-    y = means.mean(means.dual(d), a, b)
-    lo = kron(sharp, sharp)
-    mid = 0.5 * _tensor_sum(x, y)
-    hi = 0.5 * _tensor_sum(a, b)
-    links = (_ineq("lower-link", lo, mid, tol),
-             _ineq("upper-link", mid, hi, tol))
-    return CheckResult("wada", _summary(inst), links)
+    sharp, x, y = means.mean((means.geometric(), d, means.dual(d)), a, b)
+    # kron(sharp, sharp), then the halved tensor sums of (x, y) and (A, B);
+    # the first is half the tensor sum of sharp with itself, exactly
+    members = 0.5 * _tensor_sum(stack([sharp, x, a]), stack([sharp, y, b]))
+    return CheckResult("wada", _summary(inst),
+                       _chain(("lower-link", "upper-link"), members, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -825,26 +842,29 @@ class Curve:
 class SweepSpec:
     name: str
     instance_law: str
-    evaluator: object  # (instance, t) -> HermitianMatrix
+    evaluator: object  # (instance, grid) -> stack of one value per point
     pivot: float       # minimum location; monotone direction flips here
     domain: tuple
 
 
-def _sweep_tensor_f(inst, t):
-    return power_tensor_sum(inst.As[0], inst.Bs[0], 1.0 + t, 1.0 - t)
+def _sweep_tensor_f(inst, grid):
+    return power_tensor_sum(inst.As[0], inst.Bs[0], [1.0 + t for t in grid],
+                            [1.0 - t for t in grid])
 
 
-def _sweep_tensor_g(inst, t):
-    return power_tensor_sum(inst.As[0], inst.Bs[0], t, 1.0 - t)
+def _sweep_tensor_g(inst, grid):
+    return power_tensor_sum(inst.As[0], inst.Bs[0], list(grid),
+                            [1.0 - t for t in grid])
 
 
-def _sweep_matrix_callebaut_middle(inst, t):
-    return _tensor_sum(*_path_pair(inst.As, inst.Bs, t))
+def _sweep_matrix_callebaut_middle(inst, grid):
+    sums = _path_sums([d for t in grid for d in _pair(t)], inst.As, inst.Bs)
+    return _tensor_sum(sums[0::2], sums[1::2])
 
 
-def _sweep_scalar_callebaut_f(inst, t):
-    return HermitianMatrix([[callebaut_f(inst.a_seq, inst.b_seq, t,
-                                         inst.params["sc"])]])
+def _sweep_scalar_callebaut_f(inst, grid):
+    return HermitianMatrix([[[callebaut_f(inst.a_seq, inst.b_seq, t,
+                                          inst.params["sc"])]] for t in grid])
 
 
 SWEEPS = {
@@ -874,14 +894,13 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
     if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
         raise InstanceError(
             f"grid [{grid[0]}, {grid[-1]}] outside domain [{lo}, {hi}]")
-    values = [sw.evaluator(instance, t) for t in grid]
+    values = sw.evaluator(instance, grid)
     links = [None] + _vshape_links(grid, values, sw.pivot, tol)
-    points = []
-    for t, v, link in zip(grid, values, links):
-        lam = v.decomposition().eigenvalues
-        points.append(CurvePoint(
-            t=t, trace=v.trace(), lambda_min=float(lam[0]),
-            lambda_max=float(lam[-1]),
-            link_margin=float("nan") if link is None else link.margin,
-            link_holds=link is None or link.holds))
-    return Curve(law=name, grid=tuple(grid), points=tuple(points))
+    lams = values.decomposition().eigenvalues
+    points = tuple(CurvePoint(
+        t=t, trace=float(trace), lambda_min=float(lam[0]),
+        lambda_max=float(lam[-1]),
+        link_margin=float("nan") if link is None else link.margin,
+        link_holds=link is None or link.holds)
+        for t, trace, lam, link in zip(grid, values.trace(), lams, links))
+    return Curve(law=name, grid=tuple(grid), points=points)

@@ -139,7 +139,14 @@ def representing_fn(d):
 
 def mean(d, A, B):
     """A sigma B = C diag(f(L)) C*, where M = A^{-1/2} B A^{-1/2} = U L U*
-    and C = A^{1/2} U: this is A^{1/2} f(M) A^{1/2}, with f(M) never formed."""
+    and C = A^{1/2} U: this is A^{1/2} f(M) A^{1/2}, with f(M) never formed.
+
+    A and B may be stacks of pairs (a single matrix broadcasts against a
+    stack): each pair takes A's cached decomposition and one validated
+    eigendecomposition of its M, all in one call.  For a sequence of
+    descriptors the result gets a leading axis, one slice per descriptor,
+    all from those same decompositions.
+    """
     _require_same_dim(A, B)
     spec = A.decomposition()
     root = np.sqrt(spec.eigenvalues)
@@ -148,7 +155,11 @@ def mean(d, A, B):
     # beyond HermitianMatrix's input slack; congruence symmetrizes it
     middle = PDMatrix(congruence(inv_half, B)).decomposition()
     c = congruence_diag(spec.unitary, root) @ middle.unitary
-    values = spectral_values(representing_fn(d), middle.eigenvalues)
+    if isinstance(d, MeanDescriptor):
+        values = spectral_values(representing_fn(d), middle.eigenvalues)
+    else:
+        values = np.stack([spectral_values(representing_fn(x),
+                                           middle.eigenvalues) for x in d])
     return PDMatrix(congruence_diag(c, values))
 
 

@@ -101,6 +101,25 @@ class TestVerify:
             "--out", str(out))
         assert json.loads(out.read_text())["config"]["seed"] == 77
 
+    def test_per_law_wall_time_and_skip_reasons(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "--laws", "path-monotonicity,wada",
+                         "--trials", "24", "--seed", "12", "--n", "2",
+                         "--out", str(out))
+        assert code == 0
+        report = json.loads(out.read_text())
+        for block in report["laws"].values():
+            assert sum(block["skip_reasons"].values()) == block["skips"]
+            assert 0.0 < block["wall_sec"] <= report["wall_clock_sec"]
+        # one in eight trials samples a power path, which the hypothesis
+        # test skips; its reasons, numbers blanked, tally as one cause
+        block = report["laws"]["path-monotonicity"]
+        assert block["skips"] > 0
+        assert block["skip_reasons"] == {
+            "dual-symmetry hypothesis fails for r=# (residual #)":
+                block["skips"]}
+        assert report["laws"]["wada"]["skip_reasons"] == {}
+
     def test_determinism(self, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):
@@ -109,6 +128,8 @@ class TestVerify:
                 "--seed", "3", "--out", str(out))
             report = json.loads(out.read_text())
             report["wall_clock_sec"] = 0
+            for block in report["laws"].values():
+                block["wall_sec"] = 0
             outs.append(report)
         assert outs[0] == outs[1]
 
@@ -144,6 +165,21 @@ class TestSweep:
                                 "--grid", grid, "--out", str(out))
         assert code == 2
         assert err.startswith("error:") and "at most 10001 points" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("law,grid,domain", [
+        ("tensor-g", "0:5:1", "[0.0, 1.0]"),
+        ("tensor-f", "-2:1:0.5", "[-1.0, 1.0]"),
+        ("scalar-callebaut-f", "0.5:1.5:0.25", "[0.0, 1.0]"),
+    ])
+    def test_grid_outside_domain_is_usage_error(self, tmp_path, capsys, law,
+                                                grid, domain):
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run(capsys, "sweep", "--law", law,
+                                f"--grid={grid}", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: sweep {law}: ")
+        assert f"outside domain {domain}" in err
         assert stdout == "" and not out.exists()
 
     def test_largest_grid_is_accepted(self):

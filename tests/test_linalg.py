@@ -29,7 +29,9 @@ from meanscope.linalg import (
     power,
     rel_residual,
     save_matrix,
+    stack,
 )
+from meanscope import means
 
 
 def random_hermitian(rng, n, complex_field=True):
@@ -436,6 +438,129 @@ class TestLoewner:
         v = loewner_leq(a, b, 1e-3)
         assert v == LoewnerVerdict.judge(v.margin, a.norm_2() + b.norm_2(),
                                          1e-3)
+
+
+def random_stack(rng, k, n):
+    """k random Hermitian matrices of dimension n, as an array."""
+    return np.stack([random_hermitian(rng, n).array for _ in range(k)])
+
+
+class TestStacks:
+    """A stack of k matrices is checked matrix by matrix: one bad matrix
+    rejects the stack, and the error names it."""
+
+    def test_non_hermitian_slice_rejected(self):
+        a = random_stack(np.random.default_rng(30), 5, 3)
+        a[2, 0, 1] += 1e-6
+        with pytest.raises(HermitianError, match="^slice 2: matrix is not "
+                                                 "Hermitian"):
+            HermitianMatrix(a)
+
+    def test_non_finite_slice_rejected(self):
+        a = random_stack(np.random.default_rng(31), 5, 3)
+        a[4, 1, 1] = np.inf
+        with pytest.raises(HermitianError,
+                           match="^slice 4: matrix contains non-finite"):
+            HermitianMatrix(a)
+        a = random_stack(np.random.default_rng(31), 2, 3)[None].repeat(2, 0)
+        a[1, 0, 2, 1] = np.nan
+        with pytest.raises(HermitianError, match="^slice 1,0: "):
+            HermitianMatrix(a)
+
+    def test_slice_beyond_condition_cap_rejected(self):
+        lams = [[1.0, 2.0], [0.99 * CONDITION_CAP, 1.0], [3.0, 1.0],
+                [1.01 * CONDITION_CAP, 1.0]]
+        a = np.stack([np.diag(lam) for lam in lams])
+        PDMatrix(a[:3])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^slice 3: not positive definite within "
+                                 r"condition cap 1e\+12: eigenvalue range "
+                                 r"\[1\.000e\+00, 1\.010e\+12\]"):
+            PDMatrix(a)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda lam, u: (lam * (1.0 + 1e-9), u),
+        lambda lam, u: (lam, u * (1.0 + 1e-9)),
+        lambda lam, u: (lam, u[:, ::-1]),
+        lambda lam, u: (lam, u * np.where(abs(lam) < 1e-9, 2.0, 1.0)),
+    ], ids=["eigenvalues", "scaled-vectors", "swapped-vectors", "null-vector"])
+    def test_one_corrupted_eigh_slice_rejected(self, monkeypatch, corrupt):
+        # as in TestEig.test_corrupted_eigh_output_rejected, on slice 3 of 6
+        rng = np.random.default_rng(2)
+        hs = [random_hermitian(rng, 6) for _ in range(6)]
+        hs = [h - h.decomposition().eigenvalues[0] *
+              HermitianMatrix.identity(6) for h in hs]
+        stacked = HermitianMatrix(np.stack([h.array for h in hs]))
+        eigh = np.linalg.eigh
+
+        def corrupted(a):
+            lam, u = eigh(a)
+            lam, u = lam.copy(), u.copy()
+            lam[3], u[3] = corrupt(lam[3], u[3])
+            return lam, u
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(ConvergenceError,
+                           match="^slice 3: eigendecomposition failed "
+                                 "validation"):
+            eig_hermitian(stacked)
+
+    def test_adopted_slice_runs_no_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        whole = PDMatrix(np.stack([random_pd_raw(rng, 4).array
+                                   for _ in range(5)]))
+        spec = whole.decomposition()
+        calls = count_eigs(monkeypatch)
+        part = whole[2]
+        assert type(part) is PDMatrix and part.stack_shape == ()
+        assert PDMatrix(part).decomposition() is part.decomposition()
+        assert np.array_equal(part.decomposition().eigenvalues,
+                              spec.eigenvalues[2])
+        assert part.norm_2() > 0.0 and whole[1:4].stack_shape == (3,)
+        power(part, 0.5)
+        back = stack(list(whole))
+        assert np.array_equal(back.array, whole.array)
+        assert np.array_equal(back.decomposition().unitary, spec.unitary)
+        assert calls == []
+        with pytest.raises(ValueError):
+            part.array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            part.decomposition().eigenvalues[0] = 1.0
+
+    def test_single_matrix_is_no_stack(self):
+        a = HermitianMatrix.identity(2)
+        with pytest.raises(IndexError):
+            a[0]
+        with pytest.raises(TypeError):
+            iter(a)
+        with pytest.raises(IndexError):
+            HermitianMatrix(np.eye(2)[None])[0, 1]
+
+    def test_stack_equals_single_matrix_calls_bitwise(self):
+        # each slice of a stacked kernel has the bits of the 2-D call
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 3):
+            xs = [random_pd_raw(rng, n) for _ in range(4)]
+            ys = [random_pd_raw(rng, n) for _ in range(4)]
+            x = PDMatrix(np.stack([m.array for m in xs]))
+            y = stack(ys)
+            pairs = [(means.geometric(), 0), (means.power_mean(-0.5), 1),
+                     (means.weighted_geometric(0.25), 2)]
+            family = means.mean([d for d, _ in pairs], x, y)
+            kr = kron(x, y)
+            sq = power(x[0], [0.5, 2.0, -1.0, 0.3])
+            verdicts = loewner_leq(x, y)
+            for j in range(4):
+                assert np.array_equal(
+                    x[j].decomposition().unitary,
+                    eig_hermitian(HermitianMatrix(xs[j].array)).unitary)
+                for d, i in pairs:
+                    assert np.array_equal(family[i, j].array,
+                                          means.mean(d, xs[j], ys[j]).array)
+                assert np.array_equal(kr[j].array, kron(xs[j], ys[j]).array)
+                assert verdicts[j] == loewner_leq(xs[j], ys[j])
+            for t, p in zip((0.5, 2.0, -1.0, 0.3), sq):
+                assert np.array_equal(p.array, power(xs[0], t).array)
 
 
 class TestMatrixIO:
