@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -78,6 +79,8 @@ def _parse_laws(text):
     if not names:
         raise UsageError(f"no law named in {text!r}")
     for name in names:
+        if names.count(name) > 1:
+            raise UsageError(f"law {name!r} is named twice in {text!r}")
         if name in laws.law_names():
             continue
         if name in laws.SWEEPS:
@@ -109,6 +112,22 @@ def _load_config(path):
         raise UsageError(f"unknown config key {unknown[0]!r} in {path}; "
                          f"known keys: {sorted(CONFIG_TYPES)}")
     return config
+
+
+def _check_out(path):
+    """Reject an --out whose directory does not exist before the run, not
+    after it."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write --out {path}: no directory {folder}")
+
+
+def _write_out(path, text):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc}") from None
 
 
 def _resolve(args, config, key, default):
@@ -244,8 +263,7 @@ def cmd_verify(args):
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text + "\n")
     for name in sorted(per_law):
         r = per_law[name]
         worst = r["worst"]
@@ -296,6 +314,9 @@ def _build_instance_from_args(args, config, law_for_instance, boundary=None):
             raise
         raise UsageError(f"boundary {args.boundary!r} lies outside the "
                          f"parameter region of {law_for_instance}: {exc}")
+    except laws.InstanceError as exc:     # a coordinate the law would ignore
+        raise UsageError(f"boundary {args.boundary!r}: {law_for_instance} "
+                         f"{exc}") from None
     return inst, seed, _trial(law_for_instance, seed, n, m)
 
 
@@ -328,8 +349,9 @@ def cmd_sweep(args):
         rows.append([repr(p.t), repr(p.trace), repr(p.lambda_min),
                      repr(p.lambda_max), margin])
     out = args.out or f"{name}-curve.csv"
-    with open(out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    _write_out(out, text.getvalue())
     print(f"wrote {out} ({len(curve.points)} grid points, "
           f"{'all links hold' if curve.holds else 'LINK VIOLATION'})")
     return 0 if curve.holds else 1
@@ -364,7 +386,10 @@ def cmd_repro(args):
     if inst.a_seq is not None:
         dump["scalars"] = {"a": list(map(float, inst.a_seq)),
                            "b": list(map(float, inst.b_seq))}
-    print(json.dumps(dump, indent=2, sort_keys=True))
+    text = json.dumps(dump, indent=2, sort_keys=True)
+    if args.out:
+        _write_out(args.out, text + "\n")
+    print(text)
     return 0 if result.status != "fail" else 1
 
 
@@ -415,6 +440,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        if args.out is not None:
+            _check_out(args.out)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "sweep":

@@ -41,8 +41,13 @@ class EnsembleSpec:
                 f"kappa_max must be finite and >= 1, got {self.kappa_max}")
 
 
-def _rng(spec, *index):
-    return np.random.default_rng(np.random.SeedSequence((int(spec.seed) & (2**63 - 1),) + tuple(int(i) for i in index)))
+def seeded_rng(seed, *index):
+    """The generator of stream ``index`` under a seed (its low 63 bits):
+    random_pd draws from stream (0, i), random_ordered_pair from (1, i),
+    random_invertible from (2, i), sample_region from (3,) and the laws
+    from (laws.LAW_STREAM, tag)."""
+    key = (int(seed) & (2**63 - 1),) + tuple(int(i) for i in index)
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def _gaussian(rng, n, field):
@@ -62,7 +67,7 @@ def _haar_unitary(rng, n, field):
 
 def random_pd(spec, index=0):
     """One random positive definite matrix from the ensemble."""
-    rng = _rng(spec, 0, index)
+    rng = seeded_rng(spec.seed, 0, index)
     n = spec.n
     half_log = 0.5 * np.log(spec.kappa_max)
     lam = np.exp(rng.uniform(-half_log, half_log, size=n))
@@ -80,7 +85,7 @@ def random_pd_tuple(spec, index=0):
 def random_ordered_pair(spec, index=0):
     """(A, B) with A <= B: B = A + G*G for a seeded Gaussian G."""
     a = random_pd(spec, index)
-    rng = _rng(spec, 1, index)
+    rng = seeded_rng(spec.seed, 1, index)
     g = _gaussian(rng, spec.n, spec.field)
     bump = g.conj().T @ g * (0.25 / spec.n)
     b = PDMatrix(a.array + bump)
@@ -89,7 +94,7 @@ def random_ordered_pair(spec, index=0):
 
 def random_invertible(spec, index=0):
     """A well-conditioned invertible matrix for congruence transforms."""
-    rng = _rng(spec, 2, index)
+    rng = seeded_rng(spec.seed, 2, index)
     n = spec.n
     u = _haar_unitary(rng, n, spec.field)
     v = _haar_unitary(rng, n, spec.field)
@@ -135,7 +140,7 @@ def sample_region(region, seed):
         pred = REGIONS[region]
     except KeyError:
         raise ValueError(f"unknown parameter region {region!r}") from None
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed) & (2**63 - 1), 3)))
+    rng = seeded_rng(seed, 3)
     while True:
         s, t = rng.uniform(0.0, 1.0, size=2)
         if pred(s, t):

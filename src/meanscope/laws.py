@@ -1,10 +1,20 @@
 """Catalog of verified inequality and identity laws.
 
-Each law bundles an instance sampler (random matrices and in-region
-parameters from a seed) with a check procedure that evaluates every link of
-the law's chain.  Inequality links produce Loewner verdicts with margins;
-identity links produce relative Frobenius residuals.  A trial passes iff
-every link holds.
+A law is declared once, by ``register_law(name, sampler, check)``:
+
+- ``sampler(espec, boundary)`` draws an instance (random matrices and
+  in-region parameters) from an ``EnsembleSpec``; a ``boundary`` forces
+  the parameters (s, t).  ``sample_instance`` names the instance after its
+  law.
+- ``check(instance, tol)`` returns the links of the law's chain, or raises
+  ``Skip`` when the instance fails a hypothesis of the law.
+
+Every link is decided by one pass rule, ``LoewnerVerdict.judge``: an
+inequality A <= B by the margin lambda_min(B - A) at the scale
+||A||_2 + ||B||_2, an identity X = Y by the margin -residual (relative
+Frobenius) at scale 0, which holds exactly when the residual is at most the
+tolerance.  ``check_law`` builds the trial's ``CheckResult``; a trial
+passes iff every link holds.
 
 The registry is open: ``register_law`` lets tests inject additional laws
 (e.g. deliberately broken ones for exercising the harness failure path).
@@ -13,6 +23,7 @@ The registry is open: ``register_law`` lets tests inject additional laws
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,22 +51,31 @@ from .ensembles import (
     random_pd,
     random_pd_tuple,
     sample_region,
+    seeded_rng,
 )
 
 DEFAULT_TOL = 1e-8        # Loewner link tolerance (relative to operand scale)
 EQUALITY_TOL = 1e-9       # identity link tolerance (chains compose ~5 functions)
 SCALAR_TOL = 1e-12        # scalar sequence inequalities
 SUBMATRIX_TOL = 1e-13     # Hadamard member vs tensor principal submatrix
+# The generator stream of the laws' own draws (sigma, path parameters,
+# scalar sequences), apart from the ensemble's matrix and region streams.
+LAW_STREAM = 101
 
 
 class InstanceError(Exception):
     """Instance shape or parameters do not match the law's requirements."""
 
 
+class Skip(Exception):
+    """Raised by a check whose instance fails a hypothesis of its law: the
+    trial is skipped, with the message as its reason."""
+
+
 @dataclass(frozen=True)
-class IneqLink:
+class Link:
     label: str
-    verdict: object  # LoewnerVerdict
+    verdict: LoewnerVerdict
 
     @property
     def holds(self):
@@ -64,21 +84,6 @@ class IneqLink:
     @property
     def margin(self):
         return self.verdict.margin
-
-
-@dataclass(frozen=True)
-class EqLink:
-    label: str
-    residual: float
-    tolerance: float
-
-    @property
-    def holds(self):
-        return self.residual <= self.tolerance
-
-    @property
-    def margin(self):
-        return -self.residual
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,11 @@ class CheckResult:
 
 @dataclass
 class LawInstance:
-    law: str
     seed: int
     n: int
     m: int
     field: str
+    law: str = None              # set by sample_instance
     As: list = None
     Bs: list = None
     sigma: object = None
@@ -126,7 +131,6 @@ class LawInstance:
 
 @dataclass(frozen=True)
 class LawSpec:
-    name: str
     sampler: object
     check: object
     n_cap: int = 6
@@ -140,7 +144,7 @@ _LAWS = {}
 def register_law(name, sampler, check, n_cap=6, region=None,
                  reads_boundary=False):
     """Register a law; one with a parameter region reads a boundary."""
-    _LAWS[name] = LawSpec(name=name, sampler=sampler, check=check,
+    _LAWS[name] = LawSpec(sampler=sampler, check=check,
                           n_cap=n_cap, region=region,
                           reads_boundary=reads_boundary or region is not None)
 
@@ -161,25 +165,30 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     spec = law_spec(name)
     n = min(n, spec.n_cap)
     espec = EnsembleSpec(n=n, m=m, field=fieldname, kappa_max=kappa_max, seed=seed)
-    return spec.sampler(espec, boundary)
+    inst = spec.sampler(espec, boundary)
+    inst.law = name
+    return inst
 
 
 def check_law(name, instance, tol=DEFAULT_TOL):
+    """The trial's result: the links of the law's check, or its skip."""
     spec = law_spec(name)
     if instance.law != name:
         raise InstanceError(
             f"instance was sampled for {instance.law!r}, not {name!r}"
         )
-    return spec.check(instance, tol)
-
-
-def _summary(inst):
-    return {"n": inst.n, "m": inst.m, "seed": inst.seed, "field": inst.field,
-            "params": dict(inst.params)}
+    summary = {"n": instance.n, "m": instance.m, "seed": instance.seed,
+               "field": instance.field, "params": dict(instance.params)}
+    try:
+        links = tuple(spec.check(instance, tol))
+    except Skip as exc:
+        return CheckResult(name, summary, (), skipped=True,
+                           skip_reason=str(exc))
+    return CheckResult(name, summary, links)
 
 
 def _ineq(label, A, B, tol):
-    return IneqLink(label, loewner_leq(A, B, tol))
+    return Link(label, loewner_leq(A, B, tol))
 
 
 def _chain(labels, members, tol):
@@ -187,17 +196,23 @@ def _chain(labels, members, tol):
     of a stack, one per label, from one stacked Loewner comparison."""
     members.decomposition()     # computed once; the slices below share it
     verdicts = loewner_leq(members[:-1], members[1:], tol)
-    return tuple(IneqLink(label, v)
+    return tuple(Link(label, v)
                  for label, v in zip(labels, verdicts, strict=True))
 
 
+def _residual_link(label, residual, tol):
+    """An identity link: the margin -residual at scale 0, which holds
+    exactly when the residual is at most tol."""
+    return Link(label, LoewnerVerdict.judge(-residual, 0.0, tol))
+
+
 def _eq(label, X, Y, tol=EQUALITY_TOL):
-    return EqLink(label, rel_residual(X, Y), tol)
+    return _residual_link(label, rel_residual(X, Y), tol)
 
 
 def _scalar_ineq(label, lo, hi, tol=SCALAR_TOL):
-    return IneqLink(label, LoewnerVerdict.judge(hi - lo, max(abs(lo), abs(hi)),
-                                                tol))
+    return Link(label, LoewnerVerdict.judge(hi - lo, max(abs(lo), abs(hi)),
+                                            tol))
 
 
 # A roster of concrete means used by laws quantified over "any mean".
@@ -218,9 +233,26 @@ def _pick_sigma(rng):
     return roster[int(rng.integers(len(roster)))]
 
 
-def _inst_rng(espec, tag):
-    return np.random.default_rng(
-        np.random.SeedSequence((int(espec.seed) & (2**63 - 1), 101, tag)))
+def _sample_pair(espec, boundary=None, **fields):
+    """An instance on one random pair A, B; it reads no boundary."""
+    return LawInstance(seed=espec.seed, n=espec.n, m=1, field=espec.field,
+                       As=[random_pd(espec, 0)], Bs=[random_pd(espec, 1)],
+                       **fields)
+
+
+def _sample_tuples(espec, boundary=None, **fields):
+    """An instance on random m-tuples A_j, B_j."""
+    return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
+                       field=espec.field, As=random_pd_tuple(espec, 0),
+                       Bs=random_pd_tuple(espec, 1), **fields)
+
+
+def _sample_sigma(espec, boundary, tag, draw):
+    """The matrices ``draw`` samples, with a roster mean sigma picked by the
+    law stream's generator ``tag``."""
+    sigma = _pick_sigma(seeded_rng(espec.seed, LAW_STREAM, tag))
+    return draw(espec, sigma=sigma,
+                params={"sigma": means.format_descriptor(sigma)})
 
 
 def _path_sums(ds, As, Bs):
@@ -256,19 +288,28 @@ def _region_st(inst):
     return s, t
 
 
+def _one_coordinate(boundary, i):
+    """Coordinate i of a forced (s, t), for a law that reads it alone; the
+    other coordinate must equal it, or the run would ignore it silently."""
+    if boundary[0] != boundary[1]:
+        raise InstanceError(f"reads only {'st'[i]} of (s, t), and "
+                            f"{'ts'[i]}={boundary[1 - i]} differs from it")
+    return boundary[i]
+
+
 # ---------------------------------------------------------------------------
 # mean-axioms: normalization, congruence equivariance, joint monotonicity
 # ---------------------------------------------------------------------------
 
 def _sample_mean_axioms(espec, boundary):
-    rng = _inst_rng(espec, 1)
+    rng = seeded_rng(espec.seed, LAW_STREAM, 1)
     a, b = random_ordered_pair(espec, 0)
     c, d = random_ordered_pair(espec, 1)
     x = random_pd(espec, 2)
     y = random_pd(espec, 3)
     cmat = random_invertible(espec, 0)
     sigma = _pick_sigma(rng)
-    return LawInstance(law="mean-axioms", seed=espec.seed, n=espec.n, m=1,
+    return LawInstance(seed=espec.seed, n=espec.n, m=1,
                        field=espec.field, As=[x], Bs=[y],
                        sigma=sigma, ordered=((a, b), (c, d)),
                        congruence=cmat,
@@ -285,69 +326,37 @@ def _check_mean_axioms(inst, tol):
     unit, xy, cxy, ac, bd = means.mean(
         d, stack([eye, x, PDMatrix(congruence(c, x)), a, b]),
         stack([eye, y, PDMatrix(congruence(c, y)), cc, dd]))
-    links = (_eq("normalization", unit, HermitianMatrix.identity(inst.n),
-                 tol=1e-13),
-             _eq("congruence-equivariance", congruence(c, xy), cxy),
-             _ineq("joint-monotonicity", ac, bd, tol))
-    return CheckResult("mean-axioms", _summary(inst), links)
+    return (_eq("normalization", unit, HermitianMatrix.identity(inst.n),
+                tol=1e-13),
+            _eq("congruence-equivariance", congruence(c, xy), cxy),
+            _ineq("joint-monotonicity", ac, bd, tol))
 
 
 # ---------------------------------------------------------------------------
 # superadditivity: sum of means <= mean of sums
 # ---------------------------------------------------------------------------
 
-def _sample_superadditivity(espec, boundary):
-    rng = _inst_rng(espec, 2)
-    sigma = _pick_sigma(rng)
-    return LawInstance(law="superadditivity", seed=espec.seed, n=espec.n,
-                       m=espec.m, field=espec.field,
-                       As=random_pd_tuple(espec, 0),
-                       Bs=random_pd_tuple(espec, 1), sigma=sigma,
-                       params={"sigma": means.format_descriptor(sigma)})
-
-
 def _check_superadditivity(inst, tol):
     d = inst.sigma
     (lhs,) = _path_sums([d], inst.As, inst.Bs)
     rhs = means.mean(d, *_sums(inst.As, inst.Bs))
-    links = (_ineq("superadditivity", lhs, rhs, tol),)
-    return CheckResult("superadditivity", _summary(inst), links)
+    return (_ineq("superadditivity", lhs, rhs, tol),)
 
 
 # ---------------------------------------------------------------------------
 # sharp-identity: (A sigma B) # (A sigma-dual B) = A # B
 # ---------------------------------------------------------------------------
 
-def _sample_sharp_identity(espec, boundary):
-    rng = _inst_rng(espec, 3)
-    sigma = _pick_sigma(rng)
-    return LawInstance(law="sharp-identity", seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=[random_pd(espec, 0)],
-                       Bs=[random_pd(espec, 1)], sigma=sigma,
-                       params={"sigma": means.format_descriptor(sigma)})
-
-
 def _check_sharp_identity(inst, tol):
     d = inst.sigma
     x, y, sharp = means.mean((d, means.dual(d), means.geometric()),
                              inst.As[0], inst.Bs[0])
-    links = (_eq("sharp-identity", means.geomean(x, y), sharp),)
-    return CheckResult("sharp-identity", _summary(inst), links)
+    return (_eq("sharp-identity", means.geomean(x, y), sharp),)
 
 
 # ---------------------------------------------------------------------------
 # callebaut-operator: sum of # <= (sum sigma) # (sum dual) <= (sum A) # (sum B)
 # ---------------------------------------------------------------------------
-
-def _sample_callebaut_operator(espec, boundary):
-    rng = _inst_rng(espec, 4)
-    sigma = _pick_sigma(rng)
-    return LawInstance(law="callebaut-operator", seed=espec.seed, n=espec.n,
-                       m=espec.m, field=espec.field,
-                       As=random_pd_tuple(espec, 0),
-                       Bs=random_pd_tuple(espec, 1), sigma=sigma,
-                       params={"sigma": means.format_descriptor(sigma)})
-
 
 def _outer_links(As, Bs, pair, tol):
     """sum_j A_j # B_j <= S1 # S2 <= (sum A_j) # (sum B_j), where S1 and S2
@@ -360,8 +369,7 @@ def _outer_links(As, Bs, pair, tol):
 
 def _check_callebaut_operator(inst, tol):
     d = inst.sigma
-    return CheckResult("callebaut-operator", _summary(inst),
-                       _outer_links(inst.As, inst.Bs, (d, means.dual(d)), tol))
+    return _outer_links(inst.As, inst.Bs, (d, means.dual(d)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +378,14 @@ def _check_callebaut_operator(inst, tol):
 
 def _sample_geo_path_callebaut(espec, boundary):
     if boundary is not None:
-        s = boundary[0]
+        s = _one_coordinate(boundary, 0)
     else:
         s, _ = sample_region("unit", espec.seed)
-    return LawInstance(law="geo-path-callebaut", seed=espec.seed, n=espec.n,
-                       m=espec.m, field=espec.field,
-                       As=random_pd_tuple(espec, 0),
-                       Bs=random_pd_tuple(espec, 1),
-                       params={"s": float(s)})
+    return _sample_tuples(espec, params={"s": float(s)})
 
 
 def _check_geo_path_callebaut(inst, tol):
-    return CheckResult("geo-path-callebaut", _summary(inst),
-                       _outer_links(inst.As, inst.Bs,
-                                    _pair(inst.params["s"]), tol))
+    return _outer_links(inst.As, inst.Bs, _pair(inst.params["s"]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def _check_geo_path_callebaut(inst, tol):
 # ---------------------------------------------------------------------------
 
 def _sample_path_monotonicity(espec, boundary):
-    rng = _inst_rng(espec, 5)
+    rng = seeded_rng(espec.seed, LAW_STREAM, 5)
     if boundary is not None:
         s, t = boundary
     else:
@@ -400,11 +402,8 @@ def _sample_path_monotonicity(espec, boundary):
     # the dual-symmetry hypothesis test and is normally skipped
     use_power = bool(rng.integers(8) == 0)
     r = float(rng.uniform(-1.0, 1.0)) if use_power else 0.0
-    return LawInstance(law="path-monotonicity", seed=espec.seed, n=espec.n,
-                       m=espec.m, field=espec.field,
-                       As=random_pd_tuple(espec, 0),
-                       Bs=random_pd_tuple(espec, 1),
-                       params={"s": float(s), "t": float(t), "r": r})
+    return _sample_tuples(espec,
+                          params={"s": float(s), "t": float(t), "r": r})
 
 
 def _path_dual_symmetry_residual(r, t):
@@ -419,13 +418,9 @@ def _check_path_monotonicity(inst, tol):
     r = inst.params["r"]
     hyp = max(_path_dual_symmetry_residual(r, u) for u in (t, s, 0.25))
     if hyp > EQUALITY_TOL:
-        return CheckResult(
-            "path-monotonicity", _summary(inst), (),
-            skipped=True,
-            skip_reason=f"dual-symmetry hypothesis fails for r={r} "
-                        f"(residual {hyp:.3e})")
-    links = (_path_monotonicity_link(inst, s, t, tol),)
-    return CheckResult("path-monotonicity", _summary(inst), links)
+        raise Skip(f"dual-symmetry hypothesis fails for r={r} "
+                   f"(residual {hyp:.3e})")
+    return (_path_monotonicity_link(inst, s, t, tol),)
 
 
 def _path_monotonicity_link(inst, s, t, tol):
@@ -464,7 +459,7 @@ def callebaut_f(a, b, r, s):
 
 
 def _sample_scalar_callebaut(espec, boundary):
-    rng = _inst_rng(espec, 6)
+    rng = seeded_rng(espec.seed, LAW_STREAM, 6)
     if boundary is not None:
         s, t = boundary
     else:
@@ -474,8 +469,8 @@ def _sample_scalar_callebaut(espec, boundary):
     b = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
     r1, r2 = sorted(rng.uniform(0.0, 1.0, size=2))
     sc = float(rng.uniform(0.0, 1.0))
-    return LawInstance(law="scalar-callebaut", seed=espec.seed, n=1,
-                       m=espec.m, field="real", a_seq=a, b_seq=b,
+    return LawInstance(seed=espec.seed, n=1, m=espec.m, field="real",
+                       a_seq=a, b_seq=b,
                        params={"s": float(s), "t": float(t),
                                "r1": float(r1), "r2": float(r2), "sc": sc})
 
@@ -484,15 +479,14 @@ def _check_scalar_callebaut(inst, tol):
     p = inst.params
     s, t = _region_st(inst)
     v0, v1, v2, v3 = scalar_callebaut_chain(inst.a_seq, inst.b_seq, s, t)
-    links = [
+    return (
         _scalar_ineq("geometric-vs-s", v0, v1),
         _scalar_ineq("s-vs-t", v1, v2),
         _scalar_ineq("t-vs-cauchy-schwarz", v2, v3),
         _scalar_ineq("r-monotonicity",
                      callebaut_f(inst.a_seq, inst.b_seq, p["r1"], p["sc"]),
                      callebaut_f(inst.a_seq, inst.b_seq, p["r2"], p["sc"])),
-    ]
-    return CheckResult("scalar-callebaut", _summary(inst), tuple(links))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +497,7 @@ POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
 def _sample_power_lemma(espec, boundary):
-    return LawInstance(law="power-lemma", seed=espec.seed, n=espec.n, m=1,
+    return LawInstance(seed=espec.seed, n=espec.n, m=1,
                        field=espec.field, As=[random_pd(espec, 0)],
                        params={"r_grid": list(POWER_LEMMA_GRID)})
 
@@ -518,12 +512,12 @@ def _check_power_lemma(inst, tol):
     linked = sums[:-2]
     linked.decomposition()    # one eigendecomposition serves every norm
     rhs = linked[0]
-    links = [IneqLink(f"r={r:g}", v) for r, v in
+    links = [Link(f"r={r:g}", v) for r, v in
              zip(rs, loewner_leq(linked[1:], rhs, tol), strict=True)]
     links.append(_eq("r0-degenerate", sums[-2],
                      2.0 * HermitianMatrix.identity(inst.n)))
     links.append(_eq("r1-degenerate", sums[-1], rhs))
-    return CheckResult("power-lemma", _summary(inst), tuple(links))
+    return links
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +535,6 @@ def vshape_grid(lo, hi, pivot, points_per_side=9):
     left = np.linspace(lo, pivot, points_per_side)
     right = np.linspace(pivot, hi, points_per_side)
     return np.unique(np.concatenate([left, right]))
-
-
-def _sample_tensor(espec, boundary, law):
-    return LawInstance(law=law, seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=[random_pd(espec, 0)],
-                       Bs=[random_pd(espec, 1)], params={})
 
 
 def _vshape_links(grid, values, pivot, tol):
@@ -570,7 +558,7 @@ def _vshape_links(grid, values, pivot, tol):
             labels.append(None)
     values.decomposition()      # computed once; the slices below share it
     verdicts = iter(loewner_leq(values[lo], values[hi], tol) if lo else ())
-    return [None if label is None else IneqLink(label, next(verdicts))
+    return [None if label is None else Link(label, next(verdicts))
             for label in labels]
 
 
@@ -579,8 +567,7 @@ def _check_tensor(inst, tol):
     sw = SWEEPS[inst.law]
     grid = vshape_grid(*sw.domain, sw.pivot)
     links = _vshape_links(grid, sw.evaluator(inst, grid), sw.pivot, tol)
-    return CheckResult(inst.law, _summary(inst),
-                       tuple(link for link in links if link is not None))
+    return [link for link in links if link is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -613,29 +600,18 @@ def _sample_matrix_callebaut(espec, boundary):
         s, t = boundary
     else:
         s, t = sample_region("callebaut", espec.seed)
-    return LawInstance(law="matrix-callebaut", seed=espec.seed, n=espec.n,
-                       m=espec.m, field=espec.field,
-                       As=random_pd_tuple(espec, 0),
-                       Bs=random_pd_tuple(espec, 1),
-                       params={"s": float(s), "t": float(t)})
+    return _sample_tuples(espec, params={"s": float(s), "t": float(t)})
 
 
 def _check_matrix_callebaut(inst, tol):
     members = matrix_callebaut_members(inst.As, inst.Bs, *_region_st(inst))
-    return CheckResult("matrix-callebaut", _summary(inst),
-                       _chain(_CHAIN_LABELS, members, tol))
+    return _chain(_CHAIN_LABELS, members, tol)
 
 
 # ---------------------------------------------------------------------------
 # hadamard-callebaut: the entrywise-product corollary, cross-checked against
 # the principal submatrix of the tensor chain
 # ---------------------------------------------------------------------------
-
-def _sample_hadamard_callebaut(espec, boundary):
-    inst = _sample_matrix_callebaut(espec, boundary)
-    inst.law = "hadamard-callebaut"
-    return inst
-
 
 def _check_hadamard_callebaut(inst, tol):
     sums = callebaut_sums(inst.As, inst.Bs, *_region_st(inst))
@@ -645,10 +621,9 @@ def _check_hadamard_callebaut(inst, tol):
     # same sums
     residuals = rel_residual(
         2.0 * h, kron_diagonal_block(_tensor_sum(*sums), inst.n))
-    links = _chain(_CHAIN_LABELS, h, tol) + tuple(
-        EqLink(f"submatrix-consistency-{i}", float(r), SUBMATRIX_TOL)
+    return _chain(_CHAIN_LABELS, h, tol) + tuple(
+        _residual_link(f"submatrix-consistency-{i}", float(r), SUBMATRIX_TOL)
         for i, r in enumerate(residuals))
-    return CheckResult("hadamard-callebaut", _summary(inst), links)
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +632,12 @@ def _check_hadamard_callebaut(inst, tol):
 
 def _sample_hadamard_power(espec, boundary):
     if boundary is not None:
-        t = boundary[1]
+        t = _one_coordinate(boundary, 1)
     else:
         _, t = sample_region("unit", espec.seed)
-    return LawInstance(law="hadamard-power", seed=espec.seed, n=espec.n,
-                       m=espec.m, field=espec.field,
-                       As=random_pd_tuple(espec, 0), params={"t": float(t)})
+    return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
+                       field=espec.field, As=random_pd_tuple(espec, 0),
+                       params={"t": float(t)})
 
 
 def _check_hadamard_power(inst, tol):
@@ -676,8 +651,7 @@ def _check_hadamard_power(inst, tol):
         sum(np.diag(np.diagonal(a.array)) for a in inst.As) * avg)
     products = hadamard(stack([p_half, p_t]), stack([p_half, p_1t]))
     members = stack([*products, diag_part])
-    return CheckResult("hadamard-power", _summary(inst),
-                       _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol))
+    return _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +666,11 @@ def _path_params(*ts):
 
 
 def _sample_interpolation_identity(espec, boundary):
-    rng = _inst_rng(espec, 7)
-    p, q, r = rng.uniform(0.0, 1.0, size=3)
+    p, q, r = seeded_rng(espec.seed, LAW_STREAM, 7).uniform(0.0, 1.0, size=3)
     if boundary is not None:
-        (r,) = _path_params(boundary[0])
-    return LawInstance(law="interpolation-identity", seed=espec.seed,
-                       n=espec.n, m=1, field=espec.field,
-                       As=[random_pd(espec, 0)], Bs=[random_pd(espec, 1)],
-                       params={"p": float(p), "q": float(q), "r": float(r)})
+        r = _one_coordinate(_path_params(*boundary), 0)
+    return _sample_pair(
+        espec, params={"p": float(p), "q": float(q), "r": float(r)})
 
 
 def _check_interpolation_identity(inst, tol):
@@ -708,8 +679,7 @@ def _check_interpolation_identity(inst, tol):
                             for u in (p, q, (1.0 - r) * p + r * q)],
                            inst.As[0], inst.Bs[0])
     lhs = means.mean(means.geometric_path(r), x, y)
-    links = (_eq("reparametrization", lhs, rhs),)
-    return CheckResult("interpolation-identity", _summary(inst), links)
+    return (_eq("reparametrization", lhs, rhs),)
 
 
 # ---------------------------------------------------------------------------
@@ -717,15 +687,12 @@ def _check_interpolation_identity(inst, tol):
 # ---------------------------------------------------------------------------
 
 def _sample_path_axioms(espec, boundary):
-    rng = _inst_rng(espec, 8)
+    rng = seeded_rng(espec.seed, LAW_STREAM, 8)
     r = float(rng.uniform(-1.0, 1.0))
     p, q = rng.uniform(0.0, 1.0, size=2)
     if boundary is not None:
         p, q = _path_params(*boundary)
-    return LawInstance(law="path-axioms", seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=[random_pd(espec, 0)],
-                       Bs=[random_pd(espec, 1)],
-                       params={"r": r, "p": float(p), "q": float(q)})
+    return _sample_pair(espec, params={"r": r, "p": float(p), "q": float(q)})
 
 
 def _check_path_axioms(inst, tol):
@@ -738,28 +705,18 @@ def _check_path_axioms(inst, tol):
     ts = (0.0, 1.0, 0.5, p, q, (p + q) / 2.0, t0, t0 + step)
     left, right, mid, at_p, at_q, at_pq, at_t0, at_step, mean_ab = means.mean(
         [means.path_mean(r, u) for u in ts] + [base], a, b)
-    links = (
+    return (
         _eq("left-endpoint", left, a),
         _eq("right-endpoint", right, b),
         _eq("midpoint-is-mean", mid, mean_ab),
         _eq("interpolation-midpoint", means.mean(base, at_p, at_q), at_pq),
         _eq("continuity", at_t0, at_step, tol=1e-3),
     )
-    return CheckResult("path-axioms", _summary(inst), links)
 
 
 # ---------------------------------------------------------------------------
 # wada: the tensor-product Callebaut refinement for a single pair
 # ---------------------------------------------------------------------------
-
-def _sample_wada(espec, boundary):
-    rng = _inst_rng(espec, 9)
-    sigma = _pick_sigma(rng)
-    return LawInstance(law="wada", seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=[random_pd(espec, 0)],
-                       Bs=[random_pd(espec, 1)], sigma=sigma,
-                       params={"sigma": means.format_descriptor(sigma)})
-
 
 def _check_wada(inst, tol):
     d = inst.sigma
@@ -768,8 +725,7 @@ def _check_wada(inst, tol):
     # kron(sharp, sharp), then the halved tensor sums of (x, y) and (A, B);
     # the first is half the tensor sum of sharp with itself, exactly
     members = 0.5 * _tensor_sum(stack([sharp, x, a]), stack([sharp, y, b]))
-    return CheckResult("wada", _summary(inst),
-                       _chain(("lower-link", "upper-link"), members, tol))
+    return _chain(("lower-link", "upper-link"), members, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +733,14 @@ def _check_wada(inst, tol):
 # ---------------------------------------------------------------------------
 
 register_law("mean-axioms", _sample_mean_axioms, _check_mean_axioms)
-register_law("superadditivity", _sample_superadditivity, _check_superadditivity)
-register_law("sharp-identity", _sample_sharp_identity, _check_sharp_identity)
-register_law("callebaut-operator", _sample_callebaut_operator,
+register_law("superadditivity",
+             partial(_sample_sigma, tag=2, draw=_sample_tuples),
+             _check_superadditivity)
+register_law("sharp-identity",
+             partial(_sample_sigma, tag=3, draw=_sample_pair),
+             _check_sharp_identity)
+register_law("callebaut-operator",
+             partial(_sample_sigma, tag=4, draw=_sample_tuples),
              _check_callebaut_operator)
 register_law("path-monotonicity", _sample_path_monotonicity,
              _check_path_monotonicity, region="between")
@@ -788,13 +749,11 @@ register_law("geo-path-callebaut", _sample_geo_path_callebaut,
 register_law("scalar-callebaut", _sample_scalar_callebaut,
              _check_scalar_callebaut, region="callebaut")
 register_law("power-lemma", _sample_power_lemma, _check_power_lemma)
-register_law("tensor-f", lambda e, b: _sample_tensor(e, b, "tensor-f"),
-             _check_tensor, n_cap=3)
-register_law("tensor-g", lambda e, b: _sample_tensor(e, b, "tensor-g"),
-             _check_tensor, n_cap=3)
+register_law("tensor-f", _sample_pair, _check_tensor, n_cap=3)
+register_law("tensor-g", _sample_pair, _check_tensor, n_cap=3)
 register_law("matrix-callebaut", _sample_matrix_callebaut,
              _check_matrix_callebaut, n_cap=3, region="callebaut")
-register_law("hadamard-callebaut", _sample_hadamard_callebaut,
+register_law("hadamard-callebaut", _sample_matrix_callebaut,
              _check_hadamard_callebaut, n_cap=3, region="callebaut")
 register_law("hadamard-power", _sample_hadamard_power, _check_hadamard_power,
              region="unit")
@@ -802,7 +761,8 @@ register_law("interpolation-identity", _sample_interpolation_identity,
              _check_interpolation_identity, reads_boundary=True)
 register_law("path-axioms", _sample_path_axioms, _check_path_axioms,
              reads_boundary=True)
-register_law("wada", _sample_wada, _check_wada, n_cap=3)
+register_law("wada", partial(_sample_sigma, tag=9, draw=_sample_pair),
+             _check_wada, n_cap=3)
 
 
 def boundary_params(name):
@@ -840,7 +800,6 @@ class Curve:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    name: str
     instance_law: str
     evaluator: object  # (instance, grid) -> stack of one value per point
     pivot: float       # minimum location; monotone direction flips here
@@ -868,16 +827,12 @@ def _sweep_scalar_callebaut_f(inst, grid):
 
 
 SWEEPS = {
-    "tensor-f": SweepSpec("tensor-f", "tensor-f", _sweep_tensor_f,
-                          0.0, (-1.0, 1.0)),
-    "tensor-g": SweepSpec("tensor-g", "tensor-g", _sweep_tensor_g,
-                          0.5, (0.0, 1.0)),
+    "tensor-f": SweepSpec("tensor-f", _sweep_tensor_f, 0.0, (-1.0, 1.0)),
+    "tensor-g": SweepSpec("tensor-g", _sweep_tensor_g, 0.5, (0.0, 1.0)),
     "matrix-callebaut-middle": SweepSpec(
-        "matrix-callebaut-middle", "matrix-callebaut",
-        _sweep_matrix_callebaut_middle, 0.5, (0.0, 1.0)),
+        "matrix-callebaut", _sweep_matrix_callebaut_middle, 0.5, (0.0, 1.0)),
     "scalar-callebaut-f": SweepSpec(
-        "scalar-callebaut-f", "scalar-callebaut", _sweep_scalar_callebaut_f,
-        0.0, (0.0, 1.0)),
+        "scalar-callebaut", _sweep_scalar_callebaut_f, 0.0, (0.0, 1.0)),
 }
 
 

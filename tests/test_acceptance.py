@@ -77,7 +77,7 @@ def test_criterion_02_sharp_identity():
 
     results = run_trials("sharp-identity", 500, seed_tag=2, mutate=mutate)
     bad = failures(results)
-    worst = max(link.residual for r in results for link in r.links)
+    worst = max(-link.margin for r in results for link in r.links)
     report_line(2, not bad and worst <= 1e-9,
                 f"500 trials, {len(bad)} failures, worst residual {worst:.2e}")
 
@@ -123,8 +123,8 @@ def test_criterion_05_power_lemma():
         by_label = {link.label: link for link in r.links}
         scale = by_label["r=1"].verdict.scale
         endpoint_ok &= abs(by_label["r=1"].margin) <= 1e-9 * max(1.0, scale)
-        endpoint_ok &= by_label["r0-degenerate"].residual <= 1e-9
-        endpoint_ok &= by_label["r1-degenerate"].residual <= 1e-9
+        endpoint_ok &= -by_label["r0-degenerate"].margin <= 1e-9
+        endpoint_ok &= -by_label["r1-degenerate"].margin <= 1e-9
     report_line(5, not bad and endpoint_ok,
                 f"500 trials over 11-point exponent grid, {len(bad)} failures, "
                 f"endpoints {'degenerate as expected' if endpoint_ok else 'OFF'}")
@@ -174,7 +174,7 @@ def test_criterion_08_hadamard_corollaries():
     bad = failures(r1) + failures(r2)
     sub = [link for r in r1 for link in r.links
            if link.label.startswith("submatrix")]
-    worst_sub = max(link.residual for link in sub)
+    worst_sub = max(-link.margin for link in sub)
     report_line(8, not bad and worst_sub <= 1e-13,
                 f"300+300 trials, {len(bad)} failures, worst tensor-submatrix "
                 f"residual {worst_sub:.2e}")
@@ -224,23 +224,24 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
     assert code == 0
     default_report = json.loads(out.read_text())
     assert default_report["exit_status"] == 0
+    # the invariant each change keeps: every law's (passes, fails, skips)
+    # at seed 12; one path-monotonicity trial in 8 samples a power path,
+    # which its hypothesis test skips
+    expected = {name: (200, 0, 0) for name in laws.law_names()}
+    expected["path-monotonicity"] = (172, 0, 28)
+    assert {name: (r["passes"], r["fails"], r["skips"])
+            for name, r in default_report["laws"].items()} == expected
 
     # an injected sign-flipped law must fail and reproduce from its seed
-    def sampler(espec, boundary):
-        inst = laws._sample_superadditivity(espec, boundary)
-        inst.law = "flipped-superadditivity"
-        return inst
-
     def check(inst, tol):
         d = inst.sigma
         lhs = laws.pd_sum([means.mean(d, a, b)
                            for a, b in zip(inst.As, inst.Bs)])
         rhs = means.mean(d, laws.pd_sum(inst.As), laws.pd_sum(inst.Bs))
-        links = (laws._ineq("flipped", rhs, lhs, tol),)
-        return laws.CheckResult("flipped-superadditivity",
-                                laws._summary(inst), links)
+        return (laws._ineq("flipped", rhs, lhs, tol),)
 
-    laws.register_law("flipped-superadditivity", sampler, check)
+    laws.register_law("flipped-superadditivity",
+                      laws.law_spec("superadditivity").sampler, check)
     try:
         flip_out = tmp_path / "flipped.json"
         code = main(["verify", "--laws", "flipped-superadditivity",

@@ -27,6 +27,20 @@ class TestVerify:
         assert report["exit_status"] == 0
         assert "sharp-identity" in stdout
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_law_is_usage_error(self, tmp_path, capsys, source):
+        # it would run twice, and the report would keep only the second run
+        out = tmp_path / "report.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"laws": "wada,power-lemma,wada"}))
+        where = (["--laws", "wada,power-lemma,wada"] if source == "flag"
+                 else ["--config", str(cfg)])
+        code, stdout, err = run(capsys, "verify", *where, "--trials", "2",
+                                "--out", str(out))
+        assert code == 2
+        assert "'wada'" in err and "twice" in err
+        assert stdout == "" and not out.exists()
+
     def test_unknown_law_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--laws", "no-such-law")
         assert code == 2
@@ -51,16 +65,11 @@ class TestVerify:
         assert "trials" in err and not out.exists()
 
     def test_law_with_every_trial_skipped_is_no_pass(self, tmp_path, capsys):
-        def sampler(espec, boundary):
-            inst = laws._sample_wada(espec, boundary)
-            inst.law = "wada-skipped"
-            return inst
-
         def check(inst, tol):
-            return laws.CheckResult("wada-skipped", {}, (), skipped=True,
-                                    skip_reason="always")
+            raise laws.Skip(f"hypothesis fails at n={inst.n}")
 
-        laws.register_law("wada-skipped", sampler, check)
+        laws.register_law("wada-skipped", laws.law_spec("wada").sampler,
+                          check)
         try:
             out = tmp_path / "report.json"
             code, stdout, _ = run(capsys, "verify", "--laws",
@@ -72,6 +81,8 @@ class TestVerify:
             report = json.loads(out.read_text())
             assert report["exit_status"] == 1
             assert report["laws"]["wada-skipped"]["skips"] == 2
+            assert report["laws"]["wada-skipped"]["skip_reasons"] == {
+                "hypothesis fails at n=#": 2}
         finally:
             del laws._LAWS["wada-skipped"]
 
@@ -220,6 +231,29 @@ class TestRepro:
         code, _, err = run(capsys, "repro", "--law", "bogus", "--seed", "1")
         assert code == 2
 
+    def test_dump_is_written_to_out(self, tmp_path, capsys):
+        out = tmp_path / "dump.json"
+        code, stdout, _ = run(capsys, "repro", "--law", "wada", "--seed", "4",
+                              "--n", "2", "--m", "1", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text()) == json.loads(stdout)
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--laws", "wada", "--trials", "1"),
+    ("sweep", "--law", "tensor-g", "--grid", "0:1:0.5"),
+    ("repro", "--law", "wada"),
+])
+@pytest.mark.parametrize("where", ["missing/x", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command, where):
+    # a file in a directory that does not exist, or a directory
+    out = tmp_path / where
+    code, stdout, err = run(capsys, *command, "--seed", "1", "--n", "2",
+                            "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write --out {out}")
+    assert stdout == ""
+
 
 @pytest.mark.parametrize("command", [
     ("verify", "--laws", "wada", "--trials", "1"),
@@ -297,6 +331,38 @@ def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
     assert "region" in err and stdout == ""
 
 
+@pytest.mark.parametrize("law, boundary, ignored", [
+    ("hadamard-power", "0.1,0.5", "s=0.1"),
+    ("geo-path-callebaut", "0.5,0.9", "t=0.9"),
+    ("interpolation-identity", "0.3,0.7", "t=0.7"),
+])
+def test_boundary_coordinate_the_law_ignores_is_usage_error(
+        capsys, law, boundary, ignored):
+    code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "3",
+                            "--n", "2", "--m", "1", "--boundary", boundary)
+    assert code == 2
+    assert err.startswith("error:") and law in err and ignored in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("law", ["hadamard-power", "geo-path-callebaut"])
+def test_recorded_boundary_replays(tmp_path, capsys, law):
+    # verify's first trials take the region's boundary points (u, u)
+    out = tmp_path / "report.json"
+    run(capsys, "verify", "--laws", law, "--trials", "3", "--seed", "4",
+        "--n", "2", "--m", "2", "--out", str(out))
+    worst = json.loads(out.read_text())["laws"][law]["worst"]
+    s, t = worst["boundary"]
+    assert s == t
+    code, stdout, _ = run(capsys, "repro", "--law", law,
+                          "--seed", str(worst["seed"]), "--n", "2", "--m", "2",
+                          "--boundary", f"{s!r},{t!r}")
+    assert code == 0
+    dump = json.loads(stdout)
+    assert dump["margin"] == worst["margin"]
+    assert dump["summary"]["params"] in ({"s": s}, {"t": t})
+
+
 @pytest.mark.parametrize("law", [
     "mean-axioms", "superadditivity", "sharp-identity", "callebaut-operator",
     "power-lemma", "tensor-f", "tensor-g", "wada",
@@ -351,22 +417,17 @@ def test_linalg_error_in_trial_is_usage_error(tmp_path, capsys, command):
 class TestFailurePath:
     def test_flipped_law_fails_and_reproduces(self, tmp_path, capsys):
         # register a deliberately reversed inequality to exercise exit code 1
-        def sampler(espec, boundary):
-            inst = laws._sample_superadditivity(espec, boundary)
-            inst.law = "superadditivity-flipped"
-            return inst
-
         def check(inst, tol):
             from meanscope import means
-            from meanscope.laws import CheckResult, _ineq, _summary, pd_sum
+            from meanscope.laws import _ineq, pd_sum
             d = inst.sigma
             lhs = pd_sum([means.mean(d, a, b)
                           for a, b in zip(inst.As, inst.Bs)])
             rhs = means.mean(d, pd_sum(inst.As), pd_sum(inst.Bs))
-            links = (_ineq("flipped", rhs, lhs, tol),)
-            return CheckResult("superadditivity-flipped", _summary(inst), links)
+            return (_ineq("flipped", rhs, lhs, tol),)
 
-        laws.register_law("superadditivity-flipped", sampler, check)
+        laws.register_law("superadditivity-flipped",
+                          laws.law_spec("superadditivity").sampler, check)
         try:
             out = tmp_path / "report.json"
             code, stdout, _ = run(capsys, "verify", "--laws",

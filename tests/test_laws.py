@@ -11,7 +11,8 @@ from meanscope.laws import (
     scalar_callebaut_chain,
     sweep_law,
 )
-from meanscope.linalg import HermitianMatrix, PDMatrix, rel_residual
+from meanscope.linalg import (HermitianMatrix, LoewnerVerdict, PDMatrix,
+                              rel_residual)
 
 
 def make_instance(name, seed, n=3, m=2, boundary=None):
@@ -34,6 +35,33 @@ def test_boundary_instances_pass(name):
         inst = make_instance(name, seed=1, boundary=boundary)
         result = check_law(name, inst)
         assert result.status in ("pass", "skip"), (name, boundary)
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+def test_every_link_is_judged_by_the_one_pass_rule(name):
+    # identity links too: the margin -residual at scale 0
+    boundaries = [None, None, *laws.boundary_params(name)]
+    for seed, boundary in enumerate(boundaries):
+        inst = make_instance(name, seed, boundary=boundary)
+        for tol in (laws.DEFAULT_TOL, 0.0):
+            for link in check_law(name, inst, tol=tol).links:
+                v = link.verdict
+                assert link.margin == v.margin
+                assert link.holds == LoewnerVerdict.judge(
+                    v.margin, v.scale, v.tolerance).holds, (name, link)
+
+
+def test_check_raising_skip_is_a_skip():
+    def check(inst, tol):
+        raise laws.Skip("hypothesis fails")
+
+    laws.register_law("wada-skip", laws.law_spec("wada").sampler, check)
+    try:
+        result = check_law("wada-skip", make_instance("wada-skip", 0))
+    finally:
+        del laws._LAWS["wada-skip"]
+    assert (result.status, result.skip_reason, result.links) == (
+        "skip", "hypothesis fails", ())
 
 
 def test_check_result_margin_is_min_link_margin():
@@ -130,8 +158,8 @@ class TestPowerLemma:
         inst = make_instance("power-lemma", 5, n=4)
         result = check_law("power-lemma", inst)
         by_label = {l.label: l for l in result.links}
-        assert by_label["r0-degenerate"].residual <= 1e-12
-        assert by_label["r1-degenerate"].residual <= 1e-12
+        assert -by_label["r0-degenerate"].margin <= 1e-12
+        assert -by_label["r1-degenerate"].margin <= 1e-12
         scale = by_label["r=1"].verdict.scale
         assert abs(by_label["r=1"].margin) <= 1e-9 * max(1.0, scale)
 
@@ -162,7 +190,7 @@ class TestHadamardCallebaut:
         sub = [l for l in result.links if l.label.startswith("submatrix")]
         assert len(sub) == 4
         for link in sub:
-            assert link.residual <= 1e-13
+            assert -link.margin <= 1e-13
 
 
     def test_shares_sums_with_tensor_chain(self, monkeypatch):
@@ -280,14 +308,12 @@ class TestSweeps:
 
 
 def test_register_law_extends_catalog():
-    def sampler(espec, boundary):
-        return laws._sample_sharp_identity(espec, boundary)
-
-    def check(inst, tol):
-        return laws._check_sharp_identity(inst, tol)
-
-    laws.register_law("sharp-identity-copy", sampler, check)
+    spec = laws.law_spec("sharp-identity")
+    laws.register_law("sharp-identity-copy", spec.sampler, spec.check)
     try:
         assert "sharp-identity-copy" in laws.law_names()
+        inst = make_instance("sharp-identity-copy", 4)
+        assert inst.law == "sharp-identity-copy"
+        assert check_law("sharp-identity-copy", inst).holds
     finally:
         del laws._LAWS["sharp-identity-copy"]
