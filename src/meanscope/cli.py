@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, laws
-from .ensembles import REGIONS, EnsembleSpec
+from .ensembles import EnsembleSpec
 from .linalg import LinalgError, matrix_to_dict
 
 DEFAULT_TRIALS = 200
@@ -29,9 +29,6 @@ DEFAULT_TOL = laws.DEFAULT_TOL
 DEFAULT_KAPPA = 1e4
 GRID_MAX_POINTS = 10_001
 SEED_ENV_VAR = "MEANSCOPE_SEED"
-# The JSON type of each config key's value; flag values are typed by argparse.
-CONFIG_TYPES = {"laws": str, "field": str, "trials": int, "seed": int,
-                "n": int, "m": int, "tol": float, "kappa_max": float}
 
 
 class UsageError(Exception):
@@ -90,14 +87,6 @@ def _parse_laws(text):
     return names
 
 
-def _check_ensemble(n, m, fieldname, kappa):
-    """Reject out-of-range ensemble settings before anything is sampled."""
-    try:
-        EnsembleSpec(n=n, m=m, field=fieldname, kappa_max=kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _load_config(path):
     try:
         with open(path) as fh:
@@ -107,11 +96,50 @@ def _load_config(path):
     if not isinstance(config, dict):
         raise UsageError(f"config {path} holds a {type(config).__name__}, "
                          f"not a JSON object")
-    unknown = sorted(set(config) - set(CONFIG_TYPES))
-    if unknown:
-        raise UsageError(f"unknown config key {unknown[0]!r} in {path}; "
-                         f"known keys: {sorted(CONFIG_TYPES)}")
     return config
+
+
+def _resolve_settings(args):
+    """Give each setting of the subcommand its value, once: the flag's, else
+    the config file's, else (seed only) $MEANSCOPE_SEED's, else the default;
+    then check the values before anything is sampled."""
+    config = _load_config(args.config) if args.config else {}
+    refused = sorted(set(config) - set(args.settings))
+    if refused:
+        raise UsageError(f"config {args.config} sets {refused}, which "
+                         f"`meanscope {args.command}` does not read; its "
+                         f"keys: {sorted(args.settings)}")
+    for key, (kind, default) in args.settings.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            value = config[key]
+            # a JSON integer is a valid float; true/false are not numbers
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise UsageError(f"config key {key!r} must be of type "
+                                 f"{kind.__name__}, got {value!r}")
+        if value is None and key == "seed" and SEED_ENV_VAR in os.environ:
+            env = os.environ[SEED_ENV_VAR]
+            try:
+                value = int(env)
+            except ValueError:
+                raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer"
+                                 ) from None
+        setattr(args, key, default if value is None else kind(value))
+    # every margin comparison with a NaN tolerance is false, so a NaN or
+    # negative one would read as a violated law
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"tol must be finite and >= 0, got {args.tol}")
+    try:    # verify's cycled n and m are in range by construction
+        EnsembleSpec(n=1 if args.n is None else args.n,
+                     m=1 if args.m is None else args.m,
+                     field=args.field, kappa_max=args.kappa_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.command == "verify":
+        args.laws = _parse_laws(args.laws)
+        if args.trials < 1:
+            raise UsageError(f"trials must be at least 1, got {args.trials}")
 
 
 def _check_out(path):
@@ -128,45 +156,6 @@ def _write_out(path, text):
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write --out {path}: {exc}") from None
-
-
-def _resolve(args, config, key, default):
-    """Flag value if given, else config file value, else default."""
-    v = getattr(args, key.replace("-", "_"), None)
-    if v is not None:
-        return v
-    if key not in config:
-        return default
-    v = config[key]
-    want = CONFIG_TYPES[key]
-    # a JSON integer is a valid float; true/false are not numbers
-    if isinstance(v, bool) or not isinstance(
-            v, (int, float) if want is float else want):
-        raise UsageError(
-            f"config key {key!r} must be of type {want.__name__}, got {v!r}")
-    return v
-
-
-def _resolve_seed(args, config):
-    v = _resolve(args, config, "seed", None)
-    if v is not None:
-        return v
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-
-
-def _resolve_tol(args, config):
-    """The link tolerance.  Every margin comparison with a NaN tolerance is
-    false, so a NaN or negative one would read as a violated law."""
-    tol = float(_resolve(args, config, "tol", DEFAULT_TOL))
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"tol must be finite and >= 0, got {tol}")
-    return tol
 
 
 @contextlib.contextmanager
@@ -192,25 +181,10 @@ def _cycle_m(trial, fixed):
 
 
 def cmd_verify(args):
-    config = _load_config(args.config) if args.config else {}
-    law_list = _parse_laws(_resolve(args, config, "laws", "all"))
-    trials = int(_resolve(args, config, "trials", DEFAULT_TRIALS))
-    if trials < 1:
-        raise UsageError(f"trials must be at least 1, got {trials}")
-    seed = _resolve_seed(args, config)
-    tol = _resolve_tol(args, config)
-    kappa = float(_resolve(args, config, "kappa_max", DEFAULT_KAPPA))
-    fieldname = _resolve(args, config, "field", "complex")
-    fixed_n = _resolve(args, config, "n", None)
-    fixed_m = _resolve(args, config, "m", None)
-    # cycled n and m are in range by construction; fixed ones are checked
-    _check_ensemble(1 if fixed_n is None else fixed_n, _cycle_m(0, fixed_m),
-                    fieldname, kappa)
-
     started = time.monotonic()
     per_law = {}
     any_fail = False
-    for law_index, name in enumerate(sorted(law_list)):
+    for law_index, name in enumerate(sorted(args.laws)):
         spec = laws.law_spec(name)
         boundaries = laws.boundary_params(name)
         passes = fails = skips = 0
@@ -218,17 +192,17 @@ def cmd_verify(args):
         worst = None
         failing = []
         law_started = time.monotonic()
-        for k in range(trials):
-            cs = child_seed(seed, law_index, k)
-            n = _cycle_n(k, fixed_n, spec.n_cap)
-            m = _cycle_m(k, fixed_m)
+        for k in range(args.trials):
+            cs = child_seed(args.seed, law_index, k)
+            n = _cycle_n(k, args.n, spec.n_cap)
+            m = _cycle_m(k, args.m)
             boundary = boundaries[k] if k < len(boundaries) else None
             with _trial(name, cs, n, m):
                 inst = laws.sample_instance(name, n=n, m=m,
-                                            fieldname=fieldname,
-                                            kappa_max=kappa, seed=cs,
+                                            fieldname=args.field,
+                                            kappa_max=args.kappa_max, seed=cs,
                                             boundary=boundary)
-                result = laws.check_law(name, inst, tol=tol)
+                result = laws.check_law(name, inst, tol=args.tol)
             if result.status == "skip":
                 skips += 1
                 skip_reasons[_skip_category(result.skip_reason)] += 1
@@ -244,19 +218,22 @@ def cmd_verify(args):
                 worst = {"margin": margin, "seed": cs, "n": n, "m": m,
                          "boundary": list(boundary) if boundary else None}
         any_fail = any_fail or fails > 0
-        per_law[name] = {"trials": trials, "passes": passes, "fails": fails,
+        per_law[name] = {"trials": args.trials, "passes": passes,
+                         "fails": fails,
                          "skips": skips, "worst": worst,
                          "failing_seeds": failing,
                          "skip_reasons": dict(sorted(skip_reasons.items())),
                          "wall_sec": round(time.monotonic() - law_started, 6)}
 
     # a law whose every trial skipped checked nothing, which is no pass
-    nocheck = [name for name, r in per_law.items() if r["skips"] == trials]
+    nocheck = [name for name, r in per_law.items()
+               if r["skips"] == args.trials]
     report = {
         "version": __version__,
-        "config": {"laws": sorted(law_list), "trials": trials, "seed": seed,
-                   "tol": tol, "kappa_max": kappa, "field": fieldname,
-                   "n": fixed_n, "m": fixed_m},
+        "config": {"laws": sorted(args.laws), "trials": args.trials,
+                   "seed": args.seed, "tol": args.tol,
+                   "kappa_max": args.kappa_max, "field": args.field,
+                   "n": args.n, "m": args.m},
         "laws": per_law,
         "wall_clock_sec": round(time.monotonic() - started, 6),
         "exit_status": 1 if any_fail or nocheck else 0,
@@ -276,52 +253,20 @@ def cmd_verify(args):
             for f in per_law[name]["failing_seeds"]:
                 print(f"FAIL {name} seed={f['seed']} n={f['n']} m={f['m']}")
     for name in nocheck:
-        print(f"NOCHECK {name}: all {trials} trials skipped")
+        print(f"NOCHECK {name}: all {args.trials} trials skipped")
     return report["exit_status"]
 
 
-def _parse_boundary(text, law):
-    """The (s, t) forced by ``repro --boundary``, for a law that reads it."""
-    spec = laws.law_spec(law)
-    if not spec.reads_boundary:
-        raise UsageError(f"{law} reads no --boundary: its trial would be "
-                         f"the same without it")
+def _parse_boundary(text):
+    """The (s, t) forced by ``repro --boundary``."""
     try:
         s, t = (float(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"bad boundary {text!r}, expected s,t")
-    if spec.region is not None and not REGIONS[spec.region](s, t):
-        raise UsageError(f"boundary {text!r} lies outside the "
-                         f"{spec.region} region of {law}")
     return s, t
 
 
-def _build_instance_from_args(args, config, law_for_instance, boundary=None):
-    """The instance given by the flags, and the trial guard to check it in."""
-    seed = _resolve_seed(args, config)
-    kappa = float(_resolve(args, config, "kappa_max", DEFAULT_KAPPA))
-    fieldname = _resolve(args, config, "field", "complex")
-    n = int(_resolve(args, config, "n", 3))
-    m = int(_resolve(args, config, "m", 2))
-    _check_ensemble(n, m, fieldname, kappa)
-    try:
-        with _trial(law_for_instance, seed, n, m):
-            inst = laws.sample_instance(law_for_instance, n=n, m=m,
-                                        fieldname=fieldname, kappa_max=kappa,
-                                        seed=seed, boundary=boundary)
-    except ValueError as exc:
-        if boundary is None:
-            raise
-        raise UsageError(f"boundary {args.boundary!r} lies outside the "
-                         f"parameter region of {law_for_instance}: {exc}")
-    except laws.InstanceError as exc:     # a coordinate the law would ignore
-        raise UsageError(f"boundary {args.boundary!r}: {law_for_instance} "
-                         f"{exc}") from None
-    return inst, seed, _trial(law_for_instance, seed, n, m)
-
-
 def cmd_sweep(args):
-    config = _load_config(args.config) if args.config else {}
     name = args.law
     if name not in laws.SWEEPS:
         raise UsageError(
@@ -336,13 +281,11 @@ def cmd_sweep(args):
     else:
         lo, hi = sw.domain
         grid = list(np.linspace(lo, hi, 17))
-    tol = _resolve_tol(args, config)
-    inst, _, trial = _build_instance_from_args(args, config, sw.instance_law)
-    with trial:
-        try:
-            curve = laws.sweep_law(name, inst, grid, tol=tol)
-        except laws.InstanceError as exc:     # a grid the family cannot take
-            raise UsageError(f"sweep {name}: {exc}") from None
+    with _trial(sw.instance_law, args.seed, args.n, args.m):
+        inst = laws.sample_instance(sw.instance_law, n=args.n, m=args.m,
+                                    fieldname=args.field,
+                                    kappa_max=args.kappa_max, seed=args.seed)
+        curve = laws.sweep_law(name, inst, grid, tol=args.tol)
     rows = [["t", "trace", "lambda_min", "lambda_max", "monotone_link_margin"]]
     for p in curve.points:
         margin = "" if np.isnan(p.link_margin) else repr(p.link_margin)
@@ -358,19 +301,18 @@ def cmd_sweep(args):
 
 
 def cmd_repro(args):
-    config = _load_config(args.config) if args.config else {}
     name = args.law
-    if name not in laws.law_names():
-        raise UsageError(f"unknown law {name!r}")
-    tol = _resolve_tol(args, config)
     boundary = (None if args.boundary is None
-                else _parse_boundary(args.boundary, name))
-    inst, seed, trial = _build_instance_from_args(args, config, name, boundary)
-    with trial:
-        result = laws.check_law(name, inst, tol=tol)
+                else _parse_boundary(args.boundary))
+    with _trial(name, args.seed, args.n, args.m):
+        inst = laws.sample_instance(name, n=args.n, m=args.m,
+                                    fieldname=args.field,
+                                    kappa_max=args.kappa_max, seed=args.seed,
+                                    boundary=boundary)
+        result = laws.check_law(name, inst, tol=args.tol)
     dump = {
         "law": name,
-        "seed": seed,
+        "seed": args.seed,
         "status": result.status,
         "margin": result.margin if result.links else None,
         "summary": result.summary,
@@ -401,55 +343,47 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--field", choices=("real", "complex"), default=None)
-        p.add_argument("--kappa-max", dest="kappa_max", type=float,
-                       default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON config file; flags override it")
-        p.add_argument("--out", default=None)
+    def command(name, run, text, settings):
+        """A subcommand; each of its settings, given as (type, default), is
+        a flag and a key of its --config file (see _resolve_settings)."""
+        p = sub.add_parser(name, help=text)
+        for key, (kind, default) in settings.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           help=None if default is None
+                           else f"default {default}")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out")
+        p.set_defaults(run=run, settings=settings)
+        return p
 
-    pv = sub.add_parser("verify", help="run law suites and write a report")
-    pv.add_argument("--laws", default=None,
-                    help="comma-separated law names, or 'all'")
-    pv.add_argument("--trials", type=int, default=None)
-    common(pv)
-
-    ps = sub.add_parser("sweep", help="sweep a monotone law over a grid")
-    ps.add_argument("--law", required=True)
-    ps.add_argument("--grid", default=None, help="a:b:step")
-    ps.add_argument("--boundary", default=None)
-    common(ps)
-
-    pr = sub.add_parser("repro", help="re-run one trial from its seed")
-    pr.add_argument("--law", required=True)
-    pr.add_argument("--boundary", default=None,
-                    help="forced s,t parameters, as recorded in the report")
-    common(pr)
+    common = {"seed": (int, 0), "field": (str, "complex"),
+              "kappa_max": (float, DEFAULT_KAPPA), "tol": (float, DEFAULT_TOL)}
+    command("verify", cmd_verify, "run law suites and write a report",
+            {"laws": (str, "all"), "trials": (int, DEFAULT_TRIALS),
+             "n": (int, None), "m": (int, None), **common})
+    sweeper = command("sweep", cmd_sweep, "sweep a monotone law over a grid",
+                      {"n": (int, 3), "m": (int, 2), **common})
+    sweeper.add_argument("--grid", help="a:b:step")
+    repro = command("repro", cmd_repro, "re-run one trial from its seed",
+                    {"n": (int, 3), "m": (int, 2), **common})
+    for p in (sweeper, repro):
+        p.add_argument("--law", required=True)
+        p.add_argument("--boundary",
+                       help="forced s,t parameters, as recorded in a report")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
         if args.out is not None:
             _check_out(args.out)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "repro":
-            return cmd_repro(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        _resolve_settings(args)
+        return args.run(args)
+    except (UsageError, laws.InstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

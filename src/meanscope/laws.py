@@ -161,11 +161,23 @@ def law_spec(name):
 
 
 def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
-    """Build a random instance for a law; ``boundary`` forces (s, t) params."""
+    """Build a random instance for a law; ``boundary`` forces (s, t) params.
+    A request the law refuses raises an InstanceError that names the law."""
     spec = law_spec(name)
-    n = min(n, spec.n_cap)
-    espec = EnsembleSpec(n=n, m=m, field=fieldname, kappa_max=kappa_max, seed=seed)
-    inst = spec.sampler(espec, boundary)
+    try:
+        if n > spec.n_cap:
+            raise InstanceError(f"n={n} is above its n cap {spec.n_cap}")
+        if boundary is not None and not spec.reads_boundary:
+            raise InstanceError("reads no boundary (s, t)")
+        region = REGIONS.get(spec.region)
+        if boundary is not None and region and not region(*boundary):
+            raise InstanceError(f"boundary {tuple(boundary)} lies outside "
+                                f"the {spec.region} region")
+        espec = EnsembleSpec(n=n, m=m, field=fieldname, kappa_max=kappa_max,
+                             seed=seed)
+        inst = spec.sampler(espec, boundary)
+    except InstanceError as exc:
+        raise InstanceError(f"{name}: {exc}") from None
     inst.law = name
     return inst
 
@@ -658,17 +670,18 @@ def _check_hadamard_power(inst, tol):
 # interpolation-identity: geodesic reparametrization of the geometric path
 # ---------------------------------------------------------------------------
 
-def _path_params(*ts):
-    """Path parameters forced by a boundary; ValueError unless in [0, 1]."""
-    for t in ts:
-        means.geometric_path(t)
-    return ts
+def _path_params(boundary):
+    """Path parameters forced by a boundary, which must lie in [0, 1]."""
+    if not REGIONS["unit"](*boundary):
+        raise InstanceError(f"path parameters {tuple(boundary)} lie outside "
+                            f"the unit region")
+    return boundary
 
 
 def _sample_interpolation_identity(espec, boundary):
     p, q, r = seeded_rng(espec.seed, LAW_STREAM, 7).uniform(0.0, 1.0, size=3)
     if boundary is not None:
-        r = _one_coordinate(_path_params(*boundary), 0)
+        r = _one_coordinate(_path_params(boundary), 0)
     return _sample_pair(
         espec, params={"p": float(p), "q": float(q), "r": float(r)})
 
@@ -691,7 +704,7 @@ def _sample_path_axioms(espec, boundary):
     r = float(rng.uniform(-1.0, 1.0))
     p, q = rng.uniform(0.0, 1.0, size=2)
     if boundary is not None:
-        p, q = _path_params(*boundary)
+        p, q = _path_params(boundary)
     return _sample_pair(espec, params={"r": r, "p": float(p), "q": float(q)})
 
 
@@ -844,11 +857,11 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
         raise InstanceError(f"law {name!r} is not sweepable") from None
     grid = [float(t) for t in grid]
     if any(t1 <= t0 for t0, t1 in zip(grid, grid[1:])):
-        raise InstanceError("sweep grid must be strictly increasing")
+        raise InstanceError(f"sweep {name}: grid must be strictly increasing")
     lo, hi = sw.domain
     if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
-        raise InstanceError(
-            f"grid [{grid[0]}, {grid[-1]}] outside domain [{lo}, {hi}]")
+        raise InstanceError(f"sweep {name}: grid [{grid[0]}, {grid[-1]}] "
+                            f"outside domain [{lo}, {hi}]")
     values = sw.evaluator(instance, grid)
     links = [None] + _vshape_links(grid, values, sw.pivot, tol)
     lams = values.decomposition().eigenvalues

@@ -481,8 +481,11 @@ def pd_sum(mats, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def matrix_to_dict(A):
+    if A.stack_shape:       # the format holds one matrix
+        raise DimensionError(f"cannot write a stack of shape {A.stack_shape} "
+                             f"as one matrix")
     a = A.array
-    n = a.shape[0]
+    n = A.n
     is_real = float(np.max(np.abs(a.imag))) == 0.0
     entries = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
     return {"n": n, "field": "real" if is_real else "complex", "entries": entries}

@@ -151,7 +151,8 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--law", "tensor-g", "--seed", "3",
                          "--n", "2", "--grid", "0:1:0.25", "--out", str(out))
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["t", "trace", "lambda_min", "lambda_max",
                            "monotone_link_margin"]
         assert len(rows) == 6
@@ -315,6 +316,66 @@ def test_config_shape_is_usage_error(tmp_path, capsys, text, named, command):
     assert code == 2
     assert err.startswith("error:") and named in err
     assert stdout == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("sweep", "--law", "tensor-g", "--grid", "0:1:0.5"),
+    ("repro", "--law", "tensor-g"),
+])
+def test_config_key_the_command_does_not_read_is_usage_error(
+        tmp_path, capsys, command):
+    # only verify reads trials and laws; a run that dropped them would not
+    # be the run the file asks for
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 5, "laws": "wada"}))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *command, "--config", str(cfg),
+                            "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "'laws'" in err and "'trials'" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("repro", "--law", "wada", "--m", "1"),
+    ("sweep", "--law", "tensor-f", "--grid", "0:1:0.5"),
+])
+def test_n_above_the_law_cap_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *command, "--n", "9", "--seed", "2",
+                            "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "n=9" in err and "cap 3" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_verify_lowers_fixed_n_to_the_law_cap(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--laws", "wada", "--n", "9",
+                     "--trials", "2", "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["n"] == 9
+    assert report["laws"]["wada"]["worst"]["n"] == 3
+
+
+def test_config_drives_repro_as_the_flags_do(tmp_path, capsys):
+    settings = {"seed": 5, "n": 2, "m": 3, "field": "real",
+                "kappa_max": 50.0, "tol": 1e-7}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in settings.items()]
+    code, from_flags, _ = run(capsys, "repro", "--law", "superadditivity",
+                              *flags)
+    assert code == 0
+    code, from_config, _ = run(capsys, "repro", "--law", "superadditivity",
+                               "--config", str(cfg))
+    assert code == 0
+    assert from_config == from_flags
+    dump = json.loads(from_config)
+    assert dump["seed"] == 5 and dump["summary"]["n"] == 2
+    assert dump["summary"]["m"] == 3 and dump["summary"]["field"] == "real"
 
 
 @pytest.mark.parametrize("law, boundary", [

@@ -81,6 +81,23 @@ def test_unknown_law():
         check_law("no-such-law", None)
 
 
+def test_n_above_the_cap_is_refused():
+    # sampling lowers no n: a wada instance at n = 9 is no request it meets
+    with pytest.raises(InstanceError, match=r"^wada: n=9 .* cap 3$"):
+        make_instance("wada", 0, n=9)
+    assert make_instance("wada", 0, n=3).n == 3
+
+
+@pytest.mark.parametrize("law, boundary", [
+    ("matrix-callebaut", (0.9, 0.1)),
+    ("path-monotonicity", (0.9, 0.5)),
+    ("hadamard-power", (1.5, 1.5)),
+])
+def test_boundary_outside_the_region_is_refused(law, boundary):
+    with pytest.raises(InstanceError, match=f"^{law}: .* region"):
+        make_instance(law, 0, n=2, boundary=boundary)
+
+
 class TestSharpIdentity:
     def test_scalar_arithmetic_case(self):
         # arithmetic mean 2.5, harmonic 1.6; geometric mean of those is 2

@@ -234,7 +234,8 @@ class TestApplyFunction:
 
     def test_domain_error_names_eigenvalue(self):
         a = PDMatrix(HermitianMatrix.diagonal([0.5, 2.0]))
-        with pytest.raises(FunctionDomainError) as err:
+        with pytest.raises(FunctionDomainError) as err, \
+                pytest.warns(RuntimeWarning):
             apply_function(a, lambda t: np.log(t - 1.0))
         assert "0.5" in str(err.value)
 
@@ -592,3 +593,9 @@ class TestMatrixIO:
     def test_bad_entry_count(self):
         with pytest.raises(DimensionError):
             matrix_from_dict({"n": 2, "field": "real", "entries": [[1.0, 0.0]]})
+
+    def test_stack_is_refused(self):
+        # a stack of three 2x2 matrices is no one matrix a file can hold
+        eye = HermitianMatrix.identity(2)
+        with pytest.raises(DimensionError, match=r"\(3,\)"):
+            matrix_to_dict(stack([eye, eye, eye]))
