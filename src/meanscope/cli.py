@@ -211,11 +211,12 @@ def cmd_verify(args):
                 passes += 1
             else:
                 fails += 1
-                failing.append({"seed": cs, "n": n, "m": m,
+                failing.append({"seed": cs, "n": inst.n, "m": inst.m,
                                 "boundary": list(boundary) if boundary else None})
             margin = result.margin
             if worst is None or margin < worst["margin"]:
-                worst = {"margin": margin, "seed": cs, "n": n, "m": m,
+                worst = {"margin": margin, "seed": cs, "n": inst.n,
+                         "m": inst.m,
                          "boundary": list(boundary) if boundary else None}
         any_fail = any_fail or fails > 0
         per_law[name] = {"trials": args.trials, "passes": passes,

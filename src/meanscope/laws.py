@@ -236,7 +236,7 @@ def _sigma_roster():
         means.power_mean(0.5),
         means.power_mean(-0.5),
         means.weighted_geometric(0.25),
-        means.dual_raw(means.power_mean(0.5)),
+        means.dual(means.power_mean(0.5)),
     ]
 
 
@@ -283,7 +283,7 @@ def _sums(As, Bs):
 def _pair(u, r=0.0):
     """The points u and 1-u of the interpolation path of exponent r (the
     geodesic #_u for r = 0), whose path sums are S(u) and S(1-u)."""
-    return means.path_mean(r, u), means.path_mean(r, 1.0 - u)
+    return means.power_path(r, u), means.power_path(r, 1.0 - u)
 
 
 def _tensor_sum(x, y):
@@ -420,8 +420,8 @@ def _sample_path_monotonicity(espec, boundary):
 
 def _path_dual_symmetry_residual(r, t):
     """Residual of the hypothesis dual(sigma_t) = sigma_{1-t} on a grid."""
-    return means.representing_gap(means.path_mean(r, 1.0 - t),
-                                  means.dual(means.path_mean(r, t)),
+    return means.representing_gap(means.power_path(r, 1.0 - t),
+                                  means.dual(means.power_path(r, t)),
                                   np.geomspace(0.1, 10.0, 9))
 
 
@@ -717,7 +717,7 @@ def _check_path_axioms(inst, tol):
     step = 1e-7
     ts = (0.0, 1.0, 0.5, p, q, (p + q) / 2.0, t0, t0 + step)
     left, right, mid, at_p, at_q, at_pq, at_t0, at_step, mean_ab = means.mean(
-        [means.path_mean(r, u) for u in ts] + [base], a, b)
+        [means.power_path(r, u) for u in ts] + [base], a, b)
     return (
         _eq("left-endpoint", left, a),
         _eq("right-endpoint", right, b),
@@ -856,6 +856,8 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
     except KeyError:
         raise InstanceError(f"law {name!r} is not sweepable") from None
     grid = [float(t) for t in grid]
+    if not grid:
+        raise InstanceError(f"sweep {name}: empty grid checks no link")
     if any(t1 <= t0 for t0, t1 in zip(grid, grid[1:])):
         raise InstanceError(f"sweep {name}: grid must be strictly increasing")
     lo, hi = sw.domain
@@ -864,6 +866,10 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
                             f"outside domain [{lo}, {hi}]")
     values = sw.evaluator(instance, grid)
     links = [None] + _vshape_links(grid, values, sw.pivot, tol)
+    if all(link is None for link in links):
+        raise InstanceError(f"sweep {name}: grid {grid} checks no link (none "
+                            f"joins two points on one side of the pivot "
+                            f"{sw.pivot})")
     lams = values.decomposition().eigenvalues
     points = tuple(CurvePoint(
         t=t, trace=float(trace), lambda_min=float(lam[0]),

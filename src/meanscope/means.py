@@ -5,14 +5,17 @@ A mean is described by a ``MeanDescriptor``; its representing function f
 
     A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.
 
-The family implemented here: arithmetic, harmonic, geometric, weighted
-geometric, binary power means, the interpolational power-mean paths, and
-duals (representing function t -> t / f(t)) of any of these.
+Every mean here is a point m_{r,t} of an interpolational power-mean path,
+f_{r,t}(x) = (1 - t + t x^r)^{1/r} with f_{0,t}(x) = x^t, or the dual of
+one (representing function x -> x / f(x)).  The arithmetic, geometric and
+binary power means are the points t = 1/2 of the paths r = 1, 0 and r; the
+weighted geometric means #_t are the geodesic r = 0; the harmonic mean is
+the dual of the arithmetic one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,118 +26,63 @@ from .linalg import (PDMatrix, congruence, congruence_diag, spectral_values,
 # geometric limit r -> 0 to avoid the 1/r blowup.
 R_GEOMETRIC_CUTOFF = 1e-8
 
-_KINDS = ("arithmetic", "harmonic", "geometric", "wgeo", "power", "powerpath",
-          "geopath", "dual")
-_REQUIRED = {"wgeo": ("p",), "power": ("r",), "powerpath": ("r", "t"),
-             "geopath": ("t",)}
-
 
 @dataclass(frozen=True)
 class MeanDescriptor:
-    """Identifies one Kubo-Ando mean in the supported family.
+    """The point m_{r,t} of the interpolational path of exponent r, with
+    r in [-1, 1] (|r| < R_GEOMETRIC_CUTOFF is the geodesic) and t in
+    [0, 1], or its dual when ``dual`` is set."""
 
-    kind        parameters
-    ----------  ------------------------------------------
-    arithmetic  -
-    harmonic    -
-    geometric   -
-    wgeo        p in [0, 1]           (f(t) = t^p)
-    power       r in [-1, 1]          (r ~ 0 means geometric)
-    powerpath   r in [-1, 1], t in [0, 1]
-    geopath     t in [0, 1]           (f(x) = x^t)
-    dual        inner descriptor      (f(t) = t / f_inner(t))
-    """
-
-    kind: str
-    p: float = None
-    r: float = None
-    t: float = None
-    inner: "MeanDescriptor" = None
+    r: float
+    t: float
+    dual: bool = False
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown mean kind {self.kind!r}")
-        for name in _REQUIRED.get(self.kind, ()):
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.kind} mean requires parameter {name!r}")
-        if self.kind == "wgeo" and not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"weighted geometric exponent {self.p} outside [0, 1]")
-        if self.kind in ("power", "powerpath") and not -1.0 <= self.r <= 1.0:
+        if not -1.0 <= self.r <= 1.0:
             raise ValueError(f"power exponent {self.r} outside [-1, 1]")
-        if self.kind in ("powerpath", "geopath") and not 0.0 <= self.t <= 1.0:
+        if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"path parameter {self.t} outside [0, 1]")
-        if self.kind == "dual" and not isinstance(self.inner, MeanDescriptor):
-            raise ValueError("dual requires an inner descriptor")
-
-
-def arithmetic():
-    return MeanDescriptor("arithmetic")
-
-
-def harmonic():
-    return MeanDescriptor("harmonic")
-
-
-def geometric():
-    return MeanDescriptor("geometric")
-
-
-def weighted_geometric(p):
-    return MeanDescriptor("wgeo", p=float(p))
-
-
-def power_mean(r):
-    return MeanDescriptor("power", r=float(r))
 
 
 def power_path(r, t):
-    return MeanDescriptor("powerpath", r=float(r), t=float(t))
+    return MeanDescriptor(float(r), float(t))
 
 
-def geometric_path(t):
-    return MeanDescriptor("geopath", t=float(t))
+def arithmetic():
+    return power_path(1.0, 0.5)
+
+
+def geometric():
+    return power_path(0.0, 0.5)
+
+
+def power_mean(r):
+    return power_path(r, 0.5)
+
+
+def weighted_geometric(t):
+    """A #_t B, the point t of the geodesic (f(x) = x^t)."""
+    return power_path(0.0, t)
+
+
+geometric_path = weighted_geometric
 
 
 def dual(d):
-    """Dual mean: representing function t / f(t).
+    """Dual mean: representing function x / f(x); dual(dual(d)) == d."""
+    return replace(d, dual=not d.dual)
 
-    A double dual unwraps structurally; everything else is wrapped and
-    evaluated through the composed scalar function, so arbitrary nesting
-    works without symbolic rewriting.
-    """
-    if d.kind == "dual":
-        return d.inner
-    return MeanDescriptor("dual", inner=d)
+
+def harmonic():
+    return dual(arithmetic())
 
 
 def representing_fn(d):
     """Representing function on (0, inf) with f(1) = 1, elementwise on arrays."""
-    if d.kind == "arithmetic":
-        return lambda x: (1.0 + x) / 2.0
-    if d.kind == "harmonic":
-        return lambda x: 2.0 * x / (1.0 + x)
-    if d.kind == "geometric":
-        return np.sqrt
-    if d.kind == "wgeo":
-        p = d.p
-        return lambda x: x ** p
-    if d.kind == "power":
-        r = d.r
-        if abs(r) < R_GEOMETRIC_CUTOFF:
-            return np.sqrt
-        return lambda x: ((1.0 + x ** r) / 2.0) ** (1.0 / r)
-    if d.kind == "powerpath":
-        r, t = d.r, d.t
-        if abs(r) < R_GEOMETRIC_CUTOFF:
-            return lambda x: x ** t
-        return lambda x: (1.0 - t + t * x ** r) ** (1.0 / r)
-    if d.kind == "geopath":
-        t = d.t
-        return lambda x: x ** t
-    if d.kind == "dual":
-        f = representing_fn(d.inner)
-        return lambda x: x / f(x)
-    raise ValueError(f"unknown mean kind {d.kind!r}")
+    r, t = d.r, d.t
+    f = ((lambda x: x ** t) if abs(r) < R_GEOMETRIC_CUTOFF
+         else lambda x: (1.0 - t + t * x ** r) ** (1.0 / r))
+    return (lambda x: x / f(x)) if d.dual else f
 
 
 def mean(d, A, B):
@@ -167,19 +115,9 @@ def geomean(A, B):
     return mean(geometric(), A, B)
 
 
-def path_mean(r, t):
-    """Descriptor of the point t of the interpolational path of exponent r;
-    r ~ 0 is the geodesic #_t."""
-    if abs(r) < R_GEOMETRIC_CUTOFF:
-        return geometric_path(t)
-    return power_path(r, t)
-
-
 def path_point(r, t, A, B):
     """Point on the interpolational path; r ~ 0 is the geodesic A #_t B."""
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"path exponent {r} outside [-1, 1]")
-    return mean(path_mean(r, t), A, B)
+    return mean(power_path(r, t), A, B)
 
 
 def representing_gap(d1, d2, grid):
@@ -199,47 +137,46 @@ def descriptors_match(d1, d2, grid=None, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Compact string grammar, e.g. "geometric", "wgeo:0.25", "power:0.5",
-# "path:r=0.5,t=0.25", "geopath:0.25", "dual(power:0.5)".
+# Compact string grammar, one spelling per mean: "arithmetic", "harmonic",
+# "geometric", "dual(...)", "wgeo:0.25" (r = 0), "power:0.5" (t = 1/2),
+# otherwise "path:r=0.5,t=0.25".  "geopath:0.25" is read as "wgeo:0.25".
 # ---------------------------------------------------------------------------
 
+_NAMES = {arithmetic(): "arithmetic", harmonic(): "harmonic",
+          geometric(): "geometric"}
+_BY_NAME = {name: d for d, name in _NAMES.items()}
+
+
 def format_descriptor(d):
-    if d.kind in ("arithmetic", "harmonic", "geometric"):
-        return d.kind
-    if d.kind == "wgeo":
-        return f"wgeo:{d.p!r}"
-    if d.kind == "power":
+    if d in _NAMES:
+        return _NAMES[d]
+    if d.dual:
+        return f"dual({format_descriptor(dual(d))})"
+    if d.r == 0.0:
+        return f"wgeo:{d.t!r}"
+    if d.t == 0.5:
         return f"power:{d.r!r}"
-    if d.kind == "powerpath":
-        return f"path:r={d.r!r},t={d.t!r}"
-    if d.kind == "geopath":
-        return f"geopath:{d.t!r}"
-    if d.kind == "dual":
-        return f"dual({format_descriptor(d.inner)})"
-    raise ValueError(f"unknown mean kind {d.kind!r}")
+    return f"path:r={d.r!r},t={d.t!r}"
 
 
 def parse_descriptor(text):
     s = text.strip()
     if s.startswith("dual(") and s.endswith(")"):
-        return dual_raw(parse_descriptor(s[5:-1]))
-    if s in ("arithmetic", "harmonic", "geometric"):
-        return MeanDescriptor(s)
+        return dual(parse_descriptor(s[5:-1]))
+    if s in _BY_NAME:
+        return _BY_NAME[s]
+    prefix, _, value = s.partition(":")
     try:
-        if s.startswith("wgeo:"):
-            return weighted_geometric(float(s[5:]))
-        if s.startswith("power:"):
-            return power_mean(float(s[6:]))
-        if s.startswith("geopath:"):
-            return geometric_path(float(s[8:]))
-        if s.startswith("path:"):
-            parts = dict(kv.split("=") for kv in s[5:].split(","))
-            return power_path(float(parts["r"]), float(parts["t"]))
-    except (ValueError, KeyError) as exc:
+        if prefix in ("wgeo", "geopath"):
+            return weighted_geometric(float(value))
+        if prefix == "power":
+            return power_mean(float(value))
+        if prefix == "path":
+            pairs = [kv.partition("=") for kv in value.split(",")]
+            if sorted(k for k, _, _ in pairs) != ["r", "t"]:
+                raise ValueError("expected exactly one r and one t")
+            params = {k: float(v) for k, _, v in pairs}
+            return power_path(params["r"], params["t"])
+    except ValueError as exc:
         raise ValueError(f"bad mean descriptor {text!r}: {exc}") from exc
     raise ValueError(f"bad mean descriptor {text!r}")
-
-
-def dual_raw(d):
-    """Wrap in a dual without the double-dual unwrapping (exact round-trip)."""
-    return MeanDescriptor("dual", inner=d)

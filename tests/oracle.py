@@ -35,23 +35,10 @@ def eigenvalues(h):
 def _fn(d):
     """The representing function of a mean descriptor, written out anew in
     mpmath so that it shares no code with ``means.representing_fn``."""
-    if d.kind == "arithmetic":
-        return lambda x: (1 + x) / 2
-    if d.kind == "harmonic":
-        return lambda x: 2 * x / (1 + x)
-    if d.kind == "geometric" or (d.kind == "power" and d.r == 0):
-        return mpmath.sqrt
-    if d.kind == "power":
-        return lambda x: ((1 + x ** d.r) / 2) ** (1 / mpmath.mpf(d.r))
-    if d.kind in ("wgeo", "geopath") or (d.kind == "powerpath" and d.r == 0):
-        e = d.p if d.kind == "wgeo" else d.t
-        return lambda x: x ** e
-    if d.kind == "powerpath":
-        return lambda x: (1 - d.t + d.t * x ** d.r) ** (1 / mpmath.mpf(d.r))
-    if d.kind == "dual":
-        f = _fn(d.inner)
-        return lambda x: x / f(x)
-    raise ValueError(f"no exact representing function for {d.kind!r}")
+    r, t = mpmath.mpf(d.r), mpmath.mpf(d.t)
+    f = ((lambda x: x ** t) if r == 0
+         else lambda x: (1 - t + t * x ** r) ** (1 / r))
+    return (lambda x: x / f(x)) if d.dual else f
 
 
 def means(descriptors, a, b):

@@ -206,6 +206,19 @@ class TestSweep:
         assert err.startswith("error:") and "finite" in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("law, grid", [("tensor-g", "0:0.05:0.1"),
+                                           ("tensor-f", "-0.2:0.2:0.4")])
+    def test_grid_without_a_link_is_usage_error(self, tmp_path, capsys, law,
+                                                grid):
+        # one point, or two on either side of the pivot: nothing is checked
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run(capsys, "sweep", "--law", law,
+                                f"--grid={grid}", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: sweep {law}: grid [")
+        assert "checks no link" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestRepro:
     def test_repro_matches_report(self, tmp_path, capsys):
@@ -219,6 +232,29 @@ class TestRepro:
         assert code == 0
         dump = json.loads(stdout)
         assert dump["margin"] == pytest.approx(worst["margin"], abs=1e-12)
+
+    @pytest.mark.parametrize("law, ran_at", [
+        ("scalar-callebaut", {"n": 1}),     # always scalar sequences
+        ("wada", {"m": 1}),                 # always one pair
+    ])
+    def test_report_records_the_n_and_m_the_trial_ran_at(
+            self, tmp_path, capsys, law, ran_at):
+        out = tmp_path / "report.json"
+        run(capsys, "verify", "--laws", law, "--trials", "6", "--seed", "12",
+            "--n", "3", "--m", "3", "--out", str(out))
+        worst = json.loads(out.read_text())["laws"][law]["worst"]
+        assert {key: worst[key] for key in ran_at} == ran_at
+        boundary = (["--boundary", ",".join(map(repr, worst["boundary"]))]
+                    if worst["boundary"] else [])
+        code, stdout, _ = run(capsys, "repro", "--law", law,
+                              "--seed", str(worst["seed"]),
+                              "--n", str(worst["n"]), "--m", str(worst["m"]),
+                              *boundary)
+        assert code == 0
+        dump = json.loads(stdout)
+        assert dump["margin"] == worst["margin"]
+        assert (dump["summary"]["n"], dump["summary"]["m"]) == (
+            worst["n"], worst["m"])
 
     def test_repro_prints_parsable_matrices(self, capsys):
         code, stdout, _ = run(capsys, "repro", "--law", "wada", "--seed", "4",

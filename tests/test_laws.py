@@ -98,6 +98,12 @@ def test_boundary_outside_the_region_is_refused(law, boundary):
         make_instance(law, 0, n=2, boundary=boundary)
 
 
+def test_sigma_roster_keeps_its_strings():
+    assert [means.format_descriptor(d) for d in laws._sigma_roster()] == [
+        "arithmetic", "harmonic", "geometric", "power:0.5", "power:-0.5",
+        "wgeo:0.25", "dual(power:0.5)"]
+
+
 class TestSharpIdentity:
     def test_scalar_arithmetic_case(self):
         # arithmetic mean 2.5, harmonic 1.6; geometric mean of those is 2
@@ -115,7 +121,7 @@ class TestSharpIdentity:
 
     def test_nested_dual(self):
         inst = make_instance("sharp-identity", 4)
-        inst.sigma = means.dual_raw(means.power_mean(0.5))
+        inst.sigma = means.dual(means.power_mean(0.5))
         assert check_law("sharp-identity", inst).holds
 
 
@@ -322,6 +328,14 @@ class TestSweeps:
             sweep_law("tensor-g", inst, [0.0, 2.0])
         with pytest.raises(InstanceError):
             sweep_law("sharp-identity", inst, [0.0, 1.0])
+
+    @pytest.mark.parametrize("law, grid", [("tensor-g", []),
+                                           ("tensor-g", [0.5]),
+                                           ("tensor-f", [-0.2, 0.2])])
+    def test_grid_without_a_link_is_refused(self, law, grid):
+        inst = make_instance(law, 0, n=1)
+        with pytest.raises(InstanceError, match=f"^sweep {law}: .*no link"):
+            sweep_law(law, inst, grid)
 
 
 def test_register_law_extends_catalog():

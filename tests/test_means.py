@@ -44,7 +44,7 @@ FAMILY = [
     arithmetic(), harmonic(), geometric(),
     weighted_geometric(0.25), power_mean(0.5), power_mean(-0.5),
     power_path(0.5, 0.25), geometric_path(0.7),
-    dual(power_mean(0.5)), means.dual_raw(weighted_geometric(0.3)),
+    dual(power_mean(0.5)), dual(weighted_geometric(0.3)),
 ]
 
 
@@ -77,6 +77,24 @@ class TestRepresentingFn:
         assert np.allclose(f(grid), [f(float(x)) for x in grid],
                            rtol=1e-14, atol=0.0)
 
+    def test_named_means_keep_their_closed_forms_bitwise(self):
+        x = np.geomspace(1e-3, 1e3, 4001)
+
+        def power_closed(r):
+            return ((1.0 + x ** r) / 2.0) ** (1.0 / r)
+
+        closed = [
+            (arithmetic(), (1.0 + x) / 2.0),
+            (harmonic(), 2.0 * x / (1.0 + x)),
+            (geometric(), np.sqrt(x)),
+            (power_mean(0.5), power_closed(0.5)),
+            (power_mean(-0.5), power_closed(-0.5)),
+            (weighted_geometric(0.25), x ** 0.25),
+            (dual(power_mean(0.5)), x / power_closed(0.5)),
+        ]
+        for d, expected in closed:
+            assert np.array_equal(representing_fn(d)(x), expected), d
+
     def test_representing_gap(self):
         assert means.representing_gap(geometric(), geometric(),
                                       np.geomspace(0.1, 10.0, 9)) == 0.0
@@ -95,12 +113,11 @@ class TestRepresentingFn:
             power_mean(2.0)
         with pytest.raises(ValueError):
             power_path(0.5, 1.5)
-        with pytest.raises(ValueError):
-            MeanDescriptor("nope")
-        for kind, missing in (("wgeo", "'p'"), ("power", "'r'"),
-                              ("geopath", "'t'"), ("powerpath", "'r'")):
-            with pytest.raises(ValueError, match=missing):
-                MeanDescriptor(kind)
+        for r, t, named in ((1.5, 0.5, "exponent"), (np.nan, 0.5, "exponent"),
+                            (0.5, -0.1, "path parameter"),
+                            (0.5, np.nan, "path parameter")):
+            with pytest.raises(ValueError, match=named):
+                MeanDescriptor(r, t)
 
 
 class TestDual:
@@ -116,9 +133,13 @@ class TestDual:
                                  tol=1e-12)
 
     def test_involution(self):
-        d = power_mean(0.5)
-        assert dual(dual(d)) == d
-        assert descriptors_match(means.dual_raw(means.dual_raw(d)), d)
+        for d in FAMILY:
+            assert dual(dual(d)) == d
+            assert dual(d) != d
+
+    def test_harmonic_is_dual_of_arithmetic(self):
+        assert harmonic() == dual(arithmetic())
+        assert dual(harmonic()) == arithmetic()
 
 
 class TestMean:
@@ -286,15 +307,20 @@ class TestGrammar:
         "dual(power:0.5)", "dual(dual(wgeo:0.3))",
     ])
     def test_roundtrip(self, text):
-        d = parse_descriptor(text)
-        assert format_descriptor(d) == text
+        # one spelling per mean: geopath: is read and written back as wgeo:,
+        # and a double dual is the mean itself
+        written = {"geopath:0.7": "wgeo:0.7",
+                   "dual(dual(wgeo:0.3))": "wgeo:0.3"}.get(text, text)
+        assert format_descriptor(parse_descriptor(text)) == written
 
     def test_print_parse_fixpoint(self):
         for d in FAMILY:
             assert parse_descriptor(format_descriptor(d)) == d
 
     @pytest.mark.parametrize("text", ["", "nope", "wgeo:", "power:x",
-                                      "path:r=0.5", "dual(", "wgeo:2.0"])
+                                      "path:r=0.5", "dual(", "wgeo:2.0",
+                                      "path:r=0.5,t=0.25,x=3",
+                                      "path:r=0.5,t=0.25,r=0.9"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_descriptor(text)

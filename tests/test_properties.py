@@ -27,7 +27,7 @@ simple_descriptors = st.one_of(
     st.builds(means.geometric_path, unit),
 )
 descriptors = st.recursive(simple_descriptors,
-                           lambda inner: st.builds(means.dual_raw, inner),
+                           lambda inner: st.builds(means.dual, inner),
                            max_leaves=3)
 
 seeds = st.integers(0, 2**63 - 1)
