@@ -7,22 +7,19 @@ Reports are JSON (structured, round-trippable); curves are CSV.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import math
 import os
-import re
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 
 from . import __version__, laws
 from .ensembles import EnsembleSpec
-from .linalg import LinalgError, matrix_to_dict
+from .linalg import matrix_to_dict
 
 DEFAULT_TRIALS = 200
 DEFAULT_TOL = laws.DEFAULT_TOL
@@ -33,21 +30,6 @@ SEED_ENV_VAR = "MEANSCOPE_SEED"
 
 class UsageError(Exception):
     pass
-
-
-_NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
-
-
-def _skip_category(reason):
-    """A skip reason with its numbers blanked to '#', so that trials skipped
-    for one cause tally together in the report."""
-    return _NUMBER.sub("#", reason)
-
-
-def child_seed(master, law_index, trial):
-    """Deterministic 63-bit trial seed; reproducible independently of order."""
-    ss = np.random.SeedSequence((int(master) & (2**63 - 1), law_index, trial))
-    return int(ss.generate_state(2, np.uint64)[0] & (2**63 - 1))
 
 
 def _parse_grid(text):
@@ -158,74 +140,14 @@ def _write_out(path, text):
         raise UsageError(f"cannot write --out {path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _trial(law, seed, n, m):
-    """Exit 2 naming the trial when its linear algebra fails: its matrices
-    lie beyond what the float checks support (a power that squares a large
-    --kappa-max past the condition cap, say), which is no verdict."""
-    try:
-        yield
-    except LinalgError as exc:
-        raise UsageError(f"{law}: trial seed={seed} n={n} m={m} failed in "
-                         f"linear algebra: {type(exc).__name__}: {exc}"
-                         ) from None
-
-
-def _cycle_n(trial, fixed, cap):
-    n = fixed if fixed is not None else (trial % 6) + 1
-    return min(n, cap)
-
-
-def _cycle_m(trial, fixed):
-    return fixed if fixed is not None else (trial % 4) + 1
-
-
 def cmd_verify(args):
     started = time.monotonic()
     per_law = {}
-    any_fail = False
     for law_index, name in enumerate(sorted(args.laws)):
-        spec = laws.law_spec(name)
-        boundaries = laws.boundary_params(name)
-        passes = fails = skips = 0
-        skip_reasons = Counter()
-        worst = None
-        failing = []
-        law_started = time.monotonic()
-        for k in range(args.trials):
-            cs = child_seed(args.seed, law_index, k)
-            n = _cycle_n(k, args.n, spec.n_cap)
-            m = _cycle_m(k, args.m)
-            boundary = boundaries[k] if k < len(boundaries) else None
-            with _trial(name, cs, n, m):
-                inst = laws.sample_instance(name, n=n, m=m,
-                                            fieldname=args.field,
-                                            kappa_max=args.kappa_max, seed=cs,
-                                            boundary=boundary)
-                result = laws.check_law(name, inst, tol=args.tol)
-            if result.status == "skip":
-                skips += 1
-                skip_reasons[_skip_category(result.skip_reason)] += 1
-                continue
-            if result.holds:
-                passes += 1
-            else:
-                fails += 1
-                failing.append({"seed": cs, "n": inst.n, "m": inst.m,
-                                "boundary": list(boundary) if boundary else None})
-            margin = result.margin
-            if worst is None or margin < worst["margin"]:
-                worst = {"margin": margin, "seed": cs, "n": inst.n,
-                         "m": inst.m,
-                         "boundary": list(boundary) if boundary else None}
-        any_fail = any_fail or fails > 0
-        per_law[name] = {"trials": args.trials, "passes": passes,
-                         "fails": fails,
-                         "skips": skips, "worst": worst,
-                         "failing_seeds": failing,
-                         "skip_reasons": dict(sorted(skip_reasons.items())),
-                         "wall_sec": round(time.monotonic() - law_started, 6)}
-
+        per_law[name] = laws.run_law(name, law_index, args.seed, args.trials,
+                                     args.n, args.m, args.field,
+                                     args.kappa_max, args.tol)
+    any_fail = any(r["fails"] for r in per_law.values())
     # a law whose every trial skipped checked nothing, which is no pass
     nocheck = [name for name, r in per_law.items()
                if r["skips"] == args.trials]
@@ -242,17 +164,15 @@ def cmd_verify(args):
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         _write_out(args.out, text + "\n")
-    for name in sorted(per_law):
-        r = per_law[name]
+    for name, r in per_law.items():
         worst = r["worst"]
         worst_txt = (f"worst margin {worst['margin']:.3e} @ seed {worst['seed']}"
                      if worst else "no trials")
         print(f"{name:28s} {r['passes']:5d} pass {r['fails']:5d} fail "
               f"{r['skips']:5d} skip   {worst_txt}")
-    if any_fail:
-        for name in sorted(per_law):
-            for f in per_law[name]["failing_seeds"]:
-                print(f"FAIL {name} seed={f['seed']} n={f['n']} m={f['m']}")
+    for name, r in per_law.items():
+        for f in r["failing_seeds"]:
+            print(f"FAIL {name} seed={f['seed']} n={f['n']} m={f['m']}")
     for name in nocheck:
         print(f"NOCHECK {name}: all {args.trials} trials skipped")
     return report["exit_status"]
@@ -282,11 +202,10 @@ def cmd_sweep(args):
     else:
         lo, hi = sw.domain
         grid = list(np.linspace(lo, hi, 17))
-    with _trial(sw.instance_law, args.seed, args.n, args.m):
-        inst = laws.sample_instance(sw.instance_law, n=args.n, m=args.m,
-                                    fieldname=args.field,
-                                    kappa_max=args.kappa_max, seed=args.seed)
-        curve = laws.sweep_law(name, inst, grid, tol=args.tol)
+    inst = laws.sample_instance(sw.instance_law, n=args.n, m=args.m,
+                                fieldname=args.field,
+                                kappa_max=args.kappa_max, seed=args.seed)
+    curve = laws.sweep_law(name, inst, grid, tol=args.tol)
     rows = [["t", "trace", "lambda_min", "lambda_max", "monotone_link_margin"]]
     for p in curve.points:
         margin = "" if np.isnan(p.link_margin) else repr(p.link_margin)
@@ -305,12 +224,11 @@ def cmd_repro(args):
     name = args.law
     boundary = (None if args.boundary is None
                 else _parse_boundary(args.boundary))
-    with _trial(name, args.seed, args.n, args.m):
-        inst = laws.sample_instance(name, n=args.n, m=args.m,
-                                    fieldname=args.field,
-                                    kappa_max=args.kappa_max, seed=args.seed,
-                                    boundary=boundary)
-        result = laws.check_law(name, inst, tol=args.tol)
+    inst = laws.sample_instance(name, n=args.n, m=args.m,
+                                fieldname=args.field,
+                                kappa_max=args.kappa_max, seed=args.seed,
+                                boundary=boundary)
+    result = laws.check_law(name, inst, tol=args.tol)
     dump = {
         "law": name,
         "seed": args.seed,

@@ -16,12 +16,20 @@ Frobenius) at scale 0, which holds exactly when the residual is at most the
 tolerance.  ``check_law`` builds the trial's ``CheckResult``; a trial
 passes iff every link holds.
 
+``run_law`` owns a law's trial schedule and returns its report entry.
+``InstanceError`` is raised for a request the law refuses, and for a trial
+beyond what the float checks support: one whose linear algebra fails, named
+by its law, seed, n and m so that ``repro`` replays it.
+
 The registry is open: ``register_law`` lets tests inject additional laws
 (e.g. deliberately broken ones for exercising the harness failure path).
 """
 
 from __future__ import annotations
 
+import re
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,6 +38,7 @@ import numpy as np
 from . import means
 from .linalg import (
     HermitianMatrix,
+    LinalgError,
     LoewnerVerdict,
     PDMatrix,
     congruence,
@@ -64,7 +73,16 @@ LAW_STREAM = 101
 
 
 class InstanceError(Exception):
-    """Instance shape or parameters do not match the law's requirements."""
+    """Instance shape or parameters do not match the law's requirements, or
+    the trial lies beyond what the float checks support (its linear algebra
+    failed), which is no verdict."""
+
+
+def _linalg_failure(law, seed, n, m, exc):
+    """The InstanceError of a trial whose linear algebra failed (a power
+    that squares a large kappa_max past the condition cap, say)."""
+    return InstanceError(f"{law}: trial seed={seed} n={n} m={m} failed in "
+                         f"linear algebra: {type(exc).__name__}: {exc}")
 
 
 class Skip(Exception):
@@ -162,7 +180,8 @@ def law_spec(name):
 
 def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     """Build a random instance for a law; ``boundary`` forces (s, t) params.
-    A request the law refuses raises an InstanceError that names the law."""
+    A request the law refuses raises an InstanceError that names the law; so
+    does a failed sampling, naming the requested seed, n and m."""
     spec = law_spec(name)
     try:
         if n > spec.n_cap:
@@ -178,6 +197,8 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
         inst = spec.sampler(espec, boundary)
     except InstanceError as exc:
         raise InstanceError(f"{name}: {exc}") from None
+    except LinalgError as exc:
+        raise _linalg_failure(name, seed, n, m, exc) from None
     inst.law = name
     return inst
 
@@ -196,6 +217,9 @@ def check_law(name, instance, tol=DEFAULT_TOL):
     except Skip as exc:
         return CheckResult(name, summary, (), skipped=True,
                            skip_reason=str(exc))
+    except LinalgError as exc:
+        raise _linalg_failure(name, instance.seed, instance.n, instance.m,
+                              exc) from None
     return CheckResult(name, summary, links)
 
 
@@ -786,6 +810,53 @@ def boundary_params(name):
     return list(REGION_BOUNDARY[spec.region])
 
 
+def child_seed(master, law_index, trial):
+    """Deterministic 63-bit trial seed; reproducible independently of order."""
+    ss = np.random.SeedSequence((int(master) & (2**63 - 1), law_index, trial))
+    return int(ss.generate_state(2, np.uint64)[0] & (2**63 - 1))
+
+
+_NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
+
+
+def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
+    """The report entry of ``trials`` trials of the ``law_index``-th law of
+    a run.  Trial k samples at ``child_seed(seed, law_index, k)``, at the
+    fixed n (else k % 6 + 1, capped at the law's n cap) and m (else
+    k % 4 + 1), the law's region boundaries first; the entry records the
+    instance's n and m, and skip reasons with numbers blanked to '#'."""
+    started = time.monotonic()
+    n_cap = law_spec(name).n_cap
+    boundaries = boundary_params(name)
+    counts = Counter()
+    skip_reasons = Counter()
+    worst = None
+    failing = []
+    for k in range(trials):
+        cs = child_seed(seed, law_index, k)
+        boundary = boundaries[k] if k < len(boundaries) else None
+        inst = sample_instance(
+            name, n=min(n if n is not None else k % 6 + 1, n_cap),
+            m=m if m is not None else k % 4 + 1, fieldname=fieldname,
+            kappa_max=kappa_max, seed=cs, boundary=boundary)
+        result = check_law(name, inst, tol=tol)
+        counts[result.status] += 1
+        if result.skipped:
+            skip_reasons[_NUMBER.sub("#", result.skip_reason)] += 1
+            continue
+        trial = {"seed": cs, "n": inst.n, "m": inst.m,
+                 "boundary": list(boundary) if boundary else None}
+        if not result.holds:
+            failing.append(trial)
+        if worst is None or result.margin < worst["margin"]:
+            worst = {"margin": result.margin, **trial}
+    return {"trials": trials, "passes": counts["pass"],
+            "fails": counts["fail"], "skips": counts["skip"], "worst": worst,
+            "failing_seeds": failing,
+            "skip_reasons": dict(sorted(skip_reasons.items())),
+            "wall_sec": round(time.monotonic() - started, 6)}
+
+
 # ---------------------------------------------------------------------------
 # sweeps: scalar summaries of matrix-valued functions over a grid
 # ---------------------------------------------------------------------------
@@ -864,13 +935,17 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
     if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
         raise InstanceError(f"sweep {name}: grid [{grid[0]}, {grid[-1]}] "
                             f"outside domain [{lo}, {hi}]")
-    values = sw.evaluator(instance, grid)
-    links = [None] + _vshape_links(grid, values, sw.pivot, tol)
-    if all(link is None for link in links):
-        raise InstanceError(f"sweep {name}: grid {grid} checks no link (none "
-                            f"joins two points on one side of the pivot "
-                            f"{sw.pivot})")
-    lams = values.decomposition().eigenvalues
+    try:
+        values = sw.evaluator(instance, grid)
+        links = [None] + _vshape_links(grid, values, sw.pivot, tol)
+        if all(link is None for link in links):
+            raise InstanceError(f"sweep {name}: grid {grid} checks no link "
+                                f"(none joins two points on one side of the "
+                                f"pivot {sw.pivot})")
+        lams = values.decomposition().eigenvalues
+    except LinalgError as exc:
+        raise _linalg_failure(instance.law, instance.seed, instance.n,
+                              instance.m, exc) from None
     points = tuple(CurvePoint(
         t=t, trace=float(trace), lambda_min=float(lam[0]),
         lambda_max=float(lam[-1]),

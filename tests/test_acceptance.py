@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from meanscope import laws, means
-from meanscope.cli import child_seed, main
-from meanscope.laws import check_law, sample_instance
+from meanscope.cli import main
+from meanscope.laws import check_law, child_seed, sample_instance
 from meanscope.linalg import HermitianMatrix
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -507,8 +508,61 @@ def test_linalg_error_in_trial_is_usage_error(tmp_path, capsys, command):
                        "--out", str(out))
     assert code == 2
     assert err.startswith("error: tensor-f: trial seed=3200267337503137566 "
-                          "n=2 m=2 ")
+                          "n=2 m=1 ")
     assert "NotPositiveDefiniteError" in err and not out.exists()
+
+
+def test_failed_trial_replays_from_its_message(capsys):
+    # every wada instance is m = 1, whatever m was asked for; the message
+    # names the instance's n and m, so repro with them fails alike
+    code, _, err = run(capsys, "verify", "--laws", "wada", "--m", "3",
+                       "--trials", "3", "--kappa-max", "1e15")
+    assert code == 2
+    trial = re.match(r"error: wada: trial seed=(\d+) n=(\d+) m=(\d+) ", err)
+    seed, n, m = trial.groups()
+    assert m == "1"
+    code, _, replay = run(capsys, "repro", "--law", "wada", "--seed", seed,
+                          "--n", n, "--m", m, "--kappa-max", "1e15")
+    assert code == 2 and replay == err
+
+
+def test_verify_trial_schedule(tmp_path, capsys):
+    # trial k of the law_index-th law runs at child_seed(seed, law_index, k),
+    # n = k % 6 + 1 capped at the law's n cap, m = k % 4 + 1, and the region
+    # boundaries first; literal values, so that a shifted cycle, seed or
+    # boundary order shows, which the seed-12 counts would not
+    seen = []
+
+    def sample(espec, boundary):
+        return laws.LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
+                                field=espec.field,
+                                params={"boundary": boundary})
+
+    def check(inst, tol):
+        seen.append((inst.seed, inst.n, inst.m, inst.params["boundary"]))
+        return ()
+
+    laws.register_law("probe", sample, check, n_cap=4, region="callebaut")
+    try:
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "--laws", "probe,wada",
+                         "--trials", "8", "--seed", "12", "--out", str(out))
+    finally:
+        del laws._LAWS["probe"]
+    assert code == 0
+    assert seen == [
+        (763546987343131973, 1, 1, (0.0, 0.0)),
+        (3200267337503137566, 2, 2, (0.5, 0.5)),
+        (6055626436053132691, 3, 3, (1.0, 1.0)),
+        (8305987149760047309, 4, 4, (0.5, 0.0)),
+        (7772940839882712708, 4, 1, (0.5, 1.0)),
+        (6701149582313755611, 4, 2, None),
+        (5620459739527481985, 1, 3, None),
+        (5829451973373108788, 2, 4, None),
+    ]
+    worst = json.loads(out.read_text())["laws"]["wada"]["worst"]
+    assert (worst["seed"], worst["n"], worst["m"], worst["boundary"]) == (
+        1470897737928615841, 2, 1, None)
 
 
 class TestFailurePath:

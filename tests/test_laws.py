@@ -98,6 +98,27 @@ def test_boundary_outside_the_region_is_refused(law, boundary):
         make_instance(law, 0, n=2, boundary=boundary)
 
 
+def test_failed_linear_algebra_names_the_instance():
+    # at kappa 1e7, A^2 in tensor-f's t = 1 link squares a condition number
+    # near 1e7 past the 1e12 cap; the trial asked for m = 2, but every
+    # tensor-f instance is m = 1, and that is the m which replays it
+    inst = sample_instance("tensor-f", n=2, m=2, fieldname="complex",
+                           kappa_max=1e7, seed=3200267337503137566)
+    named = r"^tensor-f: trial seed=3200267337503137566 n=2 m=1 .*linear alg"
+    with pytest.raises(InstanceError, match=named):
+        check_law("tensor-f", inst)
+    with pytest.raises(InstanceError, match=named):
+        sweep_law("tensor-f", inst, [0.0, 0.5, 1.0])
+
+
+def test_failed_sampling_names_the_request():
+    # no instance exists yet, so the message names what was asked for
+    with pytest.raises(InstanceError, match=r"^tensor-f: trial seed=1 n=3 "
+                       r"m=4 failed in linear algebra: NotPositiveDefinite"):
+        sample_instance("tensor-f", n=3, m=4, fieldname="complex",
+                        kappa_max=1e15, seed=1)
+
+
 def test_sigma_roster_keeps_its_strings():
     assert [means.format_descriptor(d) for d in laws._sigma_roster()] == [
         "arithmetic", "harmonic", "geometric", "power:0.5", "power:-0.5",
