@@ -24,13 +24,10 @@ from .means import (  # noqa: F401
     weighted_geometric,
     power_mean,
     power_path,
-    geometric_path,
     dual,
     representing_fn,
     mean,
     geomean,
-    path_point,
-    parse_descriptor,
     format_descriptor,
 )
 from .ensembles import EnsembleSpec, random_pd, random_ordered_pair, sample_region  # noqa: F401

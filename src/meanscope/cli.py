@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from . import __version__, laws
-from .ensembles import EnsembleSpec
 from .linalg import matrix_to_dict
 
 DEFAULT_TRIALS = 200
@@ -84,7 +83,8 @@ def _load_config(path):
 def _resolve_settings(args):
     """Give each setting of the subcommand its value, once: the flag's, else
     the config file's, else (seed only) $MEANSCOPE_SEED's, else the default;
-    then check the values before anything is sampled."""
+    then check those no sampler checks (laws.sample_instance refuses a bad
+    n, m, field or kappa_max)."""
     config = _load_config(args.config) if args.config else {}
     refused = sorted(set(config) - set(args.settings))
     if refused:
@@ -112,12 +112,6 @@ def _resolve_settings(args):
     # negative one would read as a violated law
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError(f"tol must be finite and >= 0, got {args.tol}")
-    try:    # verify's cycled n and m are in range by construction
-        EnsembleSpec(n=1 if args.n is None else args.n,
-                     m=1 if args.m is None else args.m,
-                     field=args.field, kappa_max=args.kappa_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     if args.command == "verify":
         args.laws = _parse_laws(args.laws)
         if args.trials < 1:
@@ -193,9 +187,6 @@ def cmd_sweep(args):
         raise UsageError(
             f"law {name!r} is not sweepable; choose from "
             f"{sorted(laws.SWEEPS)}")
-    if args.boundary is not None:
-        raise UsageError(f"sweep {name} reads no --boundary: no sweep curve "
-                         f"depends on (s, t)")
     sw = laws.SWEEPS[name]
     if args.grid:
         grid = _parse_grid(args.grid)
@@ -287,7 +278,7 @@ def build_parser():
                     {"n": (int, 3), "m": (int, 2), **common})
     for p in (sweeper, repro):
         p.add_argument("--law", required=True)
-        p.add_argument("--boundary",
+    repro.add_argument("--boundary",
                        help="forced s,t parameters, as recorded in a report")
     return parser
 

@@ -180,8 +180,9 @@ def law_spec(name):
 
 def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     """Build a random instance for a law; ``boundary`` forces (s, t) params.
-    A request the law refuses raises an InstanceError that names the law; so
-    does a failed sampling, naming the requested seed, n and m."""
+    A request the law refuses, or an ensemble setting EnsembleSpec refuses,
+    raises an InstanceError that names the law; so does a failed sampling,
+    naming the requested seed, n and m."""
     spec = law_spec(name)
     try:
         if n > spec.n_cap:
@@ -192,8 +193,11 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
         if boundary is not None and region and not region(*boundary):
             raise InstanceError(f"boundary {tuple(boundary)} lies outside "
                                 f"the {spec.region} region")
-        espec = EnsembleSpec(n=n, m=m, field=fieldname, kappa_max=kappa_max,
-                             seed=seed)
+        try:
+            espec = EnsembleSpec(n=n, m=m, field=fieldname,
+                                 kappa_max=kappa_max, seed=seed)
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from None
         inst = spec.sampler(espec, boundary)
     except InstanceError as exc:
         raise InstanceError(f"{name}: {exc}") from None
@@ -227,13 +231,24 @@ def _ineq(label, A, B, tol):
     return Link(label, loewner_leq(A, B, tol))
 
 
-def _chain(labels, members, tol):
-    """The links members[i] <= members[i+1] between neighbouring matrices
-    of a stack, one per label, from one stacked Loewner comparison."""
-    members.decomposition()     # computed once; the slices below share it
-    verdicts = loewner_leq(members[:-1], members[1:], tol)
+def _links(labels, values, pairs, tol):
+    """The links values[i] <= values[j], one per label and index pair (i, j),
+    from one stacked Loewner comparison; one eigendecomposition of the
+    stack, which its slices share, gives every norm."""
+    values.decomposition()
+    if not pairs:
+        return ()
+    lo, hi = (list(side) for side in zip(*pairs))
+    verdicts = loewner_leq(values[lo], values[hi], tol)
     return tuple(Link(label, v)
                  for label, v in zip(labels, verdicts, strict=True))
+
+
+def _chain(labels, members, tol):
+    """The links members[i] <= members[i+1] between neighbouring matrices
+    of a stack, one per label."""
+    return _links(labels, members, [(i, i + 1) for i in range(len(labels))],
+                  tol)
 
 
 def _residual_link(label, residual, tol):
@@ -546,14 +561,11 @@ def _check_power_lemma(inst, tol):
     exps = [1.0, *rs, 0.0, 1.0]
     sums = power(inst.As[0], exps) + power(inst.As[0], [-x for x in exps])
     linked = sums[:-2]
-    linked.decomposition()    # one eigendecomposition serves every norm
-    rhs = linked[0]
-    links = [Link(f"r={r:g}", v) for r, v in
-             zip(rs, loewner_leq(linked[1:], rhs, tol), strict=True)]
-    links.append(_eq("r0-degenerate", sums[-2],
-                     2.0 * HermitianMatrix.identity(inst.n)))
-    links.append(_eq("r1-degenerate", sums[-1], rhs))
-    return links
+    return (*_links([f"r={r:g}" for r in rs], linked,
+                    [(k, 0) for k in range(1, len(rs) + 1)], tol),
+            _eq("r0-degenerate", sums[-2],
+                2.0 * HermitianMatrix.identity(inst.n)),
+            _eq("r1-degenerate", sums[-1], linked[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +592,19 @@ def _vshape_links(grid, values, pivot, tol):
     ``values`` is the stack of the curve's values; one eigendecomposition
     of it gives every norm, and one of the stacked differences every
     margin."""
-    labels, lo, hi = [], [], []       # link k checks values[lo] <= values[hi]
+    labels, pairs = [], []      # pair (i, j) checks values[i] <= values[j]
     for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
         if t1 <= pivot + 1e-12:
             labels.append(f"decreasing {t0:g}->{t1:g}")
-            lo.append(i + 1)
-            hi.append(i)
+            pairs.append((i + 1, i))
         elif t0 >= pivot - 1e-12:
             labels.append(f"increasing {t0:g}->{t1:g}")
-            lo.append(i)
-            hi.append(i + 1)
+            pairs.append((i, i + 1))
         else:
             labels.append(None)
-    values.decomposition()      # computed once; the slices below share it
-    verdicts = iter(loewner_leq(values[lo], values[hi], tol) if lo else ())
-    return [None if label is None else Link(label, next(verdicts))
-            for label in labels]
+    links = iter(_links([x for x in labels if x is not None], values, pairs,
+                        tol))
+    return [None if label is None else next(links) for label in labels]
 
 
 def _check_tensor(inst, tol):
@@ -712,10 +721,10 @@ def _sample_interpolation_identity(espec, boundary):
 
 def _check_interpolation_identity(inst, tol):
     p, q, r = inst.params["p"], inst.params["q"], inst.params["r"]
-    x, y, rhs = means.mean([means.geometric_path(u)
+    x, y, rhs = means.mean([means.weighted_geometric(u)
                             for u in (p, q, (1.0 - r) * p + r * q)],
                            inst.As[0], inst.Bs[0])
-    lhs = means.mean(means.geometric_path(r), x, y)
+    lhs = means.mean(means.weighted_geometric(r), x, y)
     return (_eq("reparametrization", lhs, rhs),)
 
 

@@ -10,7 +10,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -476,8 +475,8 @@ def pd_sum(mats, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Matrix file format: {"n": int, "field": "real"|"complex",
-#                      "entries": [[re, im], ...]} row-major, length n^2.
+# Matrix dump encoding: {"n": int, "field": "real"|"complex",
+#                        "entries": [[re, im], ...]} row-major, length n^2.
 # ---------------------------------------------------------------------------
 
 def matrix_to_dict(A):
@@ -490,27 +489,3 @@ def matrix_to_dict(A):
     entries = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
     return {"n": n, "field": "real" if is_real else "complex", "entries": entries}
 
-
-def matrix_from_dict(d):
-    n = int(d["n"])
-    entries = d["entries"]
-    if len(entries) != n * n:
-        raise DimensionError(
-            f"matrix file claims n={n} but has {len(entries)} entries"
-        )
-    a = np.array(
-        [complex(re, im) for re, im in entries], dtype=np.complex128
-    ).reshape(n, n)
-    if d.get("field") == "real" and np.max(np.abs(a.imag)) != 0.0:
-        raise HermitianError("field declared real but imaginary parts present")
-    return HermitianMatrix(a)
-
-
-def save_matrix(path, A):
-    with open(path, "w") as fh:
-        json.dump(matrix_to_dict(A), fh)
-
-
-def load_matrix(path):
-    with open(path) as fh:
-        return matrix_from_dict(json.load(fh))

@@ -65,9 +65,6 @@ def weighted_geometric(t):
     return power_path(0.0, t)
 
 
-geometric_path = weighted_geometric
-
-
 def dual(d):
     """Dual mean: representing function x / f(x); dual(dual(d)) == d."""
     return replace(d, dual=not d.dual)
@@ -115,11 +112,6 @@ def geomean(A, B):
     return mean(geometric(), A, B)
 
 
-def path_point(r, t, A, B):
-    """Point on the interpolational path; r ~ 0 is the geodesic A #_t B."""
-    return mean(power_path(r, t), A, B)
-
-
 def representing_gap(d1, d2, grid):
     """Largest relative gap |f1 - f2| / max(1, |f1|) between the
     representing functions of d1 and d2 over a grid of points."""
@@ -137,14 +129,13 @@ def descriptors_match(d1, d2, grid=None, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Compact string grammar, one spelling per mean: "arithmetic", "harmonic",
-# "geometric", "dual(...)", "wgeo:0.25" (r = 0), "power:0.5" (t = 1/2),
-# otherwise "path:r=0.5,t=0.25".  "geopath:0.25" is read as "wgeo:0.25".
+# Report spelling, one per mean: "arithmetic", "harmonic", "geometric",
+# "dual(...)", "wgeo:0.25" (r = 0), "power:0.5" (t = 1/2), otherwise
+# "path:r=0.5,t=0.25".
 # ---------------------------------------------------------------------------
 
 _NAMES = {arithmetic(): "arithmetic", harmonic(): "harmonic",
           geometric(): "geometric"}
-_BY_NAME = {name: d for d, name in _NAMES.items()}
 
 
 def format_descriptor(d):
@@ -157,26 +148,3 @@ def format_descriptor(d):
     if d.t == 0.5:
         return f"power:{d.r!r}"
     return f"path:r={d.r!r},t={d.t!r}"
-
-
-def parse_descriptor(text):
-    s = text.strip()
-    if s.startswith("dual(") and s.endswith(")"):
-        return dual(parse_descriptor(s[5:-1]))
-    if s in _BY_NAME:
-        return _BY_NAME[s]
-    prefix, _, value = s.partition(":")
-    try:
-        if prefix in ("wgeo", "geopath"):
-            return weighted_geometric(float(value))
-        if prefix == "power":
-            return power_mean(float(value))
-        if prefix == "path":
-            pairs = [kv.partition("=") for kv in value.split(",")]
-            if sorted(k for k, _, _ in pairs) != ["r", "t"]:
-                raise ValueError("expected exactly one r and one t")
-            params = {k: float(v) for k, _, v in pairs}
-            return power_path(params["r"], params["t"])
-    except ValueError as exc:
-        raise ValueError(f"bad mean descriptor {text!r}: {exc}") from exc
-    raise ValueError(f"bad mean descriptor {text!r}")

@@ -6,7 +6,7 @@ import pytest
 
 from meanscope import cli, laws
 from meanscope.cli import GRID_MAX_POINTS, SEED_ENV_VAR, main
-from meanscope.linalg import matrix_from_dict
+from meanscope.linalg import matrix_to_dict
 
 
 def run(capsys, *argv):
@@ -261,9 +261,10 @@ class TestRepro:
         code, stdout, _ = run(capsys, "repro", "--law", "wada", "--seed", "4",
                               "--n", "2", "--m", "1")
         dump = json.loads(stdout)
-        for key, matdict in dump["matrices"].items():
-            mat = matrix_from_dict(matdict)
-            assert mat.n == 2
+        inst = laws.sample_instance("wada", n=2, m=1, fieldname="complex",
+                                    kappa_max=cli.DEFAULT_KAPPA, seed=4)
+        assert dump["matrices"] == {"A0": matrix_to_dict(inst.As[0]),
+                                    "B0": matrix_to_dict(inst.Bs[0])}
 
     def test_unknown_law(self, capsys):
         code, _, err = run(capsys, "repro", "--law", "bogus", "--seed", "1")
@@ -483,13 +484,13 @@ def test_laws_that_read_a_boundary():
 
 @pytest.mark.parametrize("sweep", sorted(laws.SWEEPS))
 def test_sweep_boundary_is_usage_error(tmp_path, capsys, sweep):
-    # no sweep curve depends on (s, t), whichever law samples its instance
+    # no sweep curve depends on (s, t), so sweep has no --boundary flag
     out = tmp_path / "curve.csv"
     code, stdout, err = run(capsys, "sweep", "--law", sweep, "--n", "2",
                             "--grid", "0:1:0.5", "--boundary", "0.2,0.1",
                             "--out", str(out))
     assert code == 2
-    assert err.startswith("error:") and sweep in err
+    assert "unrecognized arguments: --boundary 0.2,0.1" in err
     assert stdout == "" and not out.exists()
 
 

@@ -98,6 +98,21 @@ def test_boundary_outside_the_region_is_refused(law, boundary):
         make_instance(law, 0, n=2, boundary=boundary)
 
 
+@pytest.mark.parametrize("setting, named", [
+    ({"n": 0}, "dimension"), ({"n": -2}, "dimension"),
+    ({"m": 0}, "tuple length"), ({"m": 1001}, "tuple length"),
+    ({"fieldname": "quaternion"}, "field"),
+    ({"kappa_max": float("nan")}, "kappa_max"),
+    ({"kappa_max": float("inf")}, "kappa_max"),
+    ({"kappa_max": 0.5}, "kappa_max"),
+], ids=["n=0", "n=-2", "m=0", "m=1001", "field", "kappa=nan", "kappa=inf",
+        "kappa=0.5"])
+def test_bad_ensemble_setting_is_refused(setting, named):
+    request = dict(n=2, m=1, fieldname="complex", kappa_max=1e4, seed=1)
+    with pytest.raises(InstanceError, match=f"^superadditivity: {named}"):
+        sample_instance("superadditivity", **{**request, **setting})
+
+
 def test_failed_linear_algebra_names_the_instance():
     # at kappa 1e7, A^2 in tensor-f's t = 1 link squares a condition number
     # near 1e7 past the 1e12 cap; the trial asked for m = 2, but every

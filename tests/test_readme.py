@@ -1,0 +1,17 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_block_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    status, margin = capsys.readouterr().out.split()
+    assert status == "pass"
+    float(margin)
