@@ -279,7 +279,8 @@ def build_parser():
     for p in (sweeper, repro):
         p.add_argument("--law", required=True)
     repro.add_argument("--boundary",
-                       help="forced s,t parameters, as recorded in a report")
+                       help="s,t: a boundary point of the law's region that "
+                            "verify ran, as recorded in a report")
     return parser
 
 

@@ -29,6 +29,11 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool is an int, and a numpy integer is none but counts as one
+        for name, value in (("dimension", self.n), ("tuple length m", self.m)):
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if not 1 <= self.m <= TUPLE_STRIDE:

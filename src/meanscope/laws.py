@@ -2,10 +2,11 @@
 
 A law is declared once, by ``register_law(name, sampler, check)``:
 
-- ``sampler(espec, boundary)`` draws an instance (random matrices and
-  in-region parameters) from an ``EnsembleSpec``; a ``boundary`` forces
-  the parameters (s, t).  ``sample_instance`` names the instance after its
-  law.
+- ``sampler(espec, st)`` draws an instance (random matrices and the law's
+  own parameters) from an ``EnsembleSpec``.  ``st`` is the point (s, t) of
+  the law's parameter region that ``sample_instance`` drew, or the
+  recorded boundary point it was given, and None for a law without a
+  region.  ``sample_instance`` names the instance after its law.
 - ``check(instance, tol)`` returns the links of the law's chain, or raises
   ``Skip`` when the instance fails a hypothesis of the law.
 
@@ -153,18 +154,16 @@ class LawSpec:
     check: object
     n_cap: int = 6
     region: str = None
-    reads_boundary: bool = False   # whether the sampler uses a forced (s, t)
 
 
 _LAWS = {}
 
 
-def register_law(name, sampler, check, n_cap=6, region=None,
-                 reads_boundary=False):
-    """Register a law; one with a parameter region reads a boundary."""
+def register_law(name, sampler, check, n_cap=6, region=None):
+    """Register a law; one with a parameter ``region`` samples at a point
+    (s, t) of it."""
     _LAWS[name] = LawSpec(sampler=sampler, check=check,
-                          n_cap=n_cap, region=region,
-                          reads_boundary=reads_boundary or region is not None)
+                          n_cap=n_cap, region=region)
 
 
 def law_names():
@@ -178,26 +177,39 @@ def law_spec(name):
         raise InstanceError(f"unknown law {name!r}") from None
 
 
+def boundary_params(name):
+    """The recorded boundary points (s, t) of a law's region, which verify
+    runs first; none for a law without a region."""
+    spec = law_spec(name)
+    if spec.region is None:
+        return []
+    return list(REGION_BOUNDARY[spec.region])
+
+
 def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
-    """Build a random instance for a law; ``boundary`` forces (s, t) params.
-    A request the law refuses, or an ensemble setting EnsembleSpec refuses,
-    raises an InstanceError that names the law; so does a failed sampling,
-    naming the requested seed, n and m."""
+    """Build a random instance for a law, at the point (s, t) of its region
+    that ``sample_region`` draws, or at ``boundary``, which must be one of
+    its ``boundary_params``.  A request the law refuses, or an ensemble
+    setting EnsembleSpec refuses, raises an InstanceError that names the
+    law; so does a failed sampling, naming the requested seed, n and m."""
     spec = law_spec(name)
     try:
-        if n > spec.n_cap:
-            raise InstanceError(f"n={n} is above its n cap {spec.n_cap}")
-        if boundary is not None and not spec.reads_boundary:
-            raise InstanceError("reads no boundary (s, t)")
-        region = REGIONS.get(spec.region)
-        if boundary is not None and region and not region(*boundary):
-            raise InstanceError(f"boundary {tuple(boundary)} lies outside "
-                                f"the {spec.region} region")
         try:
             espec = EnsembleSpec(n=n, m=m, field=fieldname,
                                  kappa_max=kappa_max, seed=seed)
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
+        if n > spec.n_cap:
+            raise InstanceError(f"n={n} is above its n cap {spec.n_cap}")
+        points = boundary_params(name)
+        if boundary is not None and tuple(boundary) not in points:
+            raise InstanceError(
+                f"boundary {tuple(boundary)} is not a recorded boundary "
+                f"point of its {spec.region} region: "
+                f"{', '.join(map(str, points))}" if points
+                else "reads no boundary (s, t): it has no parameter region")
+        if boundary is None and spec.region:
+            boundary = sample_region(spec.region, seed)
         inst = spec.sampler(espec, boundary)
     except InstanceError as exc:
         raise InstanceError(f"{name}: {exc}") from None
@@ -224,6 +236,10 @@ def check_law(name, instance, tol=DEFAULT_TOL):
     except LinalgError as exc:
         raise _linalg_failure(name, instance.seed, instance.n, instance.m,
                               exc) from None
+    if not links:
+        # a trial that checks nothing is no pass
+        raise InstanceError(f"{name}: trial seed={instance.seed} "
+                            f"n={instance.n} m={instance.m} checked no link")
     return CheckResult(name, summary, links)
 
 
@@ -284,21 +300,21 @@ def _pick_sigma(rng):
     return roster[int(rng.integers(len(roster)))]
 
 
-def _sample_pair(espec, boundary=None, **fields):
-    """An instance on one random pair A, B; it reads no boundary."""
+def _sample_pair(espec, st=None, **fields):
+    """An instance on one random pair A, B."""
     return LawInstance(seed=espec.seed, n=espec.n, m=1, field=espec.field,
                        As=[random_pd(espec, 0)], Bs=[random_pd(espec, 1)],
                        **fields)
 
 
-def _sample_tuples(espec, boundary=None, **fields):
+def _sample_tuples(espec, st=None, **fields):
     """An instance on random m-tuples A_j, B_j."""
     return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
                        field=espec.field, As=random_pd_tuple(espec, 0),
                        Bs=random_pd_tuple(espec, 1), **fields)
 
 
-def _sample_sigma(espec, boundary, tag, draw):
+def _sample_sigma(espec, st, tag, draw):
     """The matrices ``draw`` samples, with a roster mean sigma picked by the
     law stream's generator ``tag``."""
     sigma = _pick_sigma(seeded_rng(espec.seed, LAW_STREAM, tag))
@@ -339,20 +355,11 @@ def _region_st(inst):
     return s, t
 
 
-def _one_coordinate(boundary, i):
-    """Coordinate i of a forced (s, t), for a law that reads it alone; the
-    other coordinate must equal it, or the run would ignore it silently."""
-    if boundary[0] != boundary[1]:
-        raise InstanceError(f"reads only {'st'[i]} of (s, t), and "
-                            f"{'ts'[i]}={boundary[1 - i]} differs from it")
-    return boundary[i]
-
-
 # ---------------------------------------------------------------------------
 # mean-axioms: normalization, congruence equivariance, joint monotonicity
 # ---------------------------------------------------------------------------
 
-def _sample_mean_axioms(espec, boundary):
+def _sample_mean_axioms(espec, st):
     rng = seeded_rng(espec.seed, LAW_STREAM, 1)
     a, b = random_ordered_pair(espec, 0)
     c, d = random_ordered_pair(espec, 1)
@@ -427,12 +434,8 @@ def _check_callebaut_operator(inst, tol):
 # geo-path-callebaut: the weighted-geometric specialization
 # ---------------------------------------------------------------------------
 
-def _sample_geo_path_callebaut(espec, boundary):
-    if boundary is not None:
-        s = _one_coordinate(boundary, 0)
-    else:
-        s, _ = sample_region("unit", espec.seed)
-    return _sample_tuples(espec, params={"s": float(s)})
+def _sample_geo_path_callebaut(espec, st):
+    return _sample_tuples(espec, params={"s": float(st[0])})
 
 
 def _check_geo_path_callebaut(inst, tol):
@@ -443,12 +446,9 @@ def _check_geo_path_callebaut(inst, tol):
 # path-monotonicity: F(s) <= F(t) for s between t and 1-t
 # ---------------------------------------------------------------------------
 
-def _sample_path_monotonicity(espec, boundary):
+def _sample_path_monotonicity(espec, st):
     rng = seeded_rng(espec.seed, LAW_STREAM, 5)
-    if boundary is not None:
-        s, t = boundary
-    else:
-        s, t = sample_region("between", espec.seed)
+    s, t = st
     # geometric path by default; occasionally a power path, which triggers
     # the dual-symmetry hypothesis test and is normally skipped
     use_power = bool(rng.integers(8) == 0)
@@ -509,12 +509,9 @@ def callebaut_f(a, b, r, s):
                  np.sum(a ** (s - r) * b ** (s + r)))
 
 
-def _sample_scalar_callebaut(espec, boundary):
+def _sample_scalar_callebaut(espec, st):
     rng = seeded_rng(espec.seed, LAW_STREAM, 6)
-    if boundary is not None:
-        s, t = boundary
-    else:
-        s, t = sample_region("callebaut", espec.seed)
+    s, t = st
     half_log = 0.5 * np.log(espec.kappa_max)
     a = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
     b = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
@@ -547,7 +544,7 @@ def _check_scalar_callebaut(inst, tol):
 POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
-def _sample_power_lemma(espec, boundary):
+def _sample_power_lemma(espec, st):
     return LawInstance(seed=espec.seed, n=espec.n, m=1,
                        field=espec.field, As=[random_pd(espec, 0)],
                        params={"r_grid": list(POWER_LEMMA_GRID)})
@@ -640,11 +637,8 @@ def matrix_callebaut_members(As, Bs, s, t):
 _CHAIN_LABELS = ("geometric-vs-s", "s-vs-t", "t-vs-outer")
 
 
-def _sample_matrix_callebaut(espec, boundary):
-    if boundary is not None:
-        s, t = boundary
-    else:
-        s, t = sample_region("callebaut", espec.seed)
+def _sample_matrix_callebaut(espec, st):
+    s, t = st
     return _sample_tuples(espec, params={"s": float(s), "t": float(t)})
 
 
@@ -675,14 +669,10 @@ def _check_hadamard_callebaut(inst, tol):
 # hadamard-power: the averaged-powers corollary (B_j = I)
 # ---------------------------------------------------------------------------
 
-def _sample_hadamard_power(espec, boundary):
-    if boundary is not None:
-        t = _one_coordinate(boundary, 1)
-    else:
-        _, t = sample_region("unit", espec.seed)
+def _sample_hadamard_power(espec, st):
     return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
                        field=espec.field, As=random_pd_tuple(espec, 0),
-                       params={"t": float(t)})
+                       params={"t": float(st[1])})
 
 
 def _check_hadamard_power(inst, tol):
@@ -703,18 +693,8 @@ def _check_hadamard_power(inst, tol):
 # interpolation-identity: geodesic reparametrization of the geometric path
 # ---------------------------------------------------------------------------
 
-def _path_params(boundary):
-    """Path parameters forced by a boundary, which must lie in [0, 1]."""
-    if not REGIONS["unit"](*boundary):
-        raise InstanceError(f"path parameters {tuple(boundary)} lie outside "
-                            f"the unit region")
-    return boundary
-
-
-def _sample_interpolation_identity(espec, boundary):
+def _sample_interpolation_identity(espec, st):
     p, q, r = seeded_rng(espec.seed, LAW_STREAM, 7).uniform(0.0, 1.0, size=3)
-    if boundary is not None:
-        r = _one_coordinate(_path_params(boundary), 0)
     return _sample_pair(
         espec, params={"p": float(p), "q": float(q), "r": float(r)})
 
@@ -732,12 +712,10 @@ def _check_interpolation_identity(inst, tol):
 # path-axioms: endpoints, midpoint, interpolation midpoint, continuity
 # ---------------------------------------------------------------------------
 
-def _sample_path_axioms(espec, boundary):
+def _sample_path_axioms(espec, st):
     rng = seeded_rng(espec.seed, LAW_STREAM, 8)
     r = float(rng.uniform(-1.0, 1.0))
     p, q = rng.uniform(0.0, 1.0, size=2)
-    if boundary is not None:
-        p, q = _path_params(boundary)
     return _sample_pair(espec, params={"r": r, "p": float(p), "q": float(q)})
 
 
@@ -804,19 +782,10 @@ register_law("hadamard-callebaut", _sample_matrix_callebaut,
 register_law("hadamard-power", _sample_hadamard_power, _check_hadamard_power,
              region="unit")
 register_law("interpolation-identity", _sample_interpolation_identity,
-             _check_interpolation_identity, reads_boundary=True)
-register_law("path-axioms", _sample_path_axioms, _check_path_axioms,
-             reads_boundary=True)
+             _check_interpolation_identity)
+register_law("path-axioms", _sample_path_axioms, _check_path_axioms)
 register_law("wada", partial(_sample_sigma, tag=9, draw=_sample_pair),
              _check_wada, n_cap=3)
-
-
-def boundary_params(name):
-    """Forced degenerate parameter points for a law, if it has a region."""
-    spec = law_spec(name)
-    if spec.region is None:
-        return []
-    return list(REGION_BOUNDARY[spec.region])
 
 
 def child_seed(master, law_index, trial):

@@ -87,6 +87,22 @@ class TestVerify:
         finally:
             del laws._LAWS["wada-skipped"]
 
+    def test_law_whose_check_returns_no_link_is_usage_error(
+            self, tmp_path, capsys):
+        # a trial that checks nothing is no pass
+        laws.register_law("wada-empty", laws.law_spec("wada").sampler,
+                          lambda inst, tol: ())
+        try:
+            out = tmp_path / "report.json"
+            code, stdout, err = run(capsys, "verify", "--laws", "wada-empty",
+                                    "--trials", "5", "--out", str(out))
+        finally:
+            del laws._LAWS["wada-empty"]
+        assert code == 2
+        assert err.startswith("error: wada-empty: trial seed=")
+        assert "checked no link" in err
+        assert stdout == "" and not out.exists()
+
     def test_report_roundtrips(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         run(capsys, "verify", "--laws", "power-lemma", "--trials", "3",
@@ -420,8 +436,6 @@ def test_config_drives_repro_as_the_flags_do(tmp_path, capsys):
     ("matrix-callebaut", "0.9,0.1"),
     ("path-monotonicity", "0.9,0.5"),
     ("geo-path-callebaut", "1.5,0.5"),
-    ("path-axioms", "1.5,0.5"),
-    ("interpolation-identity", "1.5,0.5"),
 ])
 def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
     code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "1",
@@ -430,56 +444,66 @@ def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
     assert "region" in err and stdout == ""
 
 
-@pytest.mark.parametrize("law, boundary, ignored", [
-    ("hadamard-power", "0.1,0.5", "s=0.1"),
-    ("geo-path-callebaut", "0.5,0.9", "t=0.9"),
-    ("interpolation-identity", "0.3,0.7", "t=0.7"),
+@pytest.mark.parametrize("law, boundary", [
+    ("hadamard-power", "0.1,0.5"),
+    ("geo-path-callebaut", "0.5,0.9"),
+    ("geo-path-callebaut", "0.25,0.25"),
+    ("matrix-callebaut", "0.3,0.2"),
 ])
-def test_boundary_coordinate_the_law_ignores_is_usage_error(
-        capsys, law, boundary, ignored):
+def test_unrecorded_boundary_is_usage_error(capsys, law, boundary):
+    # in the region, but no trial of verify runs there, so no report
+    # records it; the message lists the points that replay
     code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "3",
                             "--n", "2", "--m", "1", "--boundary", boundary)
     assert code == 2
-    assert err.startswith("error:") and law in err and ignored in err
-    assert stdout == ""
+    assert err.startswith(f"error: {law}: ") and stdout == ""
+    assert all(str(point) in err for point in laws.boundary_params(law))
 
 
-@pytest.mark.parametrize("law", ["hadamard-power", "geo-path-callebaut"])
+REGION_LAWS = ["path-monotonicity", "geo-path-callebaut", "scalar-callebaut",
+               "matrix-callebaut", "hadamard-callebaut", "hadamard-power"]
+
+
+@pytest.mark.parametrize("law", REGION_LAWS)
 def test_recorded_boundary_replays(tmp_path, capsys, law):
-    # verify's first trials take the region's boundary points (u, u)
+    # verify's first trials take the region's boundary points, so the
+    # worst of three trials ran at one of them
     out = tmp_path / "report.json"
     run(capsys, "verify", "--laws", law, "--trials", "3", "--seed", "4",
         "--n", "2", "--m", "2", "--out", str(out))
     worst = json.loads(out.read_text())["laws"][law]["worst"]
     s, t = worst["boundary"]
-    assert s == t
+    assert (s, t) in laws.boundary_params(law)
     code, stdout, _ = run(capsys, "repro", "--law", law,
-                          "--seed", str(worst["seed"]), "--n", "2", "--m", "2",
+                          "--seed", str(worst["seed"]),
+                          "--n", str(worst["n"]), "--m", str(worst["m"]),
                           "--boundary", f"{s!r},{t!r}")
     assert code == 0
     dump = json.loads(stdout)
     assert dump["margin"] == worst["margin"]
-    assert dump["summary"]["params"] in ({"s": s}, {"t": t})
+    params = dump["summary"]["params"]
+    assert (params.get("s", s), params.get("t", t)) == (s, t)
 
 
 @pytest.mark.parametrize("law", [
     "mean-axioms", "superadditivity", "sharp-identity", "callebaut-operator",
-    "power-lemma", "tensor-f", "tensor-g", "wada",
+    "power-lemma", "tensor-f", "tensor-g", "wada", "interpolation-identity",
+    "path-axioms",
 ])
 def test_boundary_for_law_that_reads_none_is_usage_error(capsys, law):
     code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "5",
                             "--n", "2", "--boundary", "0.3,0.2")
     assert code == 2
-    assert err.startswith("error:") and law in err and stdout == ""
+    assert err.startswith(f"error: {law}: reads no boundary") and stdout == ""
 
 
 def test_laws_that_read_a_boundary():
+    # a law reads a boundary exactly when it has a region
     readers = {name for name in laws.law_names()
-               if laws.law_spec(name).reads_boundary}
-    assert readers == {"path-monotonicity", "geo-path-callebaut",
-                       "scalar-callebaut", "matrix-callebaut",
-                       "hadamard-callebaut", "hadamard-power",
-                       "interpolation-identity", "path-axioms"}
+               if laws.boundary_params(name)}
+    assert readers == set(REGION_LAWS)
+    assert readers == {name for name in laws.law_names()
+                       if laws.law_spec(name).region}
 
 
 @pytest.mark.parametrize("sweep", sorted(laws.SWEEPS))
@@ -531,17 +555,17 @@ def test_verify_trial_schedule(tmp_path, capsys):
     # trial k of the law_index-th law runs at child_seed(seed, law_index, k),
     # n = k % 6 + 1 capped at the law's n cap, m = k % 4 + 1, and the region
     # boundaries first; literal values, so that a shifted cycle, seed or
-    # boundary order shows, which the seed-12 counts would not
+    # boundary order shows, which the seed-12 counts would not; after the
+    # boundaries, the sampler gets the point sample_instance drew
     seen = []
 
-    def sample(espec, boundary):
+    def sample(espec, st):
         return laws.LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                                field=espec.field,
-                                params={"boundary": boundary})
+                                field=espec.field, params={"st": st})
 
     def check(inst, tol):
-        seen.append((inst.seed, inst.n, inst.m, inst.params["boundary"]))
-        return ()
+        seen.append((inst.seed, inst.n, inst.m, inst.params["st"]))
+        return (laws._scalar_ineq("probe", 0.0, 1.0),)
 
     laws.register_law("probe", sample, check, n_cap=4, region="callebaut")
     try:
@@ -557,9 +581,12 @@ def test_verify_trial_schedule(tmp_path, capsys):
         (6055626436053132691, 3, 3, (1.0, 1.0)),
         (8305987149760047309, 4, 4, (0.5, 0.0)),
         (7772940839882712708, 4, 1, (0.5, 1.0)),
-        (6701149582313755611, 4, 2, None),
-        (5620459739527481985, 1, 3, None),
-        (5829451973373108788, 2, 4, None),
+        (6701149582313755611, 4, 2,
+         (0.17203068354638495, 0.08375757789809934)),
+        (5620459739527481985, 1, 3,
+         (0.69294801797597, 0.9413244843806753)),
+        (5829451973373108788, 2, 4,
+         (0.8080109667218514, 0.8214434015045573)),
     ]
     worst = json.loads(out.read_text())["laws"]["wada"]["worst"]
     assert (worst["seed"], worst["n"], worst["m"], worst["boundary"]) == (

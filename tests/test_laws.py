@@ -105,12 +105,22 @@ def test_boundary_outside_the_region_is_refused(law, boundary):
     ({"kappa_max": float("nan")}, "kappa_max"),
     ({"kappa_max": float("inf")}, "kappa_max"),
     ({"kappa_max": 0.5}, "kappa_max"),
+    ({"n": 2.5}, "dimension"), ({"n": None}, "dimension"),
+    ({"n": True}, "dimension"), ({"n": "2"}, "dimension"),
+    ({"m": 1.5}, "tuple length"), ({"m": False}, "tuple length"),
 ], ids=["n=0", "n=-2", "m=0", "m=1001", "field", "kappa=nan", "kappa=inf",
-        "kappa=0.5"])
+        "kappa=0.5", "n=2.5", "n=None", "n=True", "n=str", "m=1.5",
+        "m=False"])
 def test_bad_ensemble_setting_is_refused(setting, named):
     request = dict(n=2, m=1, fieldname="complex", kappa_max=1e4, seed=1)
     with pytest.raises(InstanceError, match=f"^superadditivity: {named}"):
         sample_instance("superadditivity", **{**request, **setting})
+
+
+def test_numpy_integer_n_and_m_are_taken():
+    inst = sample_instance("superadditivity", n=np.int64(2), m=np.int32(3),
+                           fieldname="complex", kappa_max=1e4, seed=1)
+    assert (inst.n, inst.m) == (2, 3)
 
 
 def test_failed_linear_algebra_names_the_instance():
