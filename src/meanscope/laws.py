@@ -207,7 +207,8 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
                 f"boundary {tuple(boundary)} is not a recorded boundary "
                 f"point of its {spec.region} region: "
                 f"{', '.join(map(str, points))}" if points
-                else "reads no boundary (s, t): it has no parameter region")
+                else f"reads no boundary (s={boundary[0]}, t={boundary[1]}): "
+                "it has no parameter region")
         if boundary is None and spec.region:
             boundary = sample_region(spec.region, seed)
         inst = spec.sampler(espec, boundary)

@@ -436,6 +436,8 @@ def test_config_drives_repro_as_the_flags_do(tmp_path, capsys):
     ("matrix-callebaut", "0.9,0.1"),
     ("path-monotonicity", "0.9,0.5"),
     ("geo-path-callebaut", "1.5,0.5"),
+    ("path-axioms", "1.5,0.5"),
+    ("interpolation-identity", "1.5,0.5"),
 ])
 def test_boundary_outside_region_is_usage_error(capsys, law, boundary):
     code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "1",
@@ -458,6 +460,20 @@ def test_unrecorded_boundary_is_usage_error(capsys, law, boundary):
     assert code == 2
     assert err.startswith(f"error: {law}: ") and stdout == ""
     assert all(str(point) in err for point in laws.boundary_params(law))
+
+
+@pytest.mark.parametrize("law, boundary, ignored", [
+    ("interpolation-identity", "0.3,0.7", "t=0.7"),
+])
+def test_boundary_coordinate_the_law_ignores_is_usage_error(
+        capsys, law, boundary, ignored):
+    # a law without a region ignores both coordinates; the refusal names
+    # the point it was given
+    code, stdout, err = run(capsys, "repro", "--law", law, "--seed", "3",
+                            "--n", "2", "--m", "1", "--boundary", boundary)
+    assert code == 2
+    assert err.startswith("error:") and law in err and ignored in err
+    assert stdout == ""
 
 
 REGION_LAWS = ["path-monotonicity", "geo-path-callebaut", "scalar-callebaut",
