@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PDMatrix
+from .linalg import CONDITION_CAP, PDMatrix
 
 # random_pd_tuple seeds matrix j of tuple i as i * TUPLE_STRIDE + j, so the
 # tuples of one instance stay disjoint only for m <= TUPLE_STRIDE.
@@ -41,9 +41,12 @@ class EnsembleSpec:
                 f"tuple length m must be in [1, {TUPLE_STRIDE}], got {self.m}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not (np.isfinite(self.kappa_max) and self.kappa_max >= 1.0):
+        # a draw's condition number comes near kappa_max, which PDMatrix
+        # refuses at the cap
+        if not 1.0 <= self.kappa_max < CONDITION_CAP:
             raise ValueError(
-                f"kappa_max must be finite and >= 1, got {self.kappa_max}")
+                f"kappa_max must be >= 1 and below the condition cap "
+                f"{CONDITION_CAP:.0e}, got {self.kappa_max}")
 
 
 def seeded_rng(seed, *index):
@@ -62,38 +65,50 @@ def _gaussian(rng, n, field):
     return g
 
 
-def _haar_unitary(rng, n, field):
-    q, r = np.linalg.qr(_gaussian(rng, n, field))
-    # fix the phase of each column so the factorization is unique
-    d = np.diagonal(r)
+def _haar_unitary(g):
+    """The unitary factor of the QR factorization of each matrix of a stack,
+    with the phase of each column fixed so the factorization is unique."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1, d)), 1.0)
-    return q * phases.conj()
+    return q * phases.conj()[..., None, :]
 
 
 def random_pd(spec, index=0):
-    """One random positive definite matrix from the ensemble."""
-    rng = seeded_rng(spec.seed, 0, index)
-    n = spec.n
+    """A random positive definite matrix from the ensemble, drawn from
+    stream (0, index).  For an array of indices, the stack of those
+    matrices, one per index, each from its own stream, with one QR, one
+    product and one validation for the whole stack: a slice has the bits of
+    the single draw."""
+    shape, n = np.shape(index), spec.n
     half_log = 0.5 * np.log(spec.kappa_max)
-    lam = np.exp(rng.uniform(-half_log, half_log, size=n))
+    rngs = [seeded_rng(spec.seed, 0, i) for i in np.ravel(index)]
+    lam = np.array([np.exp(rng.uniform(-half_log, half_log, size=n))
+                    for rng in rngs])
     if n == 1:
-        return PDMatrix([[lam[0]]])
-    q = _haar_unitary(rng, n, spec.field)
-    return PDMatrix((q * lam) @ q.conj().T)
+        return PDMatrix(lam.reshape(shape + (1, 1)))
+    q = _haar_unitary(np.array([_gaussian(rng, n, spec.field)
+                                for rng in rngs]))
+    a = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    return PDMatrix(a.reshape(shape + (n, n)))
 
 
 def random_pd_tuple(spec, index=0):
-    """m independent PD matrices (for the summed inequality instances)."""
-    return [random_pd(spec, index * TUPLE_STRIDE + j) for j in range(spec.m)]
+    """m independent PD matrices (for the summed inequality instances), the
+    slices of one random_pd stack; for a sequence of tuple indices, one
+    stack of m per index, from one draw."""
+    return list(random_pd(spec, np.add.outer(np.multiply(index, TUPLE_STRIDE),
+                                             np.arange(spec.m))))
 
 
 def random_ordered_pair(spec, index=0):
-    """(A, B) with A <= B: B = A + G*G for a seeded Gaussian G."""
+    """(A, B) with A <= B: B = A + G*G for a seeded Gaussian G from stream
+    (1, index); for an array of indices, a stack of A and one of B."""
     a = random_pd(spec, index)
-    rng = seeded_rng(spec.seed, 1, index)
-    g = _gaussian(rng, spec.n, spec.field)
-    bump = g.conj().T @ g * (0.25 / spec.n)
-    b = PDMatrix(a.array + bump)
+    g = np.array([_gaussian(seeded_rng(spec.seed, 1, i), spec.n, spec.field)
+                  for i in np.ravel(index)])
+    bump = g.conj().swapaxes(-1, -2) @ g * (0.25 / spec.n)
+    b = PDMatrix(a.array + bump.reshape(a.array.shape))
     return a, b
 
 
@@ -101,8 +116,8 @@ def random_invertible(spec, index=0):
     """A well-conditioned invertible matrix for congruence transforms."""
     rng = seeded_rng(spec.seed, 2, index)
     n = spec.n
-    u = _haar_unitary(rng, n, spec.field)
-    v = _haar_unitary(rng, n, spec.field)
+    u = _haar_unitary(_gaussian(rng, n, spec.field))
+    v = _haar_unitary(_gaussian(rng, n, spec.field))
     sv = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=n))
     return (u * sv) @ v.conj().T
 

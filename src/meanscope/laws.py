@@ -302,17 +302,17 @@ def _pick_sigma(rng):
 
 
 def _sample_pair(espec, st=None, **fields):
-    """An instance on one random pair A, B."""
+    """An instance on one random pair A, B, slices of one draw."""
+    a, b = random_pd(espec, [0, 1])
     return LawInstance(seed=espec.seed, n=espec.n, m=1, field=espec.field,
-                       As=[random_pd(espec, 0)], Bs=[random_pd(espec, 1)],
-                       **fields)
+                       As=[a], Bs=[b], **fields)
 
 
 def _sample_tuples(espec, st=None, **fields):
-    """An instance on random m-tuples A_j, B_j."""
+    """An instance on random m-tuples A_j, B_j, slices of one draw."""
+    As, Bs = random_pd_tuple(espec, [0, 1])
     return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                       field=espec.field, As=random_pd_tuple(espec, 0),
-                       Bs=random_pd_tuple(espec, 1), **fields)
+                       field=espec.field, As=list(As), Bs=list(Bs), **fields)
 
 
 def _sample_sigma(espec, st, tag, draw):
@@ -362,10 +362,8 @@ def _region_st(inst):
 
 def _sample_mean_axioms(espec, st):
     rng = seeded_rng(espec.seed, LAW_STREAM, 1)
-    a, b = random_ordered_pair(espec, 0)
-    c, d = random_ordered_pair(espec, 1)
-    x = random_pd(espec, 2)
-    y = random_pd(espec, 3)
+    (a, c), (b, d) = random_ordered_pair(espec, [0, 1])
+    x, y = random_pd(espec, [2, 3])
     cmat = random_invertible(espec, 0)
     sigma = _pick_sigma(rng)
     return LawInstance(seed=espec.seed, n=espec.n, m=1,

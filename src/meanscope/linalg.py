@@ -63,10 +63,12 @@ class HermitianMatrix:
     give a stack, one matrix per index of the leading axes.  Each matrix is
     validated to be Hermitian within a relative slack of ``HERMITIAN_TOL``
     and then symmetrized exactly, so ``entries`` always satisfies A = A* to
-    machine precision.  Instances are immutable; the spectral decomposition
-    is computed lazily, for a whole stack at once, and cached.  Indexing the
-    leading axes of a stack gives its slices, which share the stack's
-    entries and cached decomposition and are not checked again.
+    machine precision; results exactly Hermitian by construction come from
+    ``_exact``, which checks finiteness only.  Instances are immutable; the
+    spectral decomposition is computed lazily, for a whole stack at once,
+    and cached.  Indexing the leading axes of a stack gives its slices,
+    which share the stack's entries and cached decomposition and are not
+    checked again.
     """
 
     __slots__ = ("_a", "_spec")
@@ -79,10 +81,7 @@ class HermitianMatrix:
             raise DimensionError("dimension must be at least 1")
         if a.size == 0:
             raise DimensionError(f"empty stack of shape {a.shape}")
-        finite = np.isfinite(a).all(axis=(-2, -1))
-        if not finite.all():
-            raise HermitianError(
-                f"{_where(_first(~finite))}matrix contains non-finite entries")
+        _require_finite(a)
         scale = np.abs(a).max(axis=(-2, -1))
         dev = np.abs(a - _adjoint(a)).max(axis=(-2, -1))
         bad = dev > HERMITIAN_TOL * np.maximum(scale, 1e-300)
@@ -152,14 +151,14 @@ class HermitianMatrix:
 
     def __add__(self, other):
         _require_same_dim(self, other)
-        return HermitianMatrix(self._a + other.array)
+        return _exact(self._a + other.array)
 
     def __sub__(self, other):
         _require_same_dim(self, other)
-        return HermitianMatrix(self._a - other.array)
+        return _exact(self._a - other.array)
 
     def __mul__(self, scalar):
-        return HermitianMatrix(self._a * float(scalar))
+        return _exact(self._a * float(scalar))
 
     __rmul__ = __mul__
 
@@ -269,6 +268,22 @@ def _adopt(cls, a, spec):
     return out
 
 
+def _require_finite(a):
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise HermitianError(
+            f"{_where(_first(~finite))}matrix contains non-finite entries")
+
+
+def _exact(a):
+    """A HermitianMatrix on entries that are exactly Hermitian by
+    construction: sums, real multiples, tensor and entrywise products and
+    principal submatrices of validated matrices, or a symmetrized
+    congruence.  Only finiteness is checked; an entry can still overflow."""
+    _require_finite(a)
+    return _adopt(HermitianMatrix, a, None)
+
+
 def _require_same_dim(a, b):
     if a.n != b.n:
         raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
@@ -300,11 +315,12 @@ def eig_hermitian(A):
     Returns a SpectralDecomposition with eigenvalues ascending.  The result
     is validated matrix by matrix: reconstruction and unitarity residuals
     above ``DECOMP_TOL`` raise ConvergenceError.  A 1-by-1 matrix is its
-    own eigenvalue and runs no solver.
+    own eigenvalue with eigenvector 1: exact, so it runs no solver and no
+    validation.
     """
     a = A.array
     if a.shape[-1] == 1:
-        return _finish_decomposition(a.real[..., 0], np.ones_like(a), A)
+        return _sorted_spectrum(a.real[..., 0], np.ones_like(a))
     lam, u = np.linalg.eigh(a)
     return _finish_decomposition(lam, u, A)
 
@@ -400,7 +416,7 @@ def congruence(C, X):
     if c.shape[-1] != X.n:
         raise DimensionError(f"dimension mismatch: {c.shape[-1]} vs {X.n}")
     out = _adjoint(c) @ X.array @ c
-    return HermitianMatrix((out + _adjoint(out)) / 2.0)
+    return _exact((out + _adjoint(out)) / 2.0)
 
 
 def kron(A, B):
@@ -415,13 +431,13 @@ def kron(A, B):
             f"tensor product dimension {n * p} exceeds cap {TENSOR_DIM_CAP}"
         )
     k = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return HermitianMatrix(k.reshape(k.shape[:-4] + (n * p, n * p)))
+    return _exact(k.reshape(k.shape[:-4] + (n * p, n * p)))
 
 
 def hadamard(A, B):
     """Entrywise (Hadamard) product of two same-size Hermitian matrices."""
     _require_same_dim(A, B)
-    return HermitianMatrix(A.array * B.array)
+    return _exact(A.array * B.array)
 
 
 def kron_diagonal_block(T, n):
@@ -432,7 +448,7 @@ def kron_diagonal_block(T, n):
     if T.n != n * n:
         raise DimensionError(f"expected dimension {n * n}, got {T.n}")
     idx = np.arange(n) * (n + 1)
-    return HermitianMatrix(T.array[..., idx[:, None], idx])
+    return _exact(T.array[..., idx[:, None], idx])
 
 
 def loewner_leq(A, B, tol=1e-8):
@@ -471,7 +487,7 @@ def pd_sum(mats, scale=1.0):
     acc = mats[0].array.copy()
     for m in mats[1:]:
         acc = acc + m.array
-    return PDMatrix(acc * float(scale))
+    return PDMatrix(_exact(acc * float(scale)))
 
 
 # ---------------------------------------------------------------------------

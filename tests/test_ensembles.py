@@ -11,8 +11,38 @@ from meanscope.ensembles import (
     random_pd,
     random_pd_tuple,
     sample_region,
+    seeded_rng,
 )
-from meanscope.linalg import loewner_leq
+from meanscope.linalg import PDMatrix, loewner_leq
+
+
+def gaussian_2d(rng, spec):
+    g = rng.standard_normal((spec.n, spec.n))
+    if spec.field == "complex":
+        g = g + 1j * rng.standard_normal((spec.n, spec.n))
+    return g
+
+
+def draw_2d(spec, index):
+    """random_pd's matrix by the 2-D formula, one matrix at a time: the
+    reference that a slice of a stacked draw equals bit for bit."""
+    rng = seeded_rng(spec.seed, 0, index)
+    half_log = 0.5 * np.log(spec.kappa_max)
+    lam = np.exp(rng.uniform(-half_log, half_log, size=spec.n))
+    if spec.n == 1:
+        return PDMatrix([[lam[0]]])
+    q, r = np.linalg.qr(gaussian_2d(rng, spec))
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d)).conj()
+    return PDMatrix((q * lam) @ q.conj().T)
+
+
+def assert_same_bits(x, y):
+    """Entries, eigenvalues and eigenvectors agree to the last bit."""
+    dx, dy = x.decomposition(), y.decomposition()
+    for u, v in ((x.array, y.array), (dx.eigenvalues, dy.eigenvalues),
+                 (dx.unitary, dy.unitary)):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 class TestRandomPD:
@@ -68,6 +98,45 @@ class TestRandomPD:
         EnsembleSpec(n=2, m=TUPLE_STRIDE)
         with pytest.raises(ValueError):
             EnsembleSpec(n=2, m=TUPLE_STRIDE + 1)
+
+
+class TestStackedDraws:
+    # an instance's matrices are drawn as one stack; each slice must be the
+    # matrix a draw of its index alone gives
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kappa", [1.0, 1e4])
+    def test_slices_equal_single_draws(self, n, field, kappa):
+        spec = EnsembleSpec(n=n, m=3, field=field, kappa_max=kappa, seed=11)
+        indices = [0, 1, 2, 7, 1001]
+        whole = random_pd(spec, indices)
+        assert whole.stack_shape == (5,)
+        assert random_pd(spec, 7).stack_shape == ()
+        for i, x in zip(indices, whole):
+            assert_same_bits(x, random_pd(spec, i))
+            assert_same_bits(x, draw_2d(spec, i))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kappa", [1.0, 1e4])
+    def test_ordered_pairs_and_tuples_equal_single_draws(self, n, field,
+                                                         kappa):
+        spec = EnsembleSpec(n=n, m=3, field=field, kappa_max=kappa, seed=12)
+        lower, upper = random_ordered_pair(spec, [0, 4])
+        for k, i in enumerate([0, 4]):
+            a, b = random_ordered_pair(spec, i)
+            g = gaussian_2d(seeded_rng(spec.seed, 1, i), spec)
+            reference = PDMatrix(draw_2d(spec, i).array
+                                 + g.conj().T @ g * (0.25 / n))
+            assert_same_bits(lower[k], a)
+            assert_same_bits(upper[k], b)
+            assert_same_bits(upper[k], reference)
+        tuples = random_pd_tuple(spec, [0, 1])
+        assert [t.stack_shape for t in tuples] == [(3,), (3,)]
+        for t, whole in enumerate(tuples):
+            for j, (x, y) in enumerate(zip(whole, random_pd_tuple(spec, t))):
+                assert_same_bits(x, y)
+                assert_same_bits(x, draw_2d(spec, t * TUPLE_STRIDE + j))
 
 
 class TestOrderedPair:

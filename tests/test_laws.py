@@ -104,13 +104,13 @@ def test_boundary_outside_the_region_is_refused(law, boundary):
     ({"fieldname": "quaternion"}, "field"),
     ({"kappa_max": float("nan")}, "kappa_max"),
     ({"kappa_max": float("inf")}, "kappa_max"),
-    ({"kappa_max": 0.5}, "kappa_max"),
+    ({"kappa_max": 0.5}, "kappa_max"), ({"kappa_max": 1e12}, "kappa_max"),
     ({"n": 2.5}, "dimension"), ({"n": None}, "dimension"),
     ({"n": True}, "dimension"), ({"n": "2"}, "dimension"),
     ({"m": 1.5}, "tuple length"), ({"m": False}, "tuple length"),
 ], ids=["n=0", "n=-2", "m=0", "m=1001", "field", "kappa=nan", "kappa=inf",
-        "kappa=0.5", "n=2.5", "n=None", "n=True", "n=str", "m=1.5",
-        "m=False"])
+        "kappa=0.5", "kappa=cap", "n=2.5", "n=None", "n=True", "n=str",
+        "m=1.5", "m=False"])
 def test_bad_ensemble_setting_is_refused(setting, named):
     request = dict(n=2, m=1, fieldname="complex", kappa_max=1e4, seed=1)
     with pytest.raises(InstanceError, match=f"^superadditivity: {named}"):
@@ -137,11 +137,21 @@ def test_failed_linear_algebra_names_the_instance():
 
 
 def test_failed_sampling_names_the_request():
-    # no instance exists yet, so the message names what was asked for
-    with pytest.raises(InstanceError, match=r"^tensor-f: trial seed=1 n=3 "
-                       r"m=4 failed in linear algebra: NotPositiveDefinite"):
-        sample_instance("tensor-f", n=3, m=4, fieldname="complex",
-                        kappa_max=1e15, seed=1)
+    # no instance exists yet, so the message names what was asked for; a
+    # kappa_max at which random_pd could fail is refused up front, so this
+    # sampler fails on a matrix of its own
+    def sample(espec, st):
+        return PDMatrix(np.diag([1.0, -1.0, 1.0]))
+
+    laws.register_law("failing-sampler", sample, laws.law_spec("wada").check)
+    try:
+        with pytest.raises(InstanceError, match=r"^failing-sampler: trial "
+                           r"seed=1 n=3 m=4 failed in linear algebra: "
+                           r"NotPositiveDefinite"):
+            sample_instance("failing-sampler", n=3, m=4, fieldname="complex",
+                            kappa_max=1e4, seed=1)
+    finally:
+        del laws._LAWS["failing-sampler"]
 
 
 def test_sigma_roster_keeps_its_strings():

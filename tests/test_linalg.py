@@ -162,6 +162,50 @@ class TestEig:
             eig_hermitian(h)
 
 
+    def test_one_by_one_is_exact_and_runs_no_solver(self, monkeypatch):
+        # a 1-by-1 matrix is its own eigenvalue, with eigenvector 1, so
+        # neither LAPACK nor the residual validation runs
+        def refuse(*args):
+            raise AssertionError("a 1-by-1 stack was solved or validated")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(linalg, "_finish_decomposition", refuse)
+        entries = np.array([3.5, 1e-7, 2.0e5]).reshape(3, 1, 1)
+        d = eig_hermitian(HermitianMatrix(entries))
+        assert d.eigenvalues.shape == (3, 1) and d.unitary.shape == (3, 1, 1)
+        assert d.eigenvalues.tobytes() == entries[..., 0].tobytes()
+        assert np.array_equal(d.unitary, np.ones((3, 1, 1)))
+
+
+class TestExactResults:
+    """+, -, real *, kron, hadamard, kron_diagonal_block, pd_sum and
+    congruence build exactly Hermitian results from validated matrices, so
+    they check finiteness only."""
+
+    def test_results_are_exactly_hermitian(self):
+        rng = np.random.default_rng(17)
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        pa, pb = random_pd_raw(rng, 3), random_pd_raw(rng, 3)
+        c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for out in (a + b, a - b, 0.3 * a, kron(a, b), hadamard(a, b),
+                    kron_diagonal_block(kron(a, b), 3), congruence(c, a),
+                    linalg.pd_sum([pa, pb], scale=0.5)):
+            x = out.array
+            assert np.array_equal(x, x.conj().swapaxes(-1, -2))
+
+    def test_overflow_is_refused(self):
+        big = HermitianMatrix([[1e300]])
+        huge = PDMatrix([[1e200]])
+        for build in (lambda: big * 1e10, lambda: (big * 1e8) + (big * 1e8),
+                      lambda: big * 1e8 - big * -1e8, lambda: kron(huge, huge),
+                      lambda: hadamard(huge, huge),
+                      lambda: linalg.pd_sum([huge], scale=1e200),
+                      lambda: congruence([[1e200]], huge)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    HermitianError, match="non-finite"):
+                build()
+
+
 class TestPDMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):

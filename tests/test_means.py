@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
-from meanscope import ensembles
+from meanscope import ensembles, linalg
 from meanscope.linalg import (
     HermitianMatrix,
     PDMatrix,
@@ -204,13 +204,20 @@ class TestMean:
         b = random_pd(rng, 3)
         a.decomposition()
         built = []
-        init = HermitianMatrix.__init__
+        init, exact = HermitianMatrix.__init__, linalg._exact
 
         def counted(self, entries):
             built.append(self)
             init(self, entries)
 
+        def counted_exact(entries):
+            built.append(exact(entries))
+            return built[-1]
+
+        # a matrix is built validated or, when exactly Hermitian by
+        # construction, through linalg._exact
         monkeypatch.setattr(HermitianMatrix, "__init__", counted)
+        monkeypatch.setattr(linalg, "_exact", counted_exact)
         out = mean(power_mean(0.5), a, b)
         assert len(built) == 2 and built[-1] is out
 

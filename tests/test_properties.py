@@ -85,6 +85,19 @@ def test_random_pd_is_bitwise_deterministic(spec, index):
 
 
 @deterministic
+@given(specs, st.lists(st.integers(0, 2000), min_size=1, max_size=4))
+def test_stacked_draw_slices_are_single_draws(spec, indices):
+    # a trial draws its instance's matrices as one stack, and repro replays
+    # a trial from its seed: each slice has the bits of its single draw
+    for x, i in zip(ensembles.random_pd(spec, indices), indices):
+        y = ensembles.random_pd(spec, i)
+        dx, dy = x.decomposition(), y.decomposition()
+        for u, v in ((x.array, y.array), (dx.eigenvalues, dy.eigenvalues),
+                     (dx.unitary, dy.unitary)):
+            assert u.tobytes() == v.tobytes()
+
+
+@deterministic
 @given(descriptors, st.integers(1, 5), seeds)
 def test_mean_is_congruence_equivariant(d, n, seed):
     # C* (A sigma B) C = (C* A C) sigma (C* B C) for invertible C
