@@ -233,7 +233,7 @@ def cmd_repro(args):
         "matrices": {},
     }
     for label, group in (("A", inst.As), ("B", inst.Bs)):
-        for j, mat in enumerate(group or []):
+        for j, mat in enumerate([] if group is None else group):
             dump["matrices"][f"{label}{j}"] = matrix_to_dict(mat)
     if inst.a_seq is not None:
         dump["scalars"] = {"a": list(map(float, inst.a_seq)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CONDITION_CAP, PDMatrix
+from .linalg import CONDITION_CAP, PDMatrix, _exact
 
 # random_pd_tuple seeds matrix j of tuple i as i * TUPLE_STRIDE + j, so the
 # tuples of one instance stay disjoint only for m <= TUPLE_STRIDE.
@@ -79,14 +79,16 @@ def random_pd(spec, index=0):
     stream (0, index).  For an array of indices, the stack of those
     matrices, one per index, each from its own stream, with one QR, one
     product and one validation for the whole stack: a slice has the bits of
-    the single draw."""
+    the single draw.  At n = 1 a draw is a real diagonal, exactly Hermitian
+    and its own spectrum, so it runs no asymmetry test."""
     shape, n = np.shape(index), spec.n
     half_log = 0.5 * np.log(spec.kappa_max)
     rngs = [seeded_rng(spec.seed, 0, i) for i in np.ravel(index)]
     lam = np.array([np.exp(rng.uniform(-half_log, half_log, size=n))
                     for rng in rngs])
     if n == 1:
-        return PDMatrix(lam.reshape(shape + (1, 1)))
+        return PDMatrix(_exact(
+            lam.reshape(shape + (1, 1)).astype(np.complex128)))
     q = _haar_unitary(np.array([_gaussian(rng, n, spec.field)
                                 for rng in rngs]))
     a = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
@@ -94,11 +96,11 @@ def random_pd(spec, index=0):
 
 
 def random_pd_tuple(spec, index=0):
-    """m independent PD matrices (for the summed inequality instances), the
-    slices of one random_pd stack; for a sequence of tuple indices, one
-    stack of m per index, from one draw."""
-    return list(random_pd(spec, np.add.outer(np.multiply(index, TUPLE_STRIDE),
-                                             np.arange(spec.m))))
+    """m independent PD matrices (for the summed inequality instances), as
+    one random_pd stack of m; for a sequence of tuple indices, one draw of
+    shape (len(index), m), a stack of m per index."""
+    return random_pd(spec, np.add.outer(np.multiply(index, TUPLE_STRIDE),
+                                        np.arange(spec.m)))
 
 
 def random_ordered_pair(spec, index=0):

@@ -138,8 +138,8 @@ class LawInstance:
     m: int
     field: str
     law: str = None              # set by sample_instance
-    As: list = None
-    Bs: list = None
+    As: HermitianMatrix = None   # a stack (or a list) of matrices
+    Bs: HermitianMatrix = None
     sigma: object = None
     params: dict = field(default_factory=dict)
     ordered: tuple = None        # ((A, B), (C, D)) with A <= B and C <= D
@@ -284,35 +284,33 @@ def _scalar_ineq(label, lo, hi, tol=SCALAR_TOL):
 
 
 # A roster of concrete means used by laws quantified over "any mean".
-def _sigma_roster():
-    return [
-        means.arithmetic(),
-        means.harmonic(),
-        means.geometric(),
-        means.power_mean(0.5),
-        means.power_mean(-0.5),
-        means.weighted_geometric(0.25),
-        means.dual(means.power_mean(0.5)),
-    ]
+SIGMA_ROSTER = (
+    means.arithmetic(),
+    means.harmonic(),
+    means.geometric(),
+    means.power_mean(0.5),
+    means.power_mean(-0.5),
+    means.weighted_geometric(0.25),
+    means.dual(means.power_mean(0.5)),
+)
 
 
 def _pick_sigma(rng):
-    roster = _sigma_roster()
-    return roster[int(rng.integers(len(roster)))]
+    return SIGMA_ROSTER[int(rng.integers(len(SIGMA_ROSTER)))]
 
 
 def _sample_pair(espec, st=None, **fields):
-    """An instance on one random pair A, B, slices of one draw."""
-    a, b = random_pd(espec, [0, 1])
+    """An instance on one random pair A, B: stacks of one, from one draw."""
+    As, Bs = random_pd(espec, [[0], [1]])
     return LawInstance(seed=espec.seed, n=espec.n, m=1, field=espec.field,
-                       As=[a], Bs=[b], **fields)
+                       As=As, Bs=Bs, **fields)
 
 
 def _sample_tuples(espec, st=None, **fields):
-    """An instance on random m-tuples A_j, B_j, slices of one draw."""
+    """An instance on random m-tuples A_j, B_j: stacks of m, from one draw."""
     As, Bs = random_pd_tuple(espec, [0, 1])
     return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                       field=espec.field, As=list(As), Bs=list(Bs), **fields)
+                       field=espec.field, As=As, Bs=Bs, **fields)
 
 
 def _sample_sigma(espec, st, tag, draw):
@@ -363,11 +361,11 @@ def _region_st(inst):
 def _sample_mean_axioms(espec, st):
     rng = seeded_rng(espec.seed, LAW_STREAM, 1)
     (a, c), (b, d) = random_ordered_pair(espec, [0, 1])
-    x, y = random_pd(espec, [2, 3])
+    xs, ys = random_pd(espec, [[2], [3]])
     cmat = random_invertible(espec, 0)
     sigma = _pick_sigma(rng)
     return LawInstance(seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=[x], Bs=[y],
+                       field=espec.field, As=xs, Bs=ys,
                        sigma=sigma, ordered=((a, b), (c, d)),
                        congruence=cmat,
                        params={"sigma": means.format_descriptor(sigma)})
@@ -545,7 +543,7 @@ POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 def _sample_power_lemma(espec, st):
     return LawInstance(seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=[random_pd(espec, 0)],
+                       field=espec.field, As=random_pd(espec, [0]),
                        params={"r_grid": list(POWER_LEMMA_GRID)})
 
 
@@ -676,13 +674,14 @@ def _sample_hadamard_power(espec, st):
 
 def _check_hadamard_power(inst, tol):
     t = inst.params["t"]
-    m = len(inst.As)
+    As = stack(inst.As)
+    m = len(As)
     avg = 1.0 / m
     # the averages of A_j^{1/2}, A_j^t and A_j^{1-t}, as a stack
-    powers = power(stack(inst.As), [0.5, t, 1.0 - t])
+    powers = power(As, [0.5, t, 1.0 - t])
     p_half, p_t, p_1t = pd_sum([powers[:, j] for j in range(m)], scale=avg)
     diag_part = HermitianMatrix(
-        sum(np.diag(np.diagonal(a.array)) for a in inst.As) * avg)
+        sum(np.diag(np.diagonal(a)) for a in As.array) * avg)
     products = hadamard(stack([p_half, p_t]), stack([p_half, p_1t]))
     members = stack([*products, diag_part])
     return _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol)

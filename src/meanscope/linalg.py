@@ -18,6 +18,9 @@ HERMITIAN_TOL = 1e-13          # relative symmetry slack accepted on input
 CONDITION_CAP = 1e12           # PDMatrix needs lambda_max / lambda_min below this
 DECOMP_TOL = 1e-12             # reconstruction / unitarity budget
 TENSOR_DIM_CAP = 64            # kron refuses results larger than this
+# Entries up to this magnitude are symmetrized as (A + A*) / 2 without
+# overflow: each real and imaginary part of A + A* stays finite.
+SYMMETRIZABLE = np.finfo(np.float64).max / 2
 
 
 class LinalgError(Exception):
@@ -63,12 +66,13 @@ class HermitianMatrix:
     give a stack, one matrix per index of the leading axes.  Each matrix is
     validated to be Hermitian within a relative slack of ``HERMITIAN_TOL``
     and then symmetrized exactly, so ``entries`` always satisfies A = A* to
-    machine precision; results exactly Hermitian by construction come from
-    ``_exact``, which checks finiteness only.  Instances are immutable; the
-    spectral decomposition is computed lazily, for a whole stack at once,
-    and cached.  Indexing the leading axes of a stack gives its slices,
-    which share the stack's entries and cached decomposition and are not
-    checked again.
+    machine precision; an entry above ``SYMMETRIZABLE`` in magnitude, where
+    that could overflow, is refused.  Results exactly Hermitian by
+    construction come from ``_exact``, which checks finiteness only.
+    Instances are immutable; the spectral decomposition is computed lazily,
+    for a whole stack at once, and cached.  Indexing the leading axes of a
+    stack gives its slices: read-only views of the stack's entries and
+    cached decomposition, not checked again.
     """
 
     __slots__ = ("_a", "_spec")
@@ -81,9 +85,16 @@ class HermitianMatrix:
             raise DimensionError("dimension must be at least 1")
         if a.size == 0:
             raise DimensionError(f"empty stack of shape {a.shape}")
-        _require_finite(a)
         scale = np.abs(a).max(axis=(-2, -1))
-        dev = np.abs(a - _adjoint(a)).max(axis=(-2, -1))
+        # NaN compares false, so this one test also refuses non-finite input
+        if not scale.max() <= SYMMETRIZABLE:
+            _require_finite(a)
+            i = _first(~(scale <= SYMMETRIZABLE))
+            raise HermitianError(
+                f"{_where(i)}matrix entry of magnitude {scale[i]:.3e} is "
+                f"above {SYMMETRIZABLE:.3e}, where symmetrizing overflows")
+        adj = _adjoint(a)
+        dev = np.abs(a - adj).max(axis=(-2, -1))
         bad = dev > HERMITIAN_TOL * np.maximum(scale, 1e-300)
         if bad.any():
             i = _first(bad)
@@ -91,7 +102,7 @@ class HermitianMatrix:
                 f"{_where(i)}matrix is not Hermitian: asymmetry {dev[i]:.3e} "
                 f"exceeds {HERMITIAN_TOL:.0e} * {scale[i]:.3e}"
             )
-        self._a = _readonly((a + _adjoint(a)) / 2.0)
+        self._a = _readonly((a + adj) / 2.0)
         self._spec = None
 
     @property
@@ -110,7 +121,12 @@ class HermitianMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(n))
+        """The n-by-n identity with its exact spectrum (eigenvalues 1,
+        eigenvectors I), the bits the eigensolver returns for it."""
+        if n < 1:
+            raise DimensionError("dimension must be at least 1")
+        eye = np.eye(n, dtype=np.complex128)
+        return _adopt(cls, eye, (np.ones(n), eye))
 
     @classmethod
     def diagonal(cls, values):
@@ -124,14 +140,21 @@ class HermitianMatrix:
                 or any(i is None or i is Ellipsis for i in index)):
             raise IndexError(f"index {index} does not select slices of a "
                              f"stack of shape {self.stack_shape}")
+        out = object.__new__(type(self))
+        out._a = _part(self._a, index)
         spec = self._spec
-        return _adopt(type(self), self._a[index], None if spec is None else
-                      (spec.eigenvalues[index], spec.unitary[index]))
+        out._spec = None if spec is None else SpectralDecomposition(
+            _part(spec.eigenvalues, index), _part(spec.unitary, index))
+        return out
 
-    def __iter__(self):
+    def __len__(self):
+        """The length of a stack's first leading axis."""
         if not self.stack_shape:
             raise TypeError("a single matrix is not a stack")
-        return (self[i] for i in range(self.stack_shape[0]))
+        return self.stack_shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def decomposition(self):
         """Cached spectral decomposition (computed by ``eig_hermitian``)."""
@@ -225,6 +248,15 @@ def _readonly(x):
     return x
 
 
+def _part(x, index):
+    """x[index] of a read-only x, read-only: a basic index gives a view,
+    which is read-only already, and a fancy one a copy, made read-only."""
+    part = x[index]
+    if part.flags.writeable:
+        part.flags.writeable = False
+    return part
+
+
 def _adjoint(x):
     """The conjugate transpose of each matrix of an (..., n, n) array."""
     return x.conj().swapaxes(-1, -2)
@@ -269,8 +301,10 @@ def _adopt(cls, a, spec):
 
 
 def _require_finite(a):
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
+    """Refuse non-finite entries, naming the first slice that has one; the
+    slice is located only when the test of the whole array fails."""
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
         raise HermitianError(
             f"{_where(_first(~finite))}matrix contains non-finite entries")
 
@@ -291,10 +325,12 @@ def _require_same_dim(a, b):
 
 def stack(mats):
     """The matrices, single ones or stacks of one shape, stacked along a new
-    leading axis.  Nothing is checked again: the stack is a PDMatrix when
-    every one of them is, and carries their decompositions when every one
-    has its decomposition cached."""
-    if not mats:
+    leading axis; a stack is returned as it is.  Nothing is checked again:
+    the stack is a PDMatrix when every one of them is, and carries their
+    decompositions when every one has its decomposition cached."""
+    if isinstance(mats, HermitianMatrix) and mats.stack_shape:
+        return mats
+    if len(mats) == 0:
         raise DimensionError("empty stack")
     shapes = sorted({m.array.shape for m in mats})
     if len(shapes) > 1:
@@ -482,7 +518,7 @@ def rel_residual(X, Y):
 def pd_sum(mats, scale=1.0):
     """Positive definite sum (optionally scaled) of PD matrices, added in
     order; stacks of one shape add matrix by matrix."""
-    if not mats:
+    if len(mats) == 0:
         raise DimensionError("empty sum")
     acc = mats[0].array.copy()
     for m in mats[1:]:

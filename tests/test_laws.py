@@ -11,6 +11,7 @@ from meanscope.laws import (
     scalar_callebaut_chain,
     sweep_law,
 )
+from meanscope.ensembles import TUPLE_STRIDE, EnsembleSpec, random_pd
 from meanscope.linalg import (HermitianMatrix, LoewnerVerdict, PDMatrix,
                               rel_residual)
 
@@ -154,8 +155,33 @@ def test_failed_sampling_names_the_request():
         del laws._LAWS["failing-sampler"]
 
 
+def same_bits(x, y):
+    return all(u.tobytes() == v.tobytes() for u, v in (
+        (x.array, y.array),
+        (x.decomposition().eigenvalues, y.decomposition().eigenvalues),
+        (x.decomposition().unitary, y.decomposition().unitary)))
+
+
+@pytest.mark.parametrize("name", [x for x in laws.law_names()
+                                  if x != "scalar-callebaut"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_instances_hold_their_drawn_stacks(name, n):
+    # As and Bs are the stacks the sampler drew; slice j has the bits of
+    # the single draw of its index, the matrix the instance used to list
+    inst = make_instance(name, seed=4, n=n, m=3)
+    espec = EnsembleSpec(n=n, m=inst.m, kappa_max=1e4, seed=4)
+    first = ((2, 3) if name == "mean-axioms" else
+             (0, TUPLE_STRIDE) if inst.m > 1 else (0, 1))
+    for mats, i in zip((inst.As, inst.Bs), first):
+        if mats is None:        # power-lemma and hadamard-power draw no B
+            continue
+        assert isinstance(mats, PDMatrix) and mats.stack_shape == (inst.m,)
+        for j, x in enumerate(mats):
+            assert same_bits(x, random_pd(espec, i + j))
+
+
 def test_sigma_roster_keeps_its_strings():
-    assert [means.format_descriptor(d) for d in laws._sigma_roster()] == [
+    assert [means.format_descriptor(d) for d in laws.SIGMA_ROSTER] == [
         "arithmetic", "harmonic", "geometric", "power:0.5", "power:-0.5",
         "wgeo:0.25", "dual(power:0.5)"]
 

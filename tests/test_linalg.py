@@ -75,6 +75,21 @@ class TestHermitianMatrix:
         with pytest.raises(HermitianError):
             HermitianMatrix([[float("nan")]])
 
+    def test_overflowing_entry_is_refused(self):
+        # (A + A*) / 2 of an entry above SYMMETRIZABLE could overflow: it is
+        # refused before, with no RuntimeWarning (an error under the tests'
+        # warning filter), and a stack names the slice
+        with pytest.raises(HermitianError,
+                           match=r"^matrix entry of magnitude 1\.000e\+308"):
+            HermitianMatrix([[1e308]])
+        with pytest.raises(HermitianError, match="^matrix entry"):
+            HermitianMatrix([[0.0, 1e308], [-1e308, 0.0]])
+        a = np.stack([np.eye(2), np.diag([1.0, 1e308]), np.eye(2)])
+        with pytest.raises(HermitianError, match="^slice 1: matrix entry"):
+            HermitianMatrix(a)
+        top = linalg.SYMMETRIZABLE
+        assert HermitianMatrix([[top]]).array[0, 0] == top
+
     def test_immutable(self):
         h = HermitianMatrix.identity(2)
         with pytest.raises(ValueError):
@@ -569,12 +584,59 @@ class TestStacks:
         with pytest.raises(ValueError):
             part.decomposition().eigenvalues[0] = 1.0
 
+    def test_slices_are_read_only_views(self):
+        rng = np.random.default_rng(34)
+        whole = PDMatrix(np.stack([random_pd_raw(rng, 3).array
+                                   for _ in range(4)]))
+        spec = whole.decomposition()
+        part = whole[1]
+        assert np.shares_memory(part.array, whole.array)
+        assert np.shares_memory(part.decomposition().eigenvalues,
+                                spec.eigenvalues)
+        assert np.shares_memory(part.decomposition().unitary, spec.unitary)
+        picked = whole[[0, 2]]
+        assert np.array_equal(picked.array, whole.array[[0, 2]])
+        assert np.array_equal(picked.decomposition().unitary,
+                              spec.unitary[[0, 2]])
+        for piece in (part, whole[1:3], picked):
+            for x in (piece.array, piece.decomposition().eigenvalues,
+                      piece.decomposition().unitary):
+                with pytest.raises(ValueError):
+                    x[..., 0] = 1.0
+
+    def test_stack_of_a_stack_is_itself(self):
+        s = PDMatrix(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+        assert stack(s) is s and stack(s[:1]).stack_shape == (1,)
+        assert len(s) == 2 and len(s[1:]) == 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_carries_its_exact_spectrum(self, monkeypatch, n):
+        lam, u = np.linalg.eigh(np.eye(n, dtype=np.complex128))
+
+        def refuse(a):
+            raise AssertionError("eigh ran on the identity")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for cls in (HermitianMatrix, PDMatrix):
+            eye = cls.identity(n)
+            assert type(eye) is cls
+            assert eye.array.tobytes() == np.eye(n, dtype=complex).tobytes()
+            spec = eye.decomposition()
+            assert spec.eigenvalues.tobytes() == lam.tobytes()
+            assert spec.unitary.tobytes() == u.tobytes()
+        with pytest.raises(DimensionError):
+            HermitianMatrix.identity(0)
+
     def test_single_matrix_is_no_stack(self):
         a = HermitianMatrix.identity(2)
         with pytest.raises(IndexError):
             a[0]
         with pytest.raises(TypeError):
             iter(a)
+        with pytest.raises(TypeError):
+            len(a)
+        with pytest.raises(TypeError):
+            stack(a)
         with pytest.raises(IndexError):
             HermitianMatrix(np.eye(2)[None])[0, 1]
 
