@@ -18,11 +18,10 @@ import time
 import numpy as np
 
 from . import __version__, laws
-from .linalg import matrix_to_dict
+from .ensembles import DEFAULT_KAPPA
+from .linalg import DEFAULT_TOL, matrix_to_dict
 
 DEFAULT_TRIALS = 200
-DEFAULT_TOL = laws.DEFAULT_TOL
-DEFAULT_KAPPA = 1e4
 GRID_MAX_POINTS = 10_001
 SEED_ENV_VAR = "MEANSCOPE_SEED"
 
@@ -119,8 +118,12 @@ def _resolve_settings(args):
 
 
 def _check_out(path):
-    """Reject an --out whose directory does not exist before the run, not
-    after it."""
+    """Reject an --out that cannot be written before the run, not after it:
+    an empty path, a directory, or a path whose directory does not exist."""
+    if not path:
+        raise UsageError("--out needs a file path, got an empty one")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --out {path}: it is a directory")
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
         raise UsageError(f"cannot write --out {path}: no directory {folder}")

@@ -18,6 +18,7 @@ from .linalg import CONDITION_CAP, PDMatrix, _exact
 # random_pd_tuple seeds matrix j of tuple i as i * TUPLE_STRIDE + j, so the
 # tuples of one instance stay disjoint only for m <= TUPLE_STRIDE.
 TUPLE_STRIDE = 1000
+DEFAULT_KAPPA = 1e4     # the default bound on a draw's condition number
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class EnsembleSpec:
     n: int
     m: int = 1
     field: str = "complex"
-    kappa_max: float = 1e4
+    kappa_max: float = DEFAULT_KAPPA
     seed: int = 0
 
     def __post_init__(self):

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import means
 from .linalg import (
+    DEFAULT_TOL,
     HermitianMatrix,
     LinalgError,
     LoewnerVerdict,
@@ -64,7 +65,6 @@ from .ensembles import (
     seeded_rng,
 )
 
-DEFAULT_TOL = 1e-8        # Loewner link tolerance (relative to operand scale)
 EQUALITY_TOL = 1e-9       # identity link tolerance (chains compose ~5 functions)
 SCALAR_TOL = 1e-12        # scalar sequence inequalities
 SUBMATRIX_TOL = 1e-13     # Hadamard member vs tensor principal submatrix
@@ -138,7 +138,7 @@ class LawInstance:
     m: int
     field: str
     law: str = None              # set by sample_instance
-    As: HermitianMatrix = None   # a stack (or a list) of matrices
+    As: HermitianMatrix = None   # a stack, tuple index innermost
     Bs: HermitianMatrix = None
     sigma: object = None
     params: dict = field(default_factory=dict)
@@ -324,14 +324,12 @@ def _sample_sigma(espec, st, tag, draw):
 def _path_sums(ds, As, Bs):
     """The path sums sum_j A_j sigma B_j, one for each descriptor in ds, as
     a stack; every mean comes from one call on the stacked pairs."""
-    family = means.mean(ds, stack(As), stack(Bs))
-    return pd_sum([family[:, j] for j in range(len(As))])
+    return pd_sum(means.mean(ds, As, Bs))
 
 
 def _sums(As, Bs):
     """sum_j A_j and sum_j B_j, as a stack of two."""
-    pairs = stack([stack(As), stack(Bs)])
-    return pd_sum([pairs[:, j] for j in range(len(As))])
+    return pd_sum(stack([As, Bs]))
 
 
 def _pair(u, r=0.0):
@@ -488,14 +486,10 @@ def _path_monotonicity_link(inst, s, t, tol):
 # ---------------------------------------------------------------------------
 
 def scalar_callebaut_chain(a, b, s, t):
-    """The four chain members of the classical inequality, in order."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    v0 = float(np.sum(np.sqrt(a * b))) ** 2
-    v1 = float(np.sum(a ** s * b ** (1.0 - s)) * np.sum(a ** (1.0 - s) * b ** s))
-    v2 = float(np.sum(a ** t * b ** (1.0 - t)) * np.sum(a ** (1.0 - t) * b ** t))
-    v3 = float(np.sum(a) * np.sum(b))
-    return v0, v1, v2, v3
+    """The four chain members of the classical inequality, in order: the
+    products callebaut_f at s = 1/2 and r = 0, s - 1/2, t - 1/2 and 1/2."""
+    return tuple(callebaut_f(a, b, r, 0.5)
+                 for r in (0.0, s - 0.5, t - 0.5, 0.5))
 
 
 def callebaut_f(a, b, r, s):
@@ -674,14 +668,11 @@ def _sample_hadamard_power(espec, st):
 
 def _check_hadamard_power(inst, tol):
     t = inst.params["t"]
-    As = stack(inst.As)
-    m = len(As)
-    avg = 1.0 / m
+    avg = 1.0 / len(inst.As)
     # the averages of A_j^{1/2}, A_j^t and A_j^{1-t}, as a stack
-    powers = power(As, [0.5, t, 1.0 - t])
-    p_half, p_t, p_1t = pd_sum([powers[:, j] for j in range(m)], scale=avg)
+    p_half, p_t, p_1t = pd_sum(power(inst.As, [0.5, t, 1.0 - t]), scale=avg)
     diag_part = HermitianMatrix(
-        sum(np.diag(np.diagonal(a)) for a in As.array) * avg)
+        sum(np.diag(np.diagonal(a)) for a in inst.As.array) * avg)
     products = hadamard(stack([p_half, p_t]), stack([p_half, p_1t]))
     members = stack([*products, diag_part])
     return _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol)
@@ -849,8 +840,6 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class Curve:
-    law: str
-    grid: tuple
     points: tuple
 
     @property
@@ -928,4 +917,4 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
         link_margin=float("nan") if link is None else link.margin,
         link_holds=link is None or link.holds)
         for t, trace, lam, link in zip(grid, values.trace(), lams, links))
-    return Curve(law=name, grid=tuple(grid), points=points)
+    return Curve(points=points)

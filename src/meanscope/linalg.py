@@ -18,6 +18,7 @@ HERMITIAN_TOL = 1e-13          # relative symmetry slack accepted on input
 CONDITION_CAP = 1e12           # PDMatrix needs lambda_max / lambda_min below this
 DECOMP_TOL = 1e-12             # reconstruction / unitarity budget
 TENSOR_DIM_CAP = 64            # kron refuses results larger than this
+DEFAULT_TOL = 1e-8             # Loewner tolerance, relative to operand scale
 # Entries up to this magnitude are symmetrized as (A + A*) / 2 without
 # overflow: each real and imaginary part of A + A* stays finite.
 SYMMETRIZABLE = np.finfo(np.float64).max / 2
@@ -162,9 +163,6 @@ class HermitianMatrix:
             self._spec = eig_hermitian(self)
         return self._spec
 
-    def norm_fro(self):
-        return _per_slice(np.linalg.norm, self._a)
-
     def norm_2(self):
         lam = self.decomposition().eigenvalues
         return _float_or_array(np.maximum(abs(lam[..., 0]), abs(lam[..., -1])))
@@ -279,17 +277,6 @@ def _float_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _per_slice(fn, *arrays):
-    """float(fn) of the 2-D arrays of each matrix, so every slice gets the
-    bits a single matrix gets; ``arrays`` broadcast against each other."""
-    arrays = np.broadcast_arrays(*arrays)
-    lead = arrays[0].shape[:-2]
-    if not lead:
-        return float(fn(*arrays))
-    flat = [x.reshape((-1,) + x.shape[-2:]) for x in arrays]
-    return np.array([float(fn(*xs)) for xs in zip(*flat)]).reshape(lead)
-
-
 def _adopt(cls, a, spec):
     """An instance of ``cls`` on validated entries, with the spectrum
     (eigenvalues, unitary) when it is known."""
@@ -325,11 +312,9 @@ def _require_same_dim(a, b):
 
 def stack(mats):
     """The matrices, single ones or stacks of one shape, stacked along a new
-    leading axis; a stack is returned as it is.  Nothing is checked again:
-    the stack is a PDMatrix when every one of them is, and carries their
-    decompositions when every one has its decomposition cached."""
-    if isinstance(mats, HermitianMatrix) and mats.stack_shape:
-        return mats
+    leading axis.  Nothing is checked again: the stack is a PDMatrix when
+    every one of them is, and carries their decompositions when every one
+    has its decomposition cached."""
     if len(mats) == 0:
         raise DimensionError("empty stack")
     shapes = sorted({m.array.shape for m in mats})
@@ -487,7 +472,7 @@ def kron_diagonal_block(T, n):
     return _exact(T.array[..., idx[:, None], idx])
 
 
-def loewner_leq(A, B, tol=1e-8):
+def loewner_leq(A, B, tol=DEFAULT_TOL):
     """Test A <= B in the Loewner order, reporting the margin either way.
 
     With stacks (a single matrix broadcasts against a stack) the result is
@@ -505,24 +490,27 @@ def loewner_leq(A, B, tol=1e-8):
 
 def rel_residual(X, Y):
     """Relative Frobenius distance, floored at unit scale; per matrix of a
-    stack."""
+    stack (a single matrix broadcasts against a stack), each by the norms
+    of its own 2-D arrays, so a slice gets the bits a single matrix gets."""
     _require_same_dim(X, Y)
+    x, y = np.broadcast_arrays(X.array, Y.array)
+    n = x.shape[-1]
+    rel = [float(np.linalg.norm(a - b))
+           / max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+           for a, b in zip(x.reshape(-1, n, n), y.reshape(-1, n, n))]
+    return _float_or_array(np.array(rel).reshape(x.shape[:-2]))
 
-    def rel(x, y):
-        denom = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-        return float(np.linalg.norm(x - y)) / denom
 
-    return _per_slice(rel, X.array, Y.array)
-
-
-def pd_sum(mats, scale=1.0):
-    """Positive definite sum (optionally scaled) of PD matrices, added in
-    order; stacks of one shape add matrix by matrix."""
-    if len(mats) == 0:
-        raise DimensionError("empty sum")
-    acc = mats[0].array.copy()
-    for m in mats[1:]:
-        acc = acc + m.array
+def pd_sum(X, scale=1.0):
+    """The positive definite sum (optionally scaled) of a PD stack over its
+    innermost stack axis, the tuple index j, added in order of j."""
+    if not X.stack_shape:
+        raise DimensionError("pd_sum sums a stack's tuple axis, not a single "
+                             "matrix")
+    x = X.array
+    acc = x[..., 0, :, :]
+    for j in range(1, x.shape[-3]):
+        acc = acc + x[..., j, :, :]
     return PDMatrix(_exact(acc * float(scale)))
 
 

@@ -121,13 +121,6 @@ def representing_gap(d1, d2, grid):
     return float(np.max(gap))
 
 
-def descriptors_match(d1, d2, grid=None, tol=1e-12):
-    """Extensional equality: compare representing functions on a grid."""
-    if grid is None:
-        grid = np.geomspace(0.05, 20.0, 25)
-    return representing_gap(d1, d2, grid) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Report spelling, one per mean: "arithmetic", "harmonic", "geometric",
 # "dual(...)", "wgeo:0.25" (r = 0), "power:0.5" (t = 1/2), otherwise

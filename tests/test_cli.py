@@ -299,15 +299,24 @@ class TestRepro:
     ("sweep", "--law", "tensor-g", "--grid", "0:1:0.5"),
     ("repro", "--law", "wada"),
 ])
-@pytest.mark.parametrize("where", ["missing/x", "."])
-def test_unwritable_out_is_usage_error(tmp_path, capsys, command, where):
-    # a file in a directory that does not exist, or a directory
-    out = tmp_path / where
+@pytest.mark.parametrize("where", ["missing/x", ".", ""])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch, command,
+                                       where):
+    # a file in a directory that does not exist, a directory or an empty
+    # path is refused before the run: an empty --out used to write nothing
+    # and pass (sweep: a default file), and a directory was refused only
+    # after every trial had run
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(laws, "sample_instance", started)
+    out = str(tmp_path / where) if where else ""
     code, stdout, err = run(capsys, *command, "--seed", "1", "--n", "2",
-                            "--out", str(out))
-    assert code == 2
-    assert err.startswith(f"error: cannot write --out {out}")
-    assert stdout == ""
+                            "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write --out {out}" if where
+                          else "error: --out needs a file path")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -618,8 +627,7 @@ class TestFailurePath:
             from meanscope import means
             from meanscope.laws import _ineq, pd_sum
             d = inst.sigma
-            lhs = pd_sum([means.mean(d, a, b)
-                          for a, b in zip(inst.As, inst.Bs)])
+            lhs = pd_sum(means.mean(d, inst.As, inst.Bs))
             rhs = means.mean(d, pd_sum(inst.As), pd_sum(inst.Bs))
             return (_ineq("flipped", rhs, lhs, tol),)
 

@@ -12,8 +12,7 @@ from meanscope.laws import (
     sweep_law,
 )
 from meanscope.ensembles import TUPLE_STRIDE, EnsembleSpec, random_pd
-from meanscope.linalg import (HermitianMatrix, LoewnerVerdict, PDMatrix,
-                              rel_residual)
+from meanscope.linalg import LoewnerVerdict, PDMatrix, rel_residual
 
 
 def make_instance(name, seed, n=3, m=2, boundary=None):
@@ -190,8 +189,8 @@ class TestSharpIdentity:
     def test_scalar_arithmetic_case(self):
         # arithmetic mean 2.5, harmonic 1.6; geometric mean of those is 2
         inst = make_instance("sharp-identity", 0, n=1)
-        inst.As = [PDMatrix(HermitianMatrix([[1.0]]))]
-        inst.Bs = [PDMatrix(HermitianMatrix([[4.0]]))]
+        inst.As = PDMatrix([[[1.0]]])
+        inst.Bs = PDMatrix([[[4.0]]])
         inst.sigma = means.arithmetic()
         result = check_law("sharp-identity", inst)
         assert result.holds
@@ -234,6 +233,27 @@ class TestScalarCallebaut:
         assert callebaut_f(a, b, 0.2, 0.6) == pytest.approx(
             callebaut_f(a, b, 0.9, 0.6), rel=1e-12)
 
+    # the chain links each recorded boundary point collapses to equalities
+    COLLAPSING = {(0.5, 0.5): ("geometric-vs-s", "s-vs-t"),
+                  (0.5, 0.0): ("geometric-vs-s", "t-vs-cauchy-schwarz"),
+                  (0.5, 1.0): ("geometric-vs-s", "t-vs-cauchy-schwarz"),
+                  (1.0, 1.0): ("s-vs-t", "t-vs-cauchy-schwarz"),
+                  (0.0, 0.0): ("s-vs-t", "t-vs-cauchy-schwarz")}
+
+    @pytest.mark.parametrize("boundary", sorted(COLLAPSING))
+    def test_boundary_links_collapse_exactly(self, boundary):
+        # every member is one callebaut_f product, so a collapsing link
+        # compares one value with itself: its margin is 0.0, not round-off
+        assert sorted(self.COLLAPSING) == sorted(
+            laws.boundary_params("scalar-callebaut"))
+        for seed in range(12):
+            inst = make_instance("scalar-callebaut", seed, n=1,
+                                 m=seed % 4 + 1, boundary=boundary)
+            margins = {link.label: link.margin
+                       for link in check_law("scalar-callebaut", inst).links}
+            for label in self.COLLAPSING[boundary]:
+                assert margins[label] == 0.0, (seed, label, margins[label])
+
     def test_monotone_in_spread(self):
         rng = np.random.default_rng(1)
         a = np.exp(rng.uniform(-2, 2, size=4))
@@ -253,7 +273,7 @@ class TestPowerLemma:
     def test_scalar_spec_example(self):
         # diag(4), r = 1/2: 2 + 0.5 = 2.5 <= 4.25
         inst = make_instance("power-lemma", 0, n=1)
-        inst.As = [PDMatrix(HermitianMatrix([[4.0]]))]
+        inst.As = PDMatrix([[[4.0]]])
         result = check_law("power-lemma", inst)
         assert result.holds
         link = next(l for l in result.links if l.label == "r=0.5")
@@ -369,8 +389,8 @@ class TestPathMonotonicity:
 class TestSweeps:
     def test_tensor_g_scalar_trace(self):
         inst = make_instance("tensor-g", 0, n=1)
-        inst.As = [PDMatrix(HermitianMatrix([[4.0]]))]
-        inst.Bs = [PDMatrix(HermitianMatrix([[1.0]]))]
+        inst.As = PDMatrix([[[4.0]]])
+        inst.Bs = PDMatrix([[[1.0]]])
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         curve = sweep_law("tensor-g", inst, grid)
         traces = [p.trace for p in curve.points]
@@ -382,9 +402,7 @@ class TestSweeps:
 
     def test_tensor_f_constant_for_equal_scalars(self):
         inst = make_instance("tensor-f", 0, n=1)
-        a = PDMatrix(HermitianMatrix([[3.0]]))
-        inst.As = [a]
-        inst.Bs = [a]
+        inst.As = inst.Bs = PDMatrix([[[3.0]]])
         curve = sweep_law("tensor-f", inst, list(np.linspace(-1, 1, 9)))
         for p in curve.points:
             assert p.trace == pytest.approx(2 * 9.0)

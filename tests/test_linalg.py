@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -121,7 +123,8 @@ class TestEig:
             h = random_hermitian(rng, 8)
             d = h.decomposition()
             recon = (d.unitary * d.eigenvalues) @ d.unitary.conj().T
-            assert np.linalg.norm(recon - h.array) <= 1e-12 * max(1, h.norm_fro())
+            assert np.linalg.norm(recon - h.array) <= 1e-12 * max(
+                1, np.linalg.norm(h.array))
             assert np.linalg.norm(
                 d.unitary.conj().T @ d.unitary - np.eye(8)) <= 1e-12
 
@@ -143,7 +146,8 @@ class TestEig:
         h = random_hermitian(rng, 7, complex_field=False)
         d = h.decomposition()
         recon = (d.unitary * d.eigenvalues) @ d.unitary.conj().T
-        assert np.linalg.norm(recon - h.array) <= 1e-12 * max(1, h.norm_fro())
+        assert np.linalg.norm(recon - h.array) <= 1e-12 * max(
+            1, np.linalg.norm(h.array))
 
     def test_lapack_agrees_with_mpmath_oracle(self):
         # the matrices of acceptance criterion 1: n = 1..16, complex field
@@ -152,7 +156,7 @@ class TestEig:
             n = (k % 16) + 1
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = HermitianMatrix((g + g.conj().T) / 2)
-            budget = 1e-12 * max(1.0, h.norm_fro())
+            budget = 1e-12 * max(1.0, np.linalg.norm(h.array))
             d = eig_hermitian(h)
             assert np.max(np.abs(d.eigenvalues - oracle.eigenvalues(h))) \
                 <= budget, n
@@ -204,7 +208,7 @@ class TestExactResults:
         c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         for out in (a + b, a - b, 0.3 * a, kron(a, b), hadamard(a, b),
                     kron_diagonal_block(kron(a, b), 3), congruence(c, a),
-                    linalg.pd_sum([pa, pb], scale=0.5)):
+                    linalg.pd_sum(stack([pa, pb]), scale=0.5)):
             x = out.array
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))
 
@@ -214,11 +218,35 @@ class TestExactResults:
         for build in (lambda: big * 1e10, lambda: (big * 1e8) + (big * 1e8),
                       lambda: big * 1e8 - big * -1e8, lambda: kron(huge, huge),
                       lambda: hadamard(huge, huge),
-                      lambda: linalg.pd_sum([huge], scale=1e200),
+                      lambda: linalg.pd_sum(stack([huge]), scale=1e200),
                       lambda: congruence([[1e200]], huge)):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     HermitianError, match="non-finite"):
                 build()
+
+
+class TestPdSum:
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_sums_the_tuple_axis_in_order(self, m):
+        # an (m, n, n) stack and a (k, m, n, n) one: each sum is its slices
+        # added in order of j, bit for bit, then scaled
+        rng = np.random.default_rng(40 + m)
+        tuples = stack([stack([random_pd_raw(rng, 3) for _ in range(m)])
+                        for _ in range(2)])
+        for scale in (1.0, 1.0 / m):
+            for x in (tuples[0], tuples):
+                got = linalg.pd_sum(x, scale=scale)
+                assert type(got) is PDMatrix
+                assert got.stack_shape == x.stack_shape[:-1]
+                for i in np.ndindex(got.stack_shape):
+                    want = functools.reduce(
+                        operator.add, [x[i + (j,)].array for j in range(m)])
+                    assert (got.array[i].tobytes()
+                            == (want * scale).tobytes())
+
+    def test_single_matrix_is_refused(self):
+        with pytest.raises(DimensionError, match="tuple axis"):
+            linalg.pd_sum(PDMatrix.identity(2))
 
 
 class TestPDMatrix:
@@ -574,6 +602,7 @@ class TestStacks:
         assert np.array_equal(part.decomposition().eigenvalues,
                               spec.eigenvalues[2])
         assert part.norm_2() > 0.0 and whole[1:4].stack_shape == (3,)
+        assert len(whole) == 5 and len(whole[1:4]) == 3
         power(part, 0.5)
         back = stack(list(whole))
         assert np.array_equal(back.array, whole.array)
@@ -603,11 +632,6 @@ class TestStacks:
                       piece.decomposition().unitary):
                 with pytest.raises(ValueError):
                     x[..., 0] = 1.0
-
-    def test_stack_of_a_stack_is_itself(self):
-        s = PDMatrix(np.stack([np.eye(2), 2.0 * np.eye(2)]))
-        assert stack(s) is s and stack(s[:1]).stack_shape == (1,)
-        assert len(s) == 2 and len(s[1:]) == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_identity_carries_its_exact_spectrum(self, monkeypatch, n):
