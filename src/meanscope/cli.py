@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, laws
-from .ensembles import DEFAULT_KAPPA
+from .ensembles import DEFAULT_KAPPA, SEED_LIMIT
 from .linalg import DEFAULT_TOL, matrix_to_dict
 
 DEFAULT_TRIALS = 200
@@ -83,7 +83,8 @@ def _resolve_settings(args):
     """Give each setting of the subcommand its value, once: the flag's, else
     the config file's, else (seed only) $MEANSCOPE_SEED's, else the default;
     then check those no sampler checks (laws.sample_instance refuses a bad
-    n, m, field or kappa_max)."""
+    n, m, field or kappa_max) and the seed, which verify's trials do not
+    carry."""
     config = _load_config(args.config) if args.config else {}
     refused = sorted(set(config) - set(args.settings))
     if refused:
@@ -107,6 +108,8 @@ def _resolve_settings(args):
                 raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer"
                                  ) from None
         setattr(args, key, default if value is None else kind(value))
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise UsageError(f"seed must be in [0, 2**63), got {args.seed}")
     # every margin comparison with a NaN tolerance is false, so a NaN or
     # negative one would read as a violated law
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
@@ -228,7 +231,8 @@ def cmd_repro(args):
         "seed": args.seed,
         "status": result.status,
         "margin": result.margin if result.links else None,
-        "summary": result.summary,
+        "summary": {"n": inst.n, "m": inst.m, "seed": inst.seed,
+                    "field": inst.field, "params": inst.params},
         "links": [
             {"label": link.label, "holds": link.holds, "margin": link.margin}
             for link in result.links

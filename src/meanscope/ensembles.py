@@ -19,6 +19,7 @@ from .linalg import CONDITION_CAP, PDMatrix, _exact
 # tuples of one instance stay disjoint only for m <= TUPLE_STRIDE.
 TUPLE_STRIDE = 1000
 DEFAULT_KAPPA = 1e4     # the default bound on a draw's condition number
+SEED_LIMIT = 2**63      # a seed is an integer in [0, SEED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ class EnsembleSpec:
         if not 1 <= self.m <= TUPLE_STRIDE:
             raise ValueError(
                 f"tuple length m must be in [1, {TUPLE_STRIDE}], got {self.m}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         # a draw's condition number comes near kappa_max, which PDMatrix
@@ -51,11 +54,11 @@ class EnsembleSpec:
 
 
 def seeded_rng(seed, *index):
-    """The generator of stream ``index`` under a seed (its low 63 bits):
-    random_pd draws from stream (0, i), random_ordered_pair from (1, i),
-    random_invertible from (2, i), sample_region from (3,) and the laws
-    from (laws.LAW_STREAM, tag)."""
-    key = (int(seed) & (2**63 - 1),) + tuple(int(i) for i in index)
+    """The generator of stream ``index`` under a seed: random_pd draws
+    from stream (0, i), random_ordered_pair from (1, i), random_invertible
+    from (2, i), sample_region from (3,) and the laws from
+    (laws.LAW_STREAM, tag)."""
+    key = (int(seed),) + tuple(int(i) for i in index)
     return np.random.default_rng(np.random.SeedSequence(key))
 
 

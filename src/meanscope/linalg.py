@@ -129,10 +129,6 @@ class HermitianMatrix:
         eye = np.eye(n, dtype=np.complex128)
         return _adopt(cls, eye, (np.ones(n), eye))
 
-    @classmethod
-    def diagonal(cls, values):
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
     def __getitem__(self, index):
         """The slice (or sub-stack) of a stack at ``index`` on its leading
         axes, of this type, with its share of the cached decomposition."""
@@ -501,9 +497,9 @@ def rel_residual(X, Y):
     return _float_or_array(np.array(rel).reshape(x.shape[:-2]))
 
 
-def pd_sum(X, scale=1.0):
-    """The positive definite sum (optionally scaled) of a PD stack over its
-    innermost stack axis, the tuple index j, added in order of j."""
+def pd_sum(X):
+    """The positive definite sum of a PD stack over its innermost stack
+    axis, the tuple index j, added in order of j."""
     if not X.stack_shape:
         raise DimensionError("pd_sum sums a stack's tuple axis, not a single "
                              "matrix")
@@ -511,7 +507,7 @@ def pd_sum(X, scale=1.0):
     acc = x[..., 0, :, :]
     for j in range(1, x.shape[-3]):
         acc = acc + x[..., j, :, :]
-    return PDMatrix(_exact(acc * float(scale)))
+    return PDMatrix(_exact(acc))
 
 
 # ---------------------------------------------------------------------------

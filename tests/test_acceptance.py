@@ -15,7 +15,7 @@ import pytest
 from meanscope import laws, means
 from meanscope.cli import main
 from meanscope.laws import check_law, child_seed, sample_instance
-from meanscope.linalg import HermitianMatrix
+from meanscope.linalg import HermitianMatrix, stack
 
 
 def report_line(number, ok, detail):
@@ -237,7 +237,7 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
         d = inst.sigma
         lhs = laws.pd_sum(means.mean(d, inst.As, inst.Bs))
         rhs = means.mean(d, laws.pd_sum(inst.As), laws.pd_sum(inst.Bs))
-        return (laws._ineq("flipped", rhs, lhs, tol),)
+        return laws._chain(("flipped",), stack([rhs, lhs]), tol)
 
     laws.register_law("flipped-superadditivity",
                       laws.law_spec("superadditivity").sampler, check)

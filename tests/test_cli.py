@@ -362,6 +362,32 @@ def test_mistyped_setting_is_usage_error(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, config, env", [
+    ("-1", None, None), (str(2**63), None, None),
+    (None, -1, None), (None, None, "-1"),
+], ids=["flag=-1", "flag=2**63", "config=-1", "env=-1"])
+def test_seed_outside_its_range_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               flag, config, env):
+    # masked to 63 bits, -1 would run the trials of 2**63 - 1 and 2**63
+    # those of 0, under a report that records the seed asked for
+    argv = ["verify", "--laws", "wada", "--trials", "1"]
+    if flag is not None:
+        argv += ["--seed", flag]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": config}))
+        argv += ["--config", str(cfg)]
+    if env is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: seed must be in [0, 2**63)")
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("text, named", [
     ('"seed"', "str"),
     ('["wada"]', "list"),
@@ -583,15 +609,16 @@ def test_verify_trial_schedule(tmp_path, capsys):
     # n = k % 6 + 1 capped at the law's n cap, m = k % 4 + 1, and the region
     # boundaries first; literal values, so that a shifted cycle, seed or
     # boundary order shows, which the seed-12 counts would not; after the
-    # boundaries, the sampler gets the point sample_instance drew
+    # boundaries, the instance holds the point sample_instance drew
     seen = []
 
-    def sample(espec, st):
+    def sample(espec):
         return laws.LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                                field=espec.field, params={"st": st})
+                                field=espec.field)
 
     def check(inst, tol):
-        seen.append((inst.seed, inst.n, inst.m, inst.params["st"]))
+        seen.append((inst.seed, inst.n, inst.m,
+                     (inst.params["s"], inst.params["t"])))
         return (laws._scalar_ineq("probe", 0.0, 1.0),)
 
     laws.register_law("probe", sample, check, n_cap=4, region="callebaut")
@@ -625,11 +652,12 @@ class TestFailurePath:
         # register a deliberately reversed inequality to exercise exit code 1
         def check(inst, tol):
             from meanscope import means
-            from meanscope.laws import _ineq, pd_sum
+            from meanscope.laws import _chain, pd_sum
+            from meanscope.linalg import stack
             d = inst.sigma
             lhs = pd_sum(means.mean(d, inst.As, inst.Bs))
             rhs = means.mean(d, pd_sum(inst.As), pd_sum(inst.Bs))
-            return (_ineq("flipped", rhs, lhs, tol),)
+            return _chain(("flipped",), stack([rhs, lhs]), tol)
 
         laws.register_law("superadditivity-flipped",
                           laws.law_spec("superadditivity").sampler, check)

@@ -11,7 +11,8 @@ from meanscope.laws import (
     scalar_callebaut_chain,
     sweep_law,
 )
-from meanscope.ensembles import TUPLE_STRIDE, EnsembleSpec, random_pd
+from meanscope.ensembles import (TUPLE_STRIDE, EnsembleSpec, random_pd,
+                                 sample_region)
 from meanscope.linalg import LoewnerVerdict, PDMatrix, rel_residual
 
 
@@ -117,6 +118,42 @@ def test_bad_ensemble_setting_is_refused(setting, named):
         sample_instance("superadditivity", **{**request, **setting})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+def test_seed_outside_its_range_is_refused(seed):
+    # masked to 63 bits, -1 would draw the instance of 2**63 - 1
+    with pytest.raises(InstanceError,
+                       match=r"^superadditivity: seed must be in \[0, 2\*\*63\)"):
+        make_instance("superadditivity", seed, n=2)
+    assert make_instance("superadditivity", 2**63 - 1, n=2).seed == 2**63 - 1
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+def test_instance_records_its_region_point(name):
+    # sample_instance, not the sampler, owns the point (s, t): the one it
+    # draws, or the recorded boundary it is given; a law without a region
+    # gets neither coordinate
+    region = laws.law_spec(name).region
+    inst = make_instance(name, 4, n=2)
+    if region is None:
+        assert not {"s", "t"} & set(inst.params)
+        return
+    assert (inst.params["s"], inst.params["t"]) == sample_region(region, 4)
+    for boundary in laws.boundary_params(name):
+        inst = make_instance(name, 4, n=2, boundary=boundary)
+        assert (inst.params["s"], inst.params["t"]) == boundary
+
+
+@pytest.mark.parametrize("name", [name for name in laws.law_names()
+                                  if laws.law_spec(name).region])
+def test_check_refuses_a_point_outside_the_region(name):
+    # (1.7, 0.5) lies outside every region; a check that read its point
+    # unchecked would judge a chain the law does not state
+    inst = make_instance(name, 3, n=2)
+    inst.params.update(s=1.7, t=0.5)
+    with pytest.raises(InstanceError, match="outside the .* region"):
+        check_law(name, inst)
+
+
 def test_numpy_integer_n_and_m_are_taken():
     inst = sample_instance("superadditivity", n=np.int64(2), m=np.int32(3),
                            fieldname="complex", kappa_max=1e4, seed=1)
@@ -140,7 +177,7 @@ def test_failed_sampling_names_the_request():
     # no instance exists yet, so the message names what was asked for; a
     # kappa_max at which random_pd could fail is refused up front, so this
     # sampler fails on a matrix of its own
-    def sample(espec, st):
+    def sample(espec):
         return PDMatrix(np.diag([1.0, -1.0, 1.0]))
 
     laws.register_law("failing-sampler", sample, laws.law_spec("wada").check)

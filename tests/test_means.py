@@ -147,7 +147,7 @@ class TestDual:
 class TestMean:
     def test_geometric_from_identity(self):
         out = mean(geometric(), PDMatrix.identity(2),
-                   PDMatrix(HermitianMatrix.diagonal([4.0, 9.0])))
+                   PDMatrix(HermitianMatrix(np.diag([4.0, 9.0]))))
         assert np.allclose(out.array, np.diag([2.0, 3.0]))
 
     def test_weighted_geometric_scalar(self):
