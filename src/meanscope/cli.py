@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -252,7 +253,10 @@ def cmd_repro(args):
     return 0 if result.status != "fail" else 1
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on first use and shared by
+    later calls: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="meanscope",
         description="Verify operator-mean inequality chains over random "

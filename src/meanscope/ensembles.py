@@ -4,7 +4,10 @@ Matrices are built as Q diag(lambda) Q* with Q from the QR factorization of
 a seeded Gaussian matrix and eigenvalues log-uniform in
 [1/sqrt(kappa), sqrt(kappa)], so the condition number is bounded by
 construction.  Every generator is a pure function of (spec, index): the
-same seed always reproduces the same bits.
+same seed always reproduces the same bits.  Each draw also takes a sequence
+of specs that differ only in seed, and then draws them all in one stack
+with a leading axis over the specs, whose slices have the bits of the
+draws under each spec alone.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         # a bool is an int, and a numpy integer is none but counts as one
-        for name, value in (("dimension", self.n), ("tuple length m", self.m)):
+        for name, value in (("dimension", self.n), ("tuple length m", self.m),
+                            ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(
                     value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -78,16 +82,37 @@ def _haar_unitary(g):
     return q * phases.conj()[..., None, :]
 
 
+def _streams(spec, index, stream):
+    """The ensemble of a draw, the generators of its matrices and the stack
+    shape of the draw.  The matrix of index i under a seed draws from that
+    seed's stream (stream, i).  A sequence of specs that differ only in seed
+    adds a leading axis over them to the shape of ``index``; the generators
+    run over the seeds, then the indices in C order."""
+    if isinstance(spec, EnsembleSpec):
+        specs, shape = (spec,), np.shape(index)
+    else:
+        specs, shape = spec, (len(spec),) + np.shape(index)
+        spec = specs[0]
+        ensemble = (spec.n, spec.m, spec.field, spec.kappa_max)
+        if any((s.n, s.m, s.field, s.kappa_max) != ensemble for s in specs):
+            raise ValueError("a stacked draw takes specs that differ only "
+                             "in seed")
+    indices = np.ravel(index)
+    return spec, [seeded_rng(s.seed, stream, i)
+                  for s in specs for i in indices], shape
+
+
 def random_pd(spec, index=0):
     """A random positive definite matrix from the ensemble, drawn from
-    stream (0, index).  For an array of indices, the stack of those
-    matrices, one per index, each from its own stream, with one QR, one
-    product and one validation for the whole stack: a slice has the bits of
-    the single draw.  At n = 1 a draw is a real diagonal, exactly Hermitian
-    and its own spectrum, so it runs no asymmetry test."""
-    shape, n = np.shape(index), spec.n
+    stream (0, index).  For an array of indices, or a sequence of specs,
+    the stack of those matrices (see ``_streams``), each from its own
+    stream, with one QR, one product and one validation for the whole
+    stack: a slice has the bits of the single draw.  At n = 1 a draw is a
+    real diagonal, exactly Hermitian and its own spectrum, so it runs no
+    asymmetry test."""
+    spec, rngs, shape = _streams(spec, index, 0)
+    n = spec.n
     half_log = 0.5 * np.log(spec.kappa_max)
-    rngs = [seeded_rng(spec.seed, 0, i) for i in np.ravel(index)]
     lam = np.array([np.exp(rng.uniform(-half_log, half_log, size=n))
                     for rng in rngs])
     if n == 1:
@@ -102,30 +127,38 @@ def random_pd(spec, index=0):
 def random_pd_tuple(spec, index=0):
     """m independent PD matrices (for the summed inequality instances), as
     one random_pd stack of m; for a sequence of tuple indices, one draw of
-    shape (len(index), m), a stack of m per index."""
+    shape (len(index), m), a stack of m per index, after the leading axis
+    of a sequence of specs."""
+    m = spec.m if isinstance(spec, EnsembleSpec) else spec[0].m
     return random_pd(spec, np.add.outer(np.multiply(index, TUPLE_STRIDE),
-                                        np.arange(spec.m)))
+                                        np.arange(m)))
 
 
 def random_ordered_pair(spec, index=0):
     """(A, B) with A <= B: B = A + G*G for a seeded Gaussian G from stream
-    (1, index); for an array of indices, a stack of A and one of B."""
+    (1, index); for an array of indices or a sequence of specs, a stack of
+    A and one of B."""
     a = random_pd(spec, index)
-    g = np.array([_gaussian(seeded_rng(spec.seed, 1, i), spec.n, spec.field)
-                  for i in np.ravel(index)])
+    spec, rngs, _ = _streams(spec, index, 1)
+    g = np.array([_gaussian(rng, spec.n, spec.field) for rng in rngs])
     bump = g.conj().swapaxes(-1, -2) @ g * (0.25 / spec.n)
     b = PDMatrix(a.array + bump.reshape(a.array.shape))
     return a, b
 
 
 def random_invertible(spec, index=0):
-    """A well-conditioned invertible matrix for congruence transforms."""
-    rng = seeded_rng(spec.seed, 2, index)
+    """A well-conditioned invertible matrix for congruence transforms, from
+    stream (2, index); for an array of indices or a sequence of specs, the
+    stack of them."""
+    spec, rngs, shape = _streams(spec, index, 2)
     n = spec.n
-    u = _haar_unitary(_gaussian(rng, n, spec.field))
-    v = _haar_unitary(_gaussian(rng, n, spec.field))
-    sv = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=n))
-    return (u * sv) @ v.conj().T
+    draws = [(_gaussian(rng, n, spec.field), _gaussian(rng, n, spec.field),
+              np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=n)))
+             for rng in rngs]
+    gu, gv, sv = (np.array(x) for x in zip(*draws))
+    u, v = _haar_unitary(np.stack([gu, gv]))
+    c = (u * sv[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return c.reshape(shape + (n, n))
 
 
 # ---------------------------------------------------------------------------

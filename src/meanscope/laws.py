@@ -2,11 +2,16 @@
 
 A law is declared once, by ``register_law(name, sampler, check)``:
 
-- ``sampler(espec)`` draws an instance (random matrices and the law's
-  own parameters) from an ``EnsembleSpec``.  ``sample_instance`` names the
-  instance after its law and, for a law with a parameter region, records
-  the point (s, t) it drew, or the recorded boundary point it was given,
-  as ``params["s"]`` and ``params["t"]``.
+- ``sampler(especs)`` draws one instance (random matrices and the law's
+  own parameters) from each of a sequence of ``EnsembleSpec``s that differ
+  only in seed, and returns them in order.  It draws the matrices of all
+  of them as one stack per kind of draw, so that one QR, one product and
+  one validation serve them all; each matrix and each parameter still
+  comes from its own seed's stream, so an instance has the bits it has
+  when drawn alone.  ``sample_instance`` names the instances after their
+  law and, for a law with a parameter region, records the point (s, t) it
+  drew, or the recorded boundary point it was given, as ``params["s"]``
+  and ``params["t"]``.
 - ``check(instance, tol)`` returns the links of the law's chain, or raises
   ``Skip`` when the instance fails a hypothesis of the law.
 
@@ -17,7 +22,9 @@ Frobenius) at scale 0, which holds exactly when the residual is at most the
 tolerance.  ``check_law`` builds the trial's ``CheckResult``; a trial
 passes iff every link holds.
 
-``run_law`` owns a law's trial schedule and returns its report entry.
+``run_law`` owns a law's trial schedule and returns its report entry; it
+draws the trials that request the same (n, m) together, in chunks of at
+most ``GROUP_TRIALS``, and checks them one at a time in trial order.
 ``InstanceError`` is raised for a request the law refuses, and for a trial
 beyond what the float checks support: one whose linear algebra fails, named
 by its law, seed, n and m so that ``repro`` replays it.
@@ -54,6 +61,7 @@ from .linalg import (
     stack,
 )
 from .ensembles import (
+    SEED_LIMIT,
     EnsembleSpec,
     REGION_BOUNDARY,
     REGIONS,
@@ -71,6 +79,10 @@ SUBMATRIX_TOL = 1e-13     # Hadamard member vs tensor principal submatrix
 # The generator stream of the laws' own draws (sigma, path parameters,
 # scalar sequences), apart from the ensemble's matrix and region streams.
 LAW_STREAM = 101
+# The most trials run_law draws in one sample_instance call: past about 32
+# matrices per stack the cost per matrix stops falling, and the cap bounds
+# the instances held at once.
+GROUP_TRIALS = 64
 
 
 class InstanceError(Exception):
@@ -81,8 +93,10 @@ class InstanceError(Exception):
 
 def _linalg_failure(law, seed, n, m, exc):
     """The InstanceError of a trial whose linear algebra failed (a power
-    that squares a large kappa_max past the condition cap, say)."""
-    return InstanceError(f"{law}: trial seed={seed} n={n} m={m} failed in "
+    that squares a large kappa_max past the condition cap, say), or of the
+    trials of a list of seeds drawn together."""
+    trial = "trials" if isinstance(seed, list) else "trial"
+    return InstanceError(f"{law}: {trial} seed={seed} n={n} m={m} failed in "
                          f"linear algebra: {type(exc).__name__}: {exc}")
 
 
@@ -159,7 +173,8 @@ _LAWS = {}
 
 def register_law(name, sampler, check, n_cap=6, region=None):
     """Register a law; one with a parameter ``region`` samples at a point
-    (s, t) of it."""
+    (s, t) of it.  ``sampler(especs)`` returns one instance per spec, in
+    order (see the module docstring)."""
     _LAWS[name] = LawSpec(sampler=sampler, check=check,
                           n_cap=n_cap, region=region)
 
@@ -187,37 +202,54 @@ def boundary_params(name):
 def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     """Build a random instance for a law, at the point (s, t) of its region
     that ``sample_region`` draws, or at ``boundary``, which must be one of
-    its ``boundary_params``.  A request the law refuses, or an ensemble
+    its ``boundary_params``.  For a list or tuple of seeds, with None or a
+    matching sequence of boundaries (each None or a recorded point), the
+    list of their instances, from one sampler call; each is the instance
+    its seed gives alone.  A request the law refuses, or an ensemble
     setting EnsembleSpec refuses, raises an InstanceError that names the
     law; so does a failed sampling, naming the requested seed, n and m."""
     spec = law_spec(name)
+    chunk = isinstance(seed, (list, tuple))
+    if chunk:
+        seeds = list(seed)
+        boundaries = ([None] * len(seeds) if boundary is None
+                      else list(boundary))
+    else:
+        seeds, boundaries = [seed], [boundary]
     try:
+        if len(boundaries) != len(seeds):
+            raise InstanceError(f"{len(boundaries)} boundaries for "
+                                f"{len(seeds)} seeds")
         try:
-            espec = EnsembleSpec(n=n, m=m, field=fieldname,
-                                 kappa_max=kappa_max, seed=seed)
+            especs = [EnsembleSpec(n=n, m=m, field=fieldname,
+                                   kappa_max=kappa_max, seed=s) for s in seeds]
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
         if n > spec.n_cap:
             raise InstanceError(f"n={n} is above its n cap {spec.n_cap}")
         points = boundary_params(name)
-        if boundary is not None and tuple(boundary) not in points:
-            raise InstanceError(
-                f"boundary {tuple(boundary)} is not a recorded boundary "
-                f"point of its {spec.region} region: "
-                f"{', '.join(map(str, points))}" if points
-                else f"reads no boundary (s={boundary[0]}, t={boundary[1]}): "
-                "it has no parameter region")
-        if boundary is None and spec.region:
-            boundary = sample_region(spec.region, seed)
-        inst = spec.sampler(espec)
+        for b in boundaries:
+            if b is not None and tuple(b) not in points:
+                raise InstanceError(
+                    f"boundary {tuple(b)} is not a recorded boundary point "
+                    f"of its {spec.region} region: "
+                    f"{', '.join(map(str, points))}" if points
+                    else f"reads no boundary (s={b[0]}, t={b[1]}): "
+                    "it has no parameter region")
+        if spec.region:
+            boundaries = [sample_region(spec.region, s) if b is None else b
+                          for s, b in zip(seeds, boundaries)]
+        insts = spec.sampler(especs)
     except InstanceError as exc:
         raise InstanceError(f"{name}: {exc}") from None
     except LinalgError as exc:
-        raise _linalg_failure(name, seed, n, m, exc) from None
-    inst.law = name
-    if boundary is not None:
-        inst.params["s"], inst.params["t"] = map(float, boundary)
-    return inst
+        raise _linalg_failure(name, seeds if chunk else seed, n, m,
+                              exc) from None
+    for inst, b in zip(insts, boundaries, strict=True):
+        inst.law = name
+        if b is not None:
+            inst.params["s"], inst.params["t"] = map(float, b)
+    return insts if chunk else insts[0]
 
 
 def check_law(name, instance, tol=DEFAULT_TOL):
@@ -292,26 +324,36 @@ def _pick_sigma(rng):
     return SIGMA_ROSTER[int(rng.integers(len(SIGMA_ROSTER)))]
 
 
-def _sample_pair(espec, **fields):
-    """An instance on one random pair A, B: stacks of one, from one draw."""
-    As, Bs = random_pd(espec, [[0], [1]])
-    return LawInstance(seed=espec.seed, n=espec.n, m=1, field=espec.field,
-                       As=As, Bs=Bs, **fields)
+def _no_fields(espec):
+    return {}
 
 
-def _sample_tuples(espec, **fields):
-    """An instance on random m-tuples A_j, B_j: stacks of m, from one draw."""
-    As, Bs = random_pd_tuple(espec, [0, 1])
-    return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                       field=espec.field, As=As, Bs=Bs, **fields)
+def _sample_pair(especs, fields=_no_fields):
+    """Instances on one random pair A, B each: stacks of one, from one draw
+    for all of them; ``fields(espec)`` gives each its other fields."""
+    draw = random_pd(especs, [[0], [1]])
+    return [LawInstance(seed=e.seed, n=e.n, m=1, field=e.field,
+                        As=draw[k, 0], Bs=draw[k, 1], **fields(e))
+            for k, e in enumerate(especs)]
 
 
-def _sample_sigma(espec, tag, draw):
-    """The matrices ``draw`` samples, with a roster mean sigma picked by the
-    law stream's generator ``tag``."""
-    sigma = _pick_sigma(seeded_rng(espec.seed, LAW_STREAM, tag))
-    return draw(espec, sigma=sigma,
-                params={"sigma": means.format_descriptor(sigma)})
+def _sample_tuples(especs, fields=_no_fields):
+    """Instances on random m-tuples A_j, B_j each: stacks of m, from one
+    draw for all of them; ``fields(espec)`` gives each its other fields."""
+    draw = random_pd_tuple(especs, [0, 1])
+    return [LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field,
+                        As=draw[k, 0], Bs=draw[k, 1], **fields(e))
+            for k, e in enumerate(especs)]
+
+
+def _sample_sigma(especs, tag, draw):
+    """The matrices ``draw`` samples, each instance with a roster mean sigma
+    picked by its law stream's generator ``tag``."""
+    def fields(espec):
+        sigma = _pick_sigma(seeded_rng(espec.seed, LAW_STREAM, tag))
+        return {"sigma": sigma,
+                "params": {"sigma": means.format_descriptor(sigma)}}
+    return draw(especs, fields)
 
 
 def _path_sums(ds, As, Bs):
@@ -349,17 +391,20 @@ def _region_st(inst):
 # mean-axioms: normalization, congruence equivariance, joint monotonicity
 # ---------------------------------------------------------------------------
 
-def _sample_mean_axioms(espec):
-    rng = seeded_rng(espec.seed, LAW_STREAM, 1)
-    (a, c), (b, d) = random_ordered_pair(espec, [0, 1])
-    xs, ys = random_pd(espec, [[2], [3]])
-    cmat = random_invertible(espec, 0)
-    sigma = _pick_sigma(rng)
-    return LawInstance(seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=xs, Bs=ys,
-                       sigma=sigma, ordered=((a, b), (c, d)),
-                       congruence=cmat,
-                       params={"sigma": means.format_descriptor(sigma)})
+def _sample_mean_axioms(especs):
+    lower, upper = random_ordered_pair(especs, [0, 1])
+    draw = random_pd(especs, [[2], [3]])
+    cmats = random_invertible(especs, 0)
+    insts = []
+    for k, e in enumerate(especs):
+        (a, c), (b, d) = lower[k], upper[k]
+        sigma = _pick_sigma(seeded_rng(e.seed, LAW_STREAM, 1))
+        insts.append(LawInstance(
+            seed=e.seed, n=e.n, m=1, field=e.field,
+            As=draw[k, 0], Bs=draw[k, 1], sigma=sigma,
+            ordered=((a, b), (c, d)), congruence=cmats[k],
+            params={"sigma": means.format_descriptor(sigma)}))
+    return insts
 
 
 def _check_mean_axioms(inst, tol):
@@ -431,13 +476,13 @@ def _check_geo_path_callebaut(inst, tol):
 # path-monotonicity: F(s) <= F(t) for s between t and 1-t
 # ---------------------------------------------------------------------------
 
-def _sample_path_monotonicity(espec):
+def _path_exponent(espec):
     rng = seeded_rng(espec.seed, LAW_STREAM, 5)
     # geometric path by default; occasionally a power path, which triggers
     # the dual-symmetry hypothesis test and is normally skipped
     use_power = bool(rng.integers(8) == 0)
     r = float(rng.uniform(-1.0, 1.0)) if use_power else 0.0
-    return _sample_tuples(espec, params={"r": r})
+    return {"params": {"r": r}}
 
 
 def _path_dual_symmetry_residual(r, t):
@@ -489,16 +534,19 @@ def callebaut_f(a, b, r, s):
                  np.sum(a ** (s - r) * b ** (s + r)))
 
 
-def _sample_scalar_callebaut(espec):
-    rng = seeded_rng(espec.seed, LAW_STREAM, 6)
-    half_log = 0.5 * np.log(espec.kappa_max)
-    a = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
-    b = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
-    r1, r2 = sorted(rng.uniform(0.0, 1.0, size=2))
-    sc = float(rng.uniform(0.0, 1.0))
-    return LawInstance(seed=espec.seed, n=1, m=espec.m, field="real",
-                       a_seq=a, b_seq=b,
-                       params={"r1": float(r1), "r2": float(r2), "sc": sc})
+def _sample_scalar_callebaut(especs):
+    insts = []
+    for e in especs:
+        rng = seeded_rng(e.seed, LAW_STREAM, 6)
+        half_log = 0.5 * np.log(e.kappa_max)
+        a = np.exp(rng.uniform(-half_log, half_log, size=e.m))
+        b = np.exp(rng.uniform(-half_log, half_log, size=e.m))
+        r1, r2 = sorted(rng.uniform(0.0, 1.0, size=2))
+        sc = float(rng.uniform(0.0, 1.0))
+        insts.append(LawInstance(
+            seed=e.seed, n=1, m=e.m, field="real", a_seq=a, b_seq=b,
+            params={"r1": float(r1), "r2": float(r2), "sc": sc}))
+    return insts
 
 
 def _check_scalar_callebaut(inst, tol):
@@ -522,10 +570,11 @@ def _check_scalar_callebaut(inst, tol):
 POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
-def _sample_power_lemma(espec):
-    return LawInstance(seed=espec.seed, n=espec.n, m=1,
-                       field=espec.field, As=random_pd(espec, [0]),
-                       params={"r_grid": list(POWER_LEMMA_GRID)})
+def _sample_power_lemma(especs):
+    draw = random_pd(especs, [0])
+    return [LawInstance(seed=e.seed, n=e.n, m=1, field=e.field, As=draw[k],
+                        params={"r_grid": list(POWER_LEMMA_GRID)})
+            for k, e in enumerate(especs)]
 
 
 def _check_power_lemma(inst, tol):
@@ -642,9 +691,10 @@ def _check_hadamard_callebaut(inst, tol):
 # hadamard-power: the averaged-powers corollary (B_j = I)
 # ---------------------------------------------------------------------------
 
-def _sample_hadamard_power(espec):
-    return LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                       field=espec.field, As=random_pd_tuple(espec, 0))
+def _sample_hadamard_power(especs):
+    draw = random_pd_tuple(especs, 0)
+    return [LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field, As=draw[k])
+            for k, e in enumerate(especs)]
 
 
 def _check_hadamard_power(inst, tol):
@@ -663,10 +713,9 @@ def _check_hadamard_power(inst, tol):
 # interpolation-identity: geodesic reparametrization of the geometric path
 # ---------------------------------------------------------------------------
 
-def _sample_interpolation_identity(espec):
+def _interpolation_params(espec):
     p, q, r = seeded_rng(espec.seed, LAW_STREAM, 7).uniform(0.0, 1.0, size=3)
-    return _sample_pair(
-        espec, params={"p": float(p), "q": float(q), "r": float(r)})
+    return {"params": {"p": float(p), "q": float(q), "r": float(r)}}
 
 
 def _check_interpolation_identity(inst, tol):
@@ -682,11 +731,11 @@ def _check_interpolation_identity(inst, tol):
 # path-axioms: endpoints, midpoint, interpolation midpoint, continuity
 # ---------------------------------------------------------------------------
 
-def _sample_path_axioms(espec):
+def _path_axioms_params(espec):
     rng = seeded_rng(espec.seed, LAW_STREAM, 8)
     r = float(rng.uniform(-1.0, 1.0))
     p, q = rng.uniform(0.0, 1.0, size=2)
-    return _sample_pair(espec, params={"r": r, "p": float(p), "q": float(q)})
+    return {"params": {"r": r, "p": float(p), "q": float(q)}}
 
 
 def _check_path_axioms(inst, tol):
@@ -736,7 +785,8 @@ register_law("sharp-identity",
 register_law("callebaut-operator",
              partial(_sample_sigma, tag=4, draw=_sample_tuples),
              _check_callebaut_operator)
-register_law("path-monotonicity", _sample_path_monotonicity,
+register_law("path-monotonicity",
+             partial(_sample_tuples, fields=_path_exponent),
              _check_path_monotonicity, region="between")
 register_law("geo-path-callebaut", _sample_tuples, _check_geo_path_callebaut,
              region="unit")
@@ -751,9 +801,11 @@ register_law("hadamard-callebaut", _sample_tuples, _check_hadamard_callebaut,
              n_cap=3, region="callebaut")
 register_law("hadamard-power", _sample_hadamard_power, _check_hadamard_power,
              region="unit")
-register_law("interpolation-identity", _sample_interpolation_identity,
+register_law("interpolation-identity",
+             partial(_sample_pair, fields=_interpolation_params),
              _check_interpolation_identity)
-register_law("path-axioms", _sample_path_axioms, _check_path_axioms)
+register_law("path-axioms", partial(_sample_pair, fields=_path_axioms_params),
+             _check_path_axioms)
 register_law("wada", partial(_sample_sigma, tag=9, draw=_sample_pair),
              _check_wada, n_cap=3)
 
@@ -767,33 +819,73 @@ def child_seed(master, law_index, trial):
 _NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
 
 
+def _chunks(requests):
+    """The trial indices of each chunk: the trials with equal requests, in
+    trial order, at most GROUP_TRIALS to a chunk; listed by first trial."""
+    open_chunks, chunks = {}, []
+    for k, request in enumerate(requests):
+        chunk = open_chunks.get(request)
+        if chunk is None or len(chunk) == GROUP_TRIALS:
+            chunk = open_chunks[request] = []
+            chunks.append(chunk)
+        chunk.append(k)
+    return chunks
+
+
 def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     """The report entry of ``trials`` trials of the ``law_index``-th law of
     a run.  Trial k samples at ``child_seed(seed, law_index, k)``, at the
     fixed n (else k % 6 + 1, capped at the law's n cap) and m (else
     k % 4 + 1), the law's region boundaries first; the entry records the
-    instance's n and m, and skip reasons with numbers blanked to '#'."""
+    instance's n and m, and skip reasons with numbers blanked to '#'.
+
+    The trials that request the same (n, m) are drawn together, in chunks
+    of at most GROUP_TRIALS, when the loop reaches a chunk's first trial;
+    each is checked at its turn.  A chunk whose draw raises is drawn again
+    one trial at a time, at each trial's turn, so that the first failing
+    trial raises the InstanceError it raises alone."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < SEED_LIMIT):
+        raise InstanceError(f"{name}: master seed must be an integer in "
+                            f"[0, 2**63), got {seed!r}")
     started = time.monotonic()
     n_cap = law_spec(name).n_cap
     boundaries = boundary_params(name)
+    seeds = [child_seed(seed, law_index, k) for k in range(trials)]
+    bounds = [boundaries[k] if k < len(boundaries) else None
+              for k in range(trials)]
+    requests = [(min(n if n is not None else k % 6 + 1, n_cap),
+                 m if m is not None else k % 4 + 1) for k in range(trials)]
+    chunks = {chunk[0]: chunk for chunk in _chunks(requests)
+              if len(chunk) > 1}
+    drawn = {}          # trial -> its instance, drawn with its chunk
     counts = Counter()
     skip_reasons = Counter()
     worst = None
     failing = []
     for k in range(trials):
-        cs = child_seed(seed, law_index, k)
-        boundary = boundaries[k] if k < len(boundaries) else None
-        inst = sample_instance(
-            name, n=min(n if n is not None else k % 6 + 1, n_cap),
-            m=m if m is not None else k % 4 + 1, fieldname=fieldname,
-            kappa_max=kappa_max, seed=cs, boundary=boundary)
+        rn, rm = requests[k]
+        if k in chunks:
+            chunk = chunks[k]
+            try:
+                drawn.update(zip(chunk, sample_instance(
+                    name, n=rn, m=rm, fieldname=fieldname,
+                    kappa_max=kappa_max, seed=[seeds[i] for i in chunk],
+                    boundary=[bounds[i] for i in chunk])))
+            except InstanceError:
+                pass    # its trials are drawn alone, each at its turn
+        inst = drawn.pop(k, None)
+        if inst is None:
+            inst = sample_instance(name, n=rn, m=rm, fieldname=fieldname,
+                                   kappa_max=kappa_max, seed=seeds[k],
+                                   boundary=bounds[k])
         result = check_law(name, inst, tol=tol)
         counts[result.status] += 1
         if result.skipped:
             skip_reasons[_NUMBER.sub("#", result.skip_reason)] += 1
             continue
-        trial = {"seed": cs, "n": inst.n, "m": inst.m,
-                 "boundary": list(boundary) if boundary else None}
+        trial = {"seed": seeds[k], "n": inst.n, "m": inst.m,
+                 "boundary": list(bounds[k]) if bounds[k] else None}
         if not result.holds:
             failing.append(trial)
         if worst is None or result.margin < worst["margin"]:

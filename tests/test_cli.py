@@ -612,9 +612,9 @@ def test_verify_trial_schedule(tmp_path, capsys):
     # boundaries, the instance holds the point sample_instance drew
     seen = []
 
-    def sample(espec):
-        return laws.LawInstance(seed=espec.seed, n=espec.n, m=espec.m,
-                                field=espec.field)
+    def sample(especs):
+        return [laws.LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field)
+                for e in especs]
 
     def check(inst, tol):
         seen.append((inst.seed, inst.n, inst.m,
@@ -645,6 +645,38 @@ def test_verify_trial_schedule(tmp_path, capsys):
     worst = json.loads(out.read_text())["laws"]["wada"]["worst"]
     assert (worst["seed"], worst["n"], worst["m"], worst["boundary"]) == (
         1470897737928615841, 2, 1, None)
+
+
+def test_parser_is_shared_by_successive_calls(tmp_path, capsys):
+    # main builds its parser once per process; parsing must leave it as it
+    # was, so a run of calls, a usage error among them, gives what each call
+    # gives on a parser of its own
+    out = str(tmp_path / "out")
+    calls = [
+        ("verify", "--laws", "wada,power-lemma", "--trials", "3", "--seed",
+         "4", "--n", "2"),
+        ("repro", "--law", "matrix-callebaut", "--seed", "2", "--n", "2"),
+        ("verify", "--laws", "wada", "--no-such-flag"),
+        ("repro", "--law", "wada", "--seed", "1", "--n", "2", "--m", "1",
+         "--tol", "1e-3", "--out", out),
+        ("sweep", "--law", "tensor-g", "--grid", "0:1:0.25", "--seed", "3",
+         "--out", out),
+        ("verify", "--laws", "hadamard-power", "--trials", "2", "--seed", "9"),
+    ]
+
+    def results(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            seen.append(run(capsys, *argv))
+        return seen
+
+    shared = results(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in shared[2][2]
+    assert shared == results(fresh=True)
 
 
 class TestFailurePath:

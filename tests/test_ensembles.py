@@ -98,6 +98,11 @@ class TestRandomPD:
         EnsembleSpec(n=2, m=TUPLE_STRIDE)
         with pytest.raises(ValueError):
             EnsembleSpec(n=2, m=TUPLE_STRIDE + 1)
+        # a seed of another type would draw the streams of int(seed)
+        for seed in (1.7, True, "1", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                EnsembleSpec(n=2, seed=seed)
+        assert EnsembleSpec(n=2, seed=np.uint64(2**63 - 1)).seed == 2**63 - 1
 
 
 class TestStackedDraws:
@@ -137,6 +142,38 @@ class TestStackedDraws:
             for j, (x, y) in enumerate(zip(whole, random_pd_tuple(spec, t))):
                 assert_same_bits(x, y)
                 assert_same_bits(x, draw_2d(spec, t * TUPLE_STRIDE + j))
+
+    # a chunk of trials is drawn as one stack over their specs, which
+    # differ only in seed; each slice must be the draw under its spec alone
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_chunk_draws_equal_single_draws(self, n, field):
+        specs = [EnsembleSpec(n=n, m=3, field=field, seed=seed)
+                 for seed in (0, 5, 2**62, 5)]
+        for draw, index in ((random_pd, [[0], [1]]), (random_pd, 3),
+                            (random_pd_tuple, [0, 1]), (random_pd_tuple, 0)):
+            whole = draw(specs, index)
+            assert whole.stack_shape == (4,) + draw(specs[0], index).stack_shape
+            for x, spec in zip(whole, specs):
+                assert_same_bits(x, draw(spec, index))
+        lower, upper = random_ordered_pair(specs, [0, 1])
+        cmats = random_invertible(specs, 0)
+        assert cmats.shape == (4, n, n)
+        for k, spec in enumerate(specs):
+            a, b = random_ordered_pair(spec, [0, 1])
+            assert_same_bits(lower[k], a)
+            assert_same_bits(upper[k], b)
+            assert cmats[k].tobytes() == random_invertible(spec, 0).tobytes()
+
+    @pytest.mark.parametrize("other", [{"n": 3}, {"m": 2}, {"field": "real"},
+                                       {"kappa_max": 10.0}])
+    def test_chunk_specs_differ_only_in_seed(self, other):
+        specs = [EnsembleSpec(n=2, seed=1),
+                 EnsembleSpec(**{"n": 2, "seed": 2, **other})]
+        for draw in (random_pd, random_pd_tuple, random_ordered_pair,
+                     random_invertible):
+            with pytest.raises(ValueError, match="differ only in seed"):
+                draw(specs, 0)
 
 
 class TestOrderedPair:

@@ -109,9 +109,11 @@ def test_boundary_outside_the_region_is_refused(law, boundary):
     ({"n": 2.5}, "dimension"), ({"n": None}, "dimension"),
     ({"n": True}, "dimension"), ({"n": "2"}, "dimension"),
     ({"m": 1.5}, "tuple length"), ({"m": False}, "tuple length"),
+    # int(1.7) and int(True) are 1: either would run seed 1's trial
+    ({"seed": 1.7}, "seed"), ({"seed": True}, "seed"),
 ], ids=["n=0", "n=-2", "m=0", "m=1001", "field", "kappa=nan", "kappa=inf",
         "kappa=0.5", "kappa=cap", "n=2.5", "n=None", "n=True", "n=str",
-        "m=1.5", "m=False"])
+        "m=1.5", "m=False", "seed=1.7", "seed=True"])
 def test_bad_ensemble_setting_is_refused(setting, named):
     request = dict(n=2, m=1, fieldname="complex", kappa_max=1e4, seed=1)
     with pytest.raises(InstanceError, match=f"^superadditivity: {named}"):
@@ -156,8 +158,9 @@ def test_check_refuses_a_point_outside_the_region(name):
 
 def test_numpy_integer_n_and_m_are_taken():
     inst = sample_instance("superadditivity", n=np.int64(2), m=np.int32(3),
-                           fieldname="complex", kappa_max=1e4, seed=1)
-    assert (inst.n, inst.m) == (2, 3)
+                           fieldname="complex", kappa_max=1e4,
+                           seed=np.uint64(1))
+    assert (inst.n, inst.m, inst.seed) == (2, 3, 1)
 
 
 def test_failed_linear_algebra_names_the_instance():
@@ -177,8 +180,8 @@ def test_failed_sampling_names_the_request():
     # no instance exists yet, so the message names what was asked for; a
     # kappa_max at which random_pd could fail is refused up front, so this
     # sampler fails on a matrix of its own
-    def sample(espec):
-        return PDMatrix(np.diag([1.0, -1.0, 1.0]))
+    def sample(especs):
+        return [PDMatrix(np.diag([1.0, -1.0, 1.0]))]
 
     laws.register_law("failing-sampler", sample, laws.law_spec("wada").check)
     try:
@@ -485,3 +488,119 @@ def test_register_law_extends_catalog():
         assert check_law("sharp-identity-copy", inst).holds
     finally:
         del laws._LAWS["sharp-identity-copy"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 5, 1.5, True, "3"])
+def test_run_law_refuses_a_master_seed_outside_its_range(seed, monkeypatch):
+    # refused before any trial is drawn, not in numpy's SeedSequence
+    def draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(laws, "sample_instance", draw)
+    with pytest.raises(InstanceError, match=r"^wada: master seed must be an "
+                       r"integer in \[0, 2\*\*63\)"):
+        laws.run_law("wada", 0, seed, 1, None, None, "complex", 1e4, 1e-8)
+
+
+def recorded_run(monkeypatch, name, law_index, trials, n, m):
+    """run_law's report entry, the seeds of each sample_instance call it
+    made, and (instance, result) of each trial it checked, in order."""
+    draws, checked = [], []
+    sample, check = laws.sample_instance, laws.check_law
+
+    def recording_sample(*args, **kwargs):
+        seed = kwargs["seed"]
+        draws.append(list(seed) if isinstance(seed, list) else [seed])
+        return sample(*args, **kwargs)
+
+    def recording_check(law, inst, tol):
+        result = check(law, inst, tol=tol)
+        checked.append((inst, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "sample_instance", recording_sample)
+        patch.setattr(laws, "check_law", recording_check)
+        entry = laws.run_law(name, law_index, 7, trials, n, m, "complex", 1e4,
+                             laws.DEFAULT_TOL)
+    return entry, draws, checked
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+@pytest.mark.parametrize("trials, n, m", [(14, None, None), (70, 2, 3)],
+                         ids=["cycle", "fixed"])
+def test_run_law_trials_replay_alone(name, trials, n, m, monkeypatch):
+    # run_law draws each (n, m) group's trials together, 64 to a chunk at
+    # most; every trial it checks is the one sample_instance gives alone,
+    # at its own seed, with the same margin and status to the last bit
+    law_index = laws.law_names().index(name)
+    entry, draws, checked = recorded_run(monkeypatch, name, law_index,
+                                         trials, n, m)
+    seeds = [laws.child_seed(7, law_index, k) for k in range(trials)]
+    assert [inst.seed for inst, _ in checked] == seeds
+    assert sorted(s for seeds_drawn in draws for s in seeds_drawn) == sorted(
+        seeds)
+    if n is not None:       # every trial requests (2, 3): chunks of 64 and 6
+        assert [len(d) for d in draws] == [laws.GROUP_TRIALS,
+                                           trials - laws.GROUP_TRIALS]
+    else:                   # trials k and k + 12 request the same (n, m)
+        assert max(len(d) for d in draws) >= 2
+    boundaries = laws.boundary_params(name)
+    for k, (inst, result) in enumerate(checked):
+        alone = sample_instance(
+            name, n=inst.n, m=inst.m, fieldname="complex", kappa_max=1e4,
+            seed=inst.seed, boundary=boundaries[k] if k < len(boundaries)
+            else None)
+        replay = check_law(name, alone)
+        assert (replay.status, replay.margin) == (result.status,
+                                                  result.margin), (k, name)
+        assert inst.params == alone.params
+    assert entry["passes"] + entry["fails"] + entry["skips"] == trials
+
+
+def probe_law(monkeypatch, bad_draws, bad_checks):
+    """Register "probe", wada with a sampler that fails on the seeds of
+    ``bad_draws`` and a check that fails on those of ``bad_checks``; the
+    list of the seeds checked, in order."""
+    wada = laws.law_spec("wada")
+    checked = []
+
+    def sample(especs):
+        for e in especs:
+            if e.seed in bad_draws:
+                PDMatrix(np.diag([1.0, -1.0]))
+        return wada.sampler(especs)
+
+    def check(inst, tol):
+        checked.append(inst.seed)
+        if inst.seed in bad_checks:
+            raise linalg.NotPositiveDefiniteError("probe check")
+        return wada.check(inst, tol)
+
+    monkeypatch.setitem(laws._LAWS, "probe", laws.LawSpec(sample, check,
+                                                          n_cap=3))
+    return checked
+
+
+@pytest.mark.parametrize("bad_draws, bad_checks", [
+    ({3, 7}, set()), ({7}, {3}), ({3}, {7}), ({0, 1}, set())])
+def test_failing_chunk_names_the_first_failing_trial(bad_draws, bad_checks,
+                                                     monkeypatch):
+    # trial k's seed; every trial requests (2, 1), so one chunk holds all ten
+    seeds = [laws.child_seed(5, 0, k) for k in range(10)]
+    bad_draws = {seeds[k] for k in bad_draws}
+    bad_checks = {seeds[k] for k in bad_checks}
+
+    def failure(group_trials):
+        checked = probe_law(monkeypatch, bad_draws, bad_checks)
+        monkeypatch.setattr(laws, "GROUP_TRIALS", group_trials)
+        with pytest.raises(InstanceError) as exc:
+            laws.run_law("probe", 0, 5, 10, 2, 1, "complex", 1e4, 1e-8)
+        return str(exc.value), checked
+
+    chunked, alone = failure(64), failure(1)   # a chunk of one is a trial
+    assert chunked == alone
+    first = min(k for k, s in enumerate(seeds) if s in bad_draws | bad_checks)
+    assert chunked[0].startswith(f"probe: trial seed={seeds[first]} n=2 m=1 "
+                                 f"failed in linear algebra")
+    assert chunked[1] == seeds[:first + (seeds[first] in bad_checks)]
