@@ -12,19 +12,28 @@ A law is declared once, by ``register_law(name, sampler, check)``:
   law and, for a law with a parameter region, records the point (s, t) it
   drew, or the recorded boundary point it was given, as ``params["s"]``
   and ``params["t"]``.
-- ``check(instance, tol)`` returns the links of the law's chain, or raises
-  ``Skip`` when the instance fails a hypothesis of the law.
+- ``check(insts, tol)`` takes a chunk of instances of the law with one n,
+  m and field, and returns one entry per instance, in order: the tuple of
+  the links of its chain, or a ``Skip`` whose message says which
+  hypothesis of the law the instance fails.  It does its linear algebra
+  once for the whole chunk, on stacks with a trial axis: the instances'
+  ``As`` and ``Bs`` stacked with the trial axis leading, chain members
+  with the trial axis second, and one ``loewner_leq`` for all the links.
+  A per-trial parameter (sigma, s, t, r, p, q) goes in as a
+  ``linalg.PerSlice``, so each trial's spectral functions take its own
+  scalars and every trial gets the bits it gets in a chunk of one.
 
 Every link is decided by one pass rule, ``LoewnerVerdict.judge``: an
 inequality A <= B by the margin lambda_min(B - A) at the scale
 ||A||_2 + ||B||_2, an identity X = Y by the margin -residual (relative
 Frobenius) at scale 0, which holds exactly when the residual is at most the
-tolerance.  ``check_law`` builds the trial's ``CheckResult``; a trial
-passes iff every link holds.
+tolerance.  ``check_chunk`` builds each trial's ``CheckResult``, and
+``check_law`` is its chunk of one; a trial passes iff every link holds.
 
 ``run_law`` owns a law's trial schedule and returns its report entry; it
-draws the trials that request the same (n, m) together, in chunks of at
-most ``GROUP_TRIALS``, and checks them one at a time in trial order.
+draws and checks the trials that request the same (n, m) together, in
+chunks of at most ``GROUP_TRIALS``, and counts their results in trial
+order.
 ``InstanceError`` is raised for a request the law refuses, and for a trial
 beyond what the float checks support: one whose linear algebra fails, named
 by its law, seed, n and m so that ``repro`` replays it.
@@ -50,6 +59,7 @@ from .linalg import (
     LinalgError,
     LoewnerVerdict,
     PDMatrix,
+    PerSlice,
     congruence,
     hadamard,
     kron,
@@ -94,15 +104,15 @@ class InstanceError(Exception):
 def _linalg_failure(law, seed, n, m, exc):
     """The InstanceError of a trial whose linear algebra failed (a power
     that squares a large kappa_max past the condition cap, say), or of the
-    trials of a list of seeds drawn together."""
+    trials of a list of seeds drawn or checked together."""
     trial = "trials" if isinstance(seed, list) else "trial"
     return InstanceError(f"{law}: {trial} seed={seed} n={n} m={m} failed in "
                          f"linear algebra: {type(exc).__name__}: {exc}")
 
 
 class Skip(Exception):
-    """Raised by a check whose instance fails a hypothesis of its law: the
-    trial is skipped, with the message as its reason."""
+    """A check's entry for an instance that fails a hypothesis of its law:
+    the trial is skipped, with the message as its reason."""
 
 
 @dataclass(frozen=True)
@@ -173,8 +183,9 @@ _LAWS = {}
 
 def register_law(name, sampler, check, n_cap=6, region=None):
     """Register a law; one with a parameter ``region`` samples at a point
-    (s, t) of it.  ``sampler(especs)`` returns one instance per spec, in
-    order (see the module docstring)."""
+    (s, t) of it.  ``sampler(especs)`` returns one instance per spec, and
+    ``check(insts, tol)`` one entry per instance, in order (see the module
+    docstring)."""
     _LAWS[name] = LawSpec(sampler=sampler, check=check,
                           n_cap=n_cap, region=region)
 
@@ -252,55 +263,116 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     return insts if chunk else insts[0]
 
 
-def check_law(name, instance, tol=DEFAULT_TOL):
-    """The trial's result: the links of the law's check, or its skip."""
+def check_chunk(name, insts, tol=DEFAULT_TOL):
+    """The results of a chunk of trials, instances of one law, n, m and
+    field, from one call of the law's check, in order.  A failed linear
+    algebra names the chunk's seeds, and a trial whose check returned no
+    link is refused, by its seed."""
     spec = law_spec(name)
-    if instance.law != name:
-        raise InstanceError(
-            f"instance was sampled for {instance.law!r}, not {name!r}"
-        )
+    first = insts[0]
+    for inst in insts:
+        if inst.law != name:
+            raise InstanceError(
+                f"instance was sampled for {inst.law!r}, not {name!r}")
+        if (inst.n, inst.m, inst.field) != (first.n, first.m, first.field):
+            raise InstanceError(f"{name}: a chunk holds instances of one n, "
+                                f"m and field")
     try:
-        links = tuple(spec.check(instance, tol))
-    except Skip as exc:
-        return CheckResult((), skipped=True, skip_reason=str(exc))
+        entries = list(spec.check(insts, tol))
     except LinalgError as exc:
-        raise _linalg_failure(name, instance.seed, instance.n, instance.m,
-                              exc) from None
-    if not links:
-        # a trial that checks nothing is no pass
-        raise InstanceError(f"{name}: trial seed={instance.seed} "
-                            f"n={instance.n} m={instance.m} checked no link")
-    return CheckResult(links)
+        seed = first.seed if len(insts) == 1 else [i.seed for i in insts]
+        raise _linalg_failure(name, seed, first.n, first.m, exc) from None
+    if len(entries) != len(insts):
+        raise InstanceError(f"{name}: check gave {len(entries)} results for "
+                            f"{len(insts)} trials")
+    results = []
+    for inst, entry in zip(insts, entries):
+        if isinstance(entry, Skip):
+            results.append(CheckResult((), skipped=True,
+                                       skip_reason=str(entry)))
+            continue
+        links = tuple(entry)
+        if not links:
+            # a trial that checks nothing is no pass
+            raise InstanceError(f"{name}: trial seed={inst.seed} "
+                                f"n={inst.n} m={inst.m} checked no link")
+        results.append(CheckResult(links))
+    return results
+
+
+def check_law(name, instance, tol=DEFAULT_TOL):
+    """The trial's result, the links of the law's check or its skip: the
+    chunk of one instance."""
+    return check_chunk(name, [instance], tol)[0]
+
+
+def _stacks(insts):
+    """The chunk's tuples As and Bs as two stacks, the trial axis leading."""
+    return (stack([inst.As for inst in insts]),
+            stack([inst.Bs for inst in insts]))
+
+
+def _pairs(insts):
+    """The single pairs A, B of a chunk of pair instances, as two stacks
+    over its trials."""
+    As, Bs = _stacks(insts)
+    return As[:, 0], Bs[:, 0]
+
+
+def _each(insts, key):
+    """The chunk's parameter ``key``, trial by trial."""
+    return PerSlice(inst.params[key] for inst in insts)
+
+
+def _sigmas(insts):
+    return PerSlice(inst.sigma for inst in insts)
+
+
+def _duals(ds):
+    return PerSlice(map(means.dual, ds))
+
+
+def _join(*parts):
+    """Trial by trial, the links of several parts of a check, in order."""
+    return [sum(links, ()) for links in zip(*parts, strict=True)]
 
 
 def _links(labels, values, pairs, tol):
-    """The links values[i] <= values[j], one per label and index pair (i, j),
-    from one stacked Loewner comparison; one eigendecomposition of the
-    stack, which its slices share, gives every norm."""
+    """Trial by trial, the links values[i, k] <= values[j, k] of trial k,
+    one per label and index pair (i, j), from one stacked Loewner
+    comparison of the whole chunk.  ``values`` is a stack of chain members
+    with the trial axis second; one eigendecomposition of it, which its
+    slices share, gives every norm."""
     values.decomposition()
+    trials = values.stack_shape[1]
     if not pairs:
-        return ()
+        return [()] * trials
     lo, hi = (list(side) for side in zip(*pairs))
-    verdicts = loewner_leq(values[lo], values[hi], tol)
-    return tuple(Link(label, v)
-                 for label, v in zip(labels, verdicts, strict=True))
+    verdicts = loewner_leq(values[lo], values[hi], tol)   # pair-major
+    links = [Link(label, v) for label, v in zip(
+        (label for label in labels for _ in range(trials)), verdicts,
+        strict=True)]
+    return [tuple(links[k::trials]) for k in range(trials)]
 
 
 def _chain(labels, members, tol):
-    """The links members[i] <= members[i+1] between neighbouring matrices
-    of a stack, one per label."""
+    """Trial by trial, the links members[i] <= members[i+1] between
+    neighbouring members of a stack, one per label."""
     return _links(labels, members, [(i, i + 1) for i in range(len(labels))],
                   tol)
 
 
-def _residual_link(label, residual, tol):
-    """An identity link: the margin -residual at scale 0, which holds
-    exactly when the residual is at most tol."""
-    return Link(label, LoewnerVerdict.judge(-residual, 0.0, tol))
+def _residual_links(label, residuals, tol):
+    """Trial by trial, the identity link of each residual: the margin
+    -residual at scale 0, which holds exactly when the residual is at most
+    tol."""
+    return [(Link(label, LoewnerVerdict.judge(-r, 0.0, tol)),)
+            for r in residuals]
 
 
 def _eq(label, X, Y, tol=EQUALITY_TOL):
-    return _residual_link(label, rel_residual(X, Y), tol)
+    """Trial by trial, the identity link X = Y of stacks over the trials."""
+    return _residual_links(label, rel_residual(X, Y), tol)
 
 
 def _scalar_ineq(label, lo, hi):
@@ -369,8 +441,14 @@ def _sums(As, Bs):
 
 def _pair(u, r=0.0):
     """The points u and 1-u of the interpolation path of exponent r (the
-    geodesic #_u for r = 0), whose path sums are S(u) and S(1-u)."""
-    return means.power_path(r, u), means.power_path(r, 1.0 - u)
+    geodesic #_u for r = 0), whose path sums are S(u) and S(1-u); for a
+    PerSlice u, and r one number or a PerSlice, a PerSlice of each, trial
+    k at its own u and r."""
+    if not isinstance(u, PerSlice):
+        return means.power_path(r, u), means.power_path(r, 1.0 - u)
+    rs = r if isinstance(r, PerSlice) else [r] * len(u)
+    return (PerSlice(map(means.power_path, rs, u)),
+            PerSlice(means.power_path(x, 1.0 - v) for x, v in zip(rs, u)))
 
 
 def _tensor_sum(x, y):
@@ -378,13 +456,15 @@ def _tensor_sum(x, y):
     return kron(x, y) + kron(y, x)
 
 
-def _region_st(inst):
-    """The instance's (s, t), which must lie in its law's parameter region."""
-    region = law_spec(inst.law).region
-    s, t = inst.params["s"], inst.params["t"]
-    if not REGIONS[region](s, t):
-        raise InstanceError(f"(s={s}, t={t}) outside the {region} region")
-    return s, t
+def _region_st(insts):
+    """The chunk's points (s, t), a PerSlice of each coordinate; every one
+    must lie in its law's parameter region."""
+    region = law_spec(insts[0].law).region
+    for inst in insts:
+        s, t = inst.params["s"], inst.params["t"]
+        if not REGIONS[region](s, t):
+            raise InstanceError(f"(s={s}, t={t}) outside the {region} region")
+    return _each(insts, "s"), _each(insts, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -407,31 +487,36 @@ def _sample_mean_axioms(especs):
     return insts
 
 
-def _check_mean_axioms(inst, tol):
-    d = inst.sigma
-    eye = PDMatrix.identity(inst.n)
-    x, y = inst.As[0], inst.Bs[0]
-    c = inst.congruence
-    (a, b), (cc, dd) = inst.ordered
-    # I s I, x s y, (C*xC) s (C*yC), A s C and B s D in one call
-    values = means.mean(
-        d, stack([eye, x, PDMatrix(congruence(c, x)), a, b]),
-        stack([eye, y, PDMatrix(congruence(c, y)), cc, dd]))
-    unit, xy, cxy, _, _ = values
-    return (_eq("normalization", unit, HermitianMatrix.identity(inst.n),
-                tol=1e-13),
-            _eq("congruence-equivariance", congruence(c, xy), cxy),
-            *_links(("joint-monotonicity",), values, [(3, 4)], tol))
+def _check_mean_axioms(insts, tol):
+    n = insts[0].n
+    x, y = _pairs(insts)
+    c = np.stack([inst.congruence for inst in insts])
+    a, b, cc, dd = (stack([inst.ordered[i][j] for inst in insts])
+                    for i in (0, 1) for j in (0, 1))
+    eye = stack([PDMatrix.identity(n)] * len(insts))
+    cx, cy = PDMatrix(congruence(c, stack([x, y])))
+    # I s I, x s y, (C*xC) s (C*yC), A s C and B s D of each trial, the
+    # trial axis leading, in one call
+    values = means.mean(_sigmas(insts), stack([eye, x, cx, a, b], axis=1),
+                        stack([eye, y, cy, cc, dd], axis=1))
+    return _join(
+        _eq("normalization", values[:, 0], HermitianMatrix.identity(n),
+            tol=1e-13),
+        _eq("congruence-equivariance", congruence(c, values[:, 1]),
+            values[:, 2]),
+        _chain(("joint-monotonicity",), stack([values[:, 3], values[:, 4]]),
+               tol))
 
 
 # ---------------------------------------------------------------------------
 # superadditivity: sum of means <= mean of sums
 # ---------------------------------------------------------------------------
 
-def _check_superadditivity(inst, tol):
-    d = inst.sigma
-    (lhs,) = _path_sums([d], inst.As, inst.Bs)
-    rhs = means.mean(d, *_sums(inst.As, inst.Bs))
+def _check_superadditivity(insts, tol):
+    d = _sigmas(insts)
+    As, Bs = _stacks(insts)
+    (lhs,) = _path_sums([d], As, Bs)
+    rhs = means.mean(d, *_sums(As, Bs))
     return _chain(("superadditivity",), stack([lhs, rhs]), tol)
 
 
@@ -439,11 +524,11 @@ def _check_superadditivity(inst, tol):
 # sharp-identity: (A sigma B) # (A sigma-dual B) = A # B
 # ---------------------------------------------------------------------------
 
-def _check_sharp_identity(inst, tol):
-    d = inst.sigma
-    x, y, sharp = means.mean((d, means.dual(d), means.geometric()),
-                             inst.As[0], inst.Bs[0])
-    return (_eq("sharp-identity", means.geomean(x, y), sharp),)
+def _check_sharp_identity(insts, tol):
+    d = _sigmas(insts)
+    x, y, sharp = means.mean((d, _duals(d), means.geometric()),
+                             *_pairs(insts))
+    return _eq("sharp-identity", means.geomean(x, y), sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +544,17 @@ def _outer_links(As, Bs, pair, tol):
     return _chain(("lower-link", "upper-link"), stack([lo, mid, hi]), tol)
 
 
-def _check_callebaut_operator(inst, tol):
-    d = inst.sigma
-    return _outer_links(inst.As, inst.Bs, (d, means.dual(d)), tol)
+def _check_callebaut_operator(insts, tol):
+    d = _sigmas(insts)
+    return _outer_links(*_stacks(insts), (d, _duals(d)), tol)
 
 
 # ---------------------------------------------------------------------------
 # geo-path-callebaut: the weighted-geometric specialization
 # ---------------------------------------------------------------------------
 
-def _check_geo_path_callebaut(inst, tol):
-    return _outer_links(inst.As, inst.Bs, _pair(_region_st(inst)[0]), tol)
+def _check_geo_path_callebaut(insts, tol):
+    return _outer_links(*_stacks(insts), _pair(_region_st(insts)[0]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -492,26 +577,28 @@ def _path_dual_symmetry_residual(r, t):
                                   np.geomspace(0.1, 10.0, 9))
 
 
-def _check_path_monotonicity(inst, tol):
-    s, t = _region_st(inst)
-    r = inst.params["r"]
-    hyp = max(_path_dual_symmetry_residual(r, u) for u in (t, s, 0.25))
-    if hyp > EQUALITY_TOL:
-        raise Skip(f"dual-symmetry hypothesis fails for r={r} "
-                   f"(residual {hyp:.3e})")
-    return (_path_monotonicity_link(inst, s, t, tol),)
+def _check_path_monotonicity(insts, tol):
+    entries = []
+    for inst, s, t in zip(insts, *_region_st(insts)):
+        r = inst.params["r"]
+        hyp = max(_path_dual_symmetry_residual(r, u) for u in (t, s, 0.25))
+        entries.append(None if hyp <= EQUALITY_TOL else Skip(
+            f"dual-symmetry hypothesis fails for r={r} "
+            f"(residual {hyp:.3e})"))
+    kept = [inst for inst, entry in zip(insts, entries) if entry is None]
+    links = iter(_path_monotonicity_links(kept, tol) if kept else ())
+    return [next(links) if entry is None else entry for entry in entries]
 
 
-def _path_monotonicity_link(inst, s, t, tol):
-    """F(s) <= F(t) for F(u) = S(u) # S(1-u), with S the path sums of the
-    instance's exponent r; a theorem only where the dual-symmetry
-    hypothesis holds."""
-    ss, s1, ts, t1 = _path_sums((*_pair(s, inst.params["r"]),
-                                 *_pair(t, inst.params["r"])),
-                                inst.As, inst.Bs)
-    (link,) = _chain(("path-monotonicity",),
-                     means.geomean(stack([ss, ts]), stack([s1, t1])), tol)
-    return link
+def _path_monotonicity_links(insts, tol):
+    """Trial by trial, the link F(s) <= F(t) for F(u) = S(u) # S(1-u), with
+    S the path sums of the instance's exponent r; a theorem only where the
+    dual-symmetry hypothesis holds."""
+    s, t, r = (_each(insts, key) for key in "str")
+    ss, s1, ts, t1 = _path_sums((*_pair(s, r), *_pair(t, r)),
+                                *_stacks(insts))
+    return _chain(("path-monotonicity",),
+                  means.geomean(stack([ss, ts]), stack([s1, t1])), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +636,20 @@ def _sample_scalar_callebaut(especs):
     return insts
 
 
-def _check_scalar_callebaut(inst, tol):
-    p = inst.params
-    s, t = _region_st(inst)
-    v0, v1, v2, v3 = scalar_callebaut_chain(inst.a_seq, inst.b_seq, s, t)
-    return (
-        _scalar_ineq("geometric-vs-s", v0, v1),
-        _scalar_ineq("s-vs-t", v1, v2),
-        _scalar_ineq("t-vs-cauchy-schwarz", v2, v3),
-        _scalar_ineq("r-monotonicity",
-                     callebaut_f(inst.a_seq, inst.b_seq, p["r1"], p["sc"]),
-                     callebaut_f(inst.a_seq, inst.b_seq, p["r2"], p["sc"])),
-    )
+def _check_scalar_callebaut(insts, tol):
+    # trial by trial: scalar products share no linear algebra, and each
+    # trial's exponents are its own scalars
+    entries = []
+    for inst, s, t in zip(insts, *_region_st(insts)):
+        p, a, b = inst.params, inst.a_seq, inst.b_seq
+        v0, v1, v2, v3 = scalar_callebaut_chain(a, b, s, t)
+        entries.append((
+            _scalar_ineq("geometric-vs-s", v0, v1),
+            _scalar_ineq("s-vs-t", v1, v2),
+            _scalar_ineq("t-vs-cauchy-schwarz", v2, v3),
+            _scalar_ineq("r-monotonicity", callebaut_f(a, b, p["r1"], p["sc"]),
+                         callebaut_f(a, b, p["r2"], p["sc"]))))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +666,23 @@ def _sample_power_lemma(especs):
             for k, e in enumerate(especs)]
 
 
-def _check_power_lemma(inst, tol):
-    rs = list(inst.params["r_grid"])
+def _check_power_lemma(insts, tol):
+    rs = list(insts[0].params["r_grid"])
+    if any(list(inst.params["r_grid"]) != rs for inst in insts):
+        raise InstanceError("the instances of a chunk differ in r_grid")
+    a = stack([inst.As for inst in insts])[:, 0]
     # A^r + A^-r as one stack: the bound (r = 1), the grid, and the
     # degenerate endpoints r = 0, which collapses to 2I, and r = 1, which
     # collapses to the bound
     exps = [1.0, *rs, 0.0, 1.0]
-    sums = power(inst.As[0], exps) + power(inst.As[0], [-x for x in exps])
+    sums = power(a, exps) + power(a, [-x for x in exps])
     linked = sums[:-2]
-    return (*_links([f"r={r:g}" for r in rs], linked,
-                    [(k, 0) for k in range(1, len(rs) + 1)], tol),
-            _eq("r0-degenerate", sums[-2],
-                2.0 * HermitianMatrix.identity(inst.n)),
-            _eq("r1-degenerate", sums[-1], linked[0]))
+    return _join(
+        _links([f"r={r:g}" for r in rs], linked,
+               [(k, 0) for k in range(1, len(rs) + 1)], tol),
+        _eq("r0-degenerate", sums[-2],
+            2.0 * HermitianMatrix.identity(insts[0].n)),
+        _eq("r1-degenerate", sums[-1], linked[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +703,12 @@ def vshape_grid(lo, hi, pivot):
 
 
 def _vshape_links(grid, values, pivot, tol):
-    """Loewner links between neighbouring points of a curve with its minimum
-    at the pivot: decreasing left of it, increasing right of it.  One entry
-    per neighbouring pair; None for the pair that straddles the pivot.
-    ``values`` is the stack of the curve's values; one eigendecomposition
-    of it gives every norm, and one of the stacked differences every
-    margin."""
+    """Trial by trial, the Loewner links between neighbouring points of a
+    curve with its minimum at the pivot: decreasing left of it, increasing
+    right of it.  One entry per neighbouring pair; None for the pair that
+    straddles the pivot.  ``values`` is the stack of the curve's values,
+    one per point and trial; one eigendecomposition of it gives every norm,
+    and one of the stacked differences every margin."""
     labels, pairs = [], []      # pair (i, j) checks values[i] <= values[j]
     for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
         if t1 <= pivot + 1e-12:
@@ -626,17 +719,22 @@ def _vshape_links(grid, values, pivot, tol):
             pairs.append((i, i + 1))
         else:
             labels.append(None)
-    links = iter(_links([x for x in labels if x is not None], values, pairs,
-                        tol))
-    return [None if label is None else next(links) for label in labels]
+    out = []
+    for links in _links([x for x in labels if x is not None], values, pairs,
+                        tol):
+        links = iter(links)
+        out.append([None if label is None else next(links)
+                    for label in labels])
+    return out
 
 
-def _check_tensor(inst, tol):
+def _check_tensor(insts, tol):
     """The law's SWEEPS curve over its V-shaped grid, linked pairwise."""
-    sw = SWEEPS[inst.law]
+    sw = SWEEPS[insts[0].law]
     grid = vshape_grid(*sw.domain, sw.pivot)
-    links = _vshape_links(grid, sw.evaluator(inst, grid), sw.pivot, tol)
-    return [link for link in links if link is not None]
+    return [tuple(link for link in links if link is not None)
+            for links in _vshape_links(grid, sw.evaluator(insts, grid),
+                                       sw.pivot, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +745,8 @@ def callebaut_sums(As, Bs, s, t):
     """The sums both matrix Callebaut chains are built from, each evaluated
     once, as two stacks X and Y whose slices pair up: sum_j A_j # B_j with
     itself, S(s) with S(1-s), S(t) with S(1-t), and sum A_j with sum B_j,
-    where S(u) = sum_j A_j #_u B_j."""
+    where S(u) = sum_j A_j #_u B_j.  For stacks of tuples with the trial
+    axis leading, s and t are PerSlices, one point per trial."""
     sharp, ss, s1, ts, t1 = _path_sums(
         (means.geometric(), *_pair(s), *_pair(t)), As, Bs)
     sa, sb = _sums(As, Bs)
@@ -664,8 +763,8 @@ def matrix_callebaut_members(As, Bs, s, t):
 _CHAIN_LABELS = ("geometric-vs-s", "s-vs-t", "t-vs-outer")
 
 
-def _check_matrix_callebaut(inst, tol):
-    members = matrix_callebaut_members(inst.As, inst.Bs, *_region_st(inst))
+def _check_matrix_callebaut(insts, tol):
+    members = matrix_callebaut_members(*_stacks(insts), *_region_st(insts))
     return _chain(_CHAIN_LABELS, members, tol)
 
 
@@ -674,17 +773,17 @@ def _check_matrix_callebaut(inst, tol):
 # the principal submatrix of the tensor chain
 # ---------------------------------------------------------------------------
 
-def _check_hadamard_callebaut(inst, tol):
-    sums = callebaut_sums(inst.As, inst.Bs, *_region_st(inst))
+def _check_hadamard_callebaut(insts, tol):
+    sums = callebaut_sums(*_stacks(insts), *_region_st(insts))
     h = hadamard(*sums)
     # derivation route: twice each Hadamard member is the principal
     # submatrix of the corresponding tensor chain member, built from the
     # same sums
     residuals = rel_residual(
-        2.0 * h, kron_diagonal_block(_tensor_sum(*sums), inst.n))
-    return _chain(_CHAIN_LABELS, h, tol) + tuple(
-        _residual_link(f"submatrix-consistency-{i}", float(r), SUBMATRIX_TOL)
-        for i, r in enumerate(residuals))
+        2.0 * h, kron_diagonal_block(_tensor_sum(*sums), insts[0].n))
+    return _join(_chain(_CHAIN_LABELS, h, tol), *(
+        _residual_links(f"submatrix-consistency-{i}", r, SUBMATRIX_TOL)
+        for i, r in enumerate(residuals)))
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +796,21 @@ def _sample_hadamard_power(especs):
             for k, e in enumerate(especs)]
 
 
-def _check_hadamard_power(inst, tol):
-    _, t = _region_st(inst)
-    avg = 1.0 / len(inst.As)
+def _check_hadamard_power(insts, tol):
+    _, t = _region_st(insts)
+    As = stack([inst.As for inst in insts])
+    m, n = As.stack_shape[1], As.n
+    avg = 1.0 / m
     # the averages of A_j^{1/2}, A_j^t and A_j^{1-t}, as a stack
-    p_half, p_t, p_1t = pd_sum(power(inst.As, [0.5, t, 1.0 - t])) * avg
-    diag_part = HermitianMatrix(
-        sum(np.diag(np.diagonal(a)) for a in inst.As.array) * avg)
+    p_half, p_t, p_1t = pd_sum(power(
+        As, [0.5, t, PerSlice(1.0 - x for x in t)])) * avg
+    # the average of the diagonal parts diag(A_j), summed in order of j
+    diagonals = np.diagonal(As.array, axis1=-2, axis2=-1)
+    diag_part = np.zeros((len(insts), n, n), dtype=np.complex128)
+    diag_part[:, range(n), range(n)] = sum(
+        diagonals[:, j] for j in range(m)) * avg
     products = hadamard(stack([p_half, p_t]), stack([p_half, p_1t]))
-    members = stack([*products, diag_part])
+    members = stack([*products, HermitianMatrix(diag_part)])
     return _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol)
 
 
@@ -718,13 +823,13 @@ def _interpolation_params(espec):
     return {"params": {"p": float(p), "q": float(q), "r": float(r)}}
 
 
-def _check_interpolation_identity(inst, tol):
-    p, q, r = inst.params["p"], inst.params["q"], inst.params["r"]
-    x, y, rhs = means.mean([means.weighted_geometric(u)
-                            for u in (p, q, (1.0 - r) * p + r * q)],
-                           inst.As[0], inst.Bs[0])
-    lhs = means.mean(means.weighted_geometric(r), x, y)
-    return (_eq("reparametrization", lhs, rhs),)
+def _check_interpolation_identity(insts, tol):
+    p, q, r = (_each(insts, key) for key in "pqr")
+    mid = [(1.0 - rk) * pk + rk * qk for pk, qk, rk in zip(p, q, r)]
+    x, y, rhs = means.mean([PerSlice(map(means.weighted_geometric, u))
+                            for u in (p, q, mid)], *_pairs(insts))
+    lhs = means.mean(PerSlice(map(means.weighted_geometric, r)), x, y)
+    return _eq("reparametrization", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -738,33 +843,33 @@ def _path_axioms_params(espec):
     return {"params": {"r": r, "p": float(p), "q": float(q)}}
 
 
-def _check_path_axioms(inst, tol):
-    r, p, q = inst.params["r"], inst.params["p"], inst.params["q"]
-    a, b = inst.As[0], inst.Bs[0]
-    base = means.power_mean(r)
+def _check_path_axioms(insts, tol):
+    r, p, q = (_each(insts, key) for key in "rpq")
+    a, b = _pairs(insts)
+    base = PerSlice(map(means.power_mean, r))
     # norm continuity is probed by a small parameter step from t0
-    t0 = min(max(p, 1e-6), 1.0 - 1e-6)
+    t0 = [min(max(x, 1e-6), 1.0 - 1e-6) for x in p]
     step = 1e-7
-    ts = (0.0, 1.0, 0.5, p, q, (p + q) / 2.0, t0, t0 + step)
+    ts = (*([u] * len(insts) for u in (0.0, 1.0, 0.5)), p, q,
+          [(x + y) / 2.0 for x, y in zip(p, q)], t0, [x + step for x in t0])
     left, right, mid, at_p, at_q, at_pq, at_t0, at_step, mean_ab = means.mean(
-        [means.power_path(r, u) for u in ts] + [base], a, b)
-    return (
+        [PerSlice(map(means.power_path, r, u)) for u in ts] + [base], a, b)
+    return _join(
         _eq("left-endpoint", left, a),
         _eq("right-endpoint", right, b),
         _eq("midpoint-is-mean", mid, mean_ab),
         _eq("interpolation-midpoint", means.mean(base, at_p, at_q), at_pq),
-        _eq("continuity", at_t0, at_step, tol=1e-3),
-    )
+        _eq("continuity", at_t0, at_step, tol=1e-3))
 
 
 # ---------------------------------------------------------------------------
 # wada: the tensor-product Callebaut refinement for a single pair
 # ---------------------------------------------------------------------------
 
-def _check_wada(inst, tol):
-    d = inst.sigma
-    a, b = inst.As[0], inst.Bs[0]
-    sharp, x, y = means.mean((means.geometric(), d, means.dual(d)), a, b)
+def _check_wada(insts, tol):
+    d = _sigmas(insts)
+    a, b = _pairs(insts)
+    sharp, x, y = means.mean((means.geometric(), d, _duals(d)), a, b)
     # kron(sharp, sharp), then the halved tensor sums of (x, y) and (A, B);
     # the first is half the tensor sum of sharp with itself, exactly
     members = 0.5 * _tensor_sum(stack([sharp, x, a]), stack([sharp, y, b]))
@@ -840,10 +945,12 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     instance's n and m, and skip reasons with numbers blanked to '#'.
 
     The trials that request the same (n, m) are drawn together, in chunks
-    of at most GROUP_TRIALS, when the loop reaches a chunk's first trial;
-    each is checked at its turn.  A chunk whose draw raises is drawn again
-    one trial at a time, at each trial's turn, so that the first failing
-    trial raises the InstanceError it raises alone."""
+    of at most GROUP_TRIALS, and checked together by ``check_chunk``, when
+    the loop reaches a chunk's first trial; a chunk of one trial is drawn
+    and checked alone (``check_law``).  Results count at each trial's turn,
+    in trial order.  A chunk whose draw or check raises is drawn or checked
+    again one trial at a time, at each trial's turn, so that the first
+    failing trial raises the InstanceError it raises alone."""
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < SEED_LIMIT):
         raise InstanceError(f"{name}: master seed must be an integer in "
@@ -859,6 +966,7 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     chunks = {chunk[0]: chunk for chunk in _chunks(requests)
               if len(chunk) > 1}
     drawn = {}          # trial -> its instance, drawn with its chunk
+    checked = {}        # trial -> its result, checked with its chunk
     counts = Counter()
     skip_reasons = Counter()
     worst = None
@@ -872,14 +980,18 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
                     name, n=rn, m=rm, fieldname=fieldname,
                     kappa_max=kappa_max, seed=[seeds[i] for i in chunk],
                     boundary=[bounds[i] for i in chunk])))
+                checked.update(zip(chunk, check_chunk(
+                    name, [drawn[i] for i in chunk], tol=tol)))
             except InstanceError:
-                pass    # its trials are drawn alone, each at its turn
+                pass    # its trials are drawn or checked alone, at their turn
         inst = drawn.pop(k, None)
         if inst is None:
             inst = sample_instance(name, n=rn, m=rm, fieldname=fieldname,
                                    kappa_max=kappa_max, seed=seeds[k],
                                    boundary=bounds[k])
-        result = check_law(name, inst, tol=tol)
+        result = checked.pop(k, None)
+        if result is None:
+            result = check_law(name, inst, tol=tol)
         counts[result.status] += 1
         if result.skipped:
             skip_reasons[_NUMBER.sub("#", result.skip_reason)] += 1
@@ -923,29 +1035,30 @@ class Curve:
 @dataclass(frozen=True)
 class SweepSpec:
     instance_law: str
-    evaluator: object  # (instance, grid) -> stack of one value per point
+    evaluator: object  # (instances, grid) -> stack, one value per point and trial
     pivot: float       # minimum location; monotone direction flips here
     domain: tuple
 
 
-def _sweep_tensor_f(inst, grid):
-    return power_tensor_sum(inst.As[0], inst.Bs[0], [1.0 + t for t in grid],
+def _sweep_tensor_f(insts, grid):
+    return power_tensor_sum(*_pairs(insts), [1.0 + t for t in grid],
                             [1.0 - t for t in grid])
 
 
-def _sweep_tensor_g(inst, grid):
-    return power_tensor_sum(inst.As[0], inst.Bs[0], list(grid),
+def _sweep_tensor_g(insts, grid):
+    return power_tensor_sum(*_pairs(insts), list(grid),
                             [1.0 - t for t in grid])
 
 
-def _sweep_matrix_callebaut_middle(inst, grid):
-    sums = _path_sums([d for t in grid for d in _pair(t)], inst.As, inst.Bs)
+def _sweep_matrix_callebaut_middle(insts, grid):
+    sums = _path_sums([d for t in grid for d in _pair(t)], *_stacks(insts))
     return _tensor_sum(sums[0::2], sums[1::2])
 
 
-def _sweep_scalar_callebaut_f(inst, grid):
-    return HermitianMatrix([[[callebaut_f(inst.a_seq, inst.b_seq, t,
-                                          inst.params["sc"])]] for t in grid])
+def _sweep_scalar_callebaut_f(insts, grid):
+    return HermitianMatrix([[[[callebaut_f(inst.a_seq, inst.b_seq, t,
+                                           inst.params["sc"])]]
+                             for inst in insts] for t in grid])
 
 
 SWEEPS = {
@@ -959,7 +1072,8 @@ SWEEPS = {
 
 
 def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
-    """Evaluate a sweepable law over a sorted grid, with pairwise links."""
+    """Evaluate a sweepable law over a sorted grid, with pairwise links: the
+    evaluator on a chunk of the one instance."""
     try:
         sw = SWEEPS[name]
     except KeyError:
@@ -974,12 +1088,14 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
         raise InstanceError(f"sweep {name}: grid [{grid[0]}, {grid[-1]}] "
                             f"outside domain [{lo}, {hi}]")
     try:
-        values = sw.evaluator(instance, grid)
-        links = [None] + _vshape_links(grid, values, sw.pivot, tol)
+        values = sw.evaluator([instance], grid)
+        (links,) = _vshape_links(grid, values, sw.pivot, tol)
+        links = [None] + links
         if all(link is None for link in links):
             raise InstanceError(f"sweep {name}: grid {grid} checks no link "
                                 f"(none joins two points on one side of the "
                                 f"pivot {sw.pivot})")
+        values = values[:, 0]
         lams = values.decomposition().eigenvalues
     except LinalgError as exc:
         raise _linalg_failure(instance.law, instance.seed, instance.n,

@@ -306,23 +306,36 @@ def _require_same_dim(a, b):
         raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
-def stack(mats):
+def stack(mats, axis=0):
     """The matrices, single ones or stacks of one shape, stacked along a new
-    leading axis.  Nothing is checked again: the stack is a PDMatrix when
-    every one of them is, and carries their decompositions when every one
-    has its decomposition cached."""
+    stack axis, the leading one unless ``axis`` names a later one.  Nothing
+    is checked again: the stack is a PDMatrix when every one of them is, and
+    carries their decompositions when every one has its decomposition
+    cached."""
     if len(mats) == 0:
         raise DimensionError("empty stack")
-    shapes = sorted({m.array.shape for m in mats})
-    if len(shapes) > 1:
+    shape = mats[0].array.shape
+    if any(m.array.shape != shape for m in mats):
+        shapes = sorted({m.array.shape for m in mats})
         raise DimensionError(f"cannot stack matrices of shapes {shapes}")
+    if not 0 <= axis <= len(shape) - 2:
+        raise DimensionError(f"no stack axis {axis} for matrices of shape "
+                             f"{shape}")
     specs = [m._spec for m in mats]
     spec = None if any(s is None for s in specs) else (
-        np.stack([s.eigenvalues for s in specs]),
-        np.stack([s.unitary for s in specs]))
+        _join([s.eigenvalues for s in specs], axis),
+        _join([s.unitary for s in specs], axis))
     pd = all(isinstance(m, PDMatrix) for m in mats)
     return _adopt(PDMatrix if pd else HermitianMatrix,
-                  np.stack([m.array for m in mats]), spec)
+                  _join([m.array for m in mats], axis), spec)
+
+
+def _join(arrays, axis):
+    """Arrays of one shape stacked on a new axis: one array as a view, and
+    np.array builds a leading axis at less cost per call than np.stack."""
+    if axis:
+        return np.stack(arrays, axis=axis)
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def eig_hermitian(A):
@@ -352,13 +365,22 @@ def _sorted_spectrum(lam, u):
                                  _readonly(np.ascontiguousarray(u)))
 
 
+def _fro(x):
+    """The Frobenius norm of each matrix of an (..., n, n) array, by the
+    formula of ``np.linalg.norm(x, axis=(-2, -1))``, with its bits and
+    without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
+
+
 def _finish_decomposition(lam, u, original):
     spec = _sorted_spectrum(lam, u)
     lam, u = spec.eigenvalues, spec.unitary
     a = original.array
-    fro, recon, ortho = np.linalg.norm(np.stack(
-        [a, congruence_diag(u, lam) - a, _adjoint(u) @ u - np.eye(a.shape[-1])]),
-        axis=(-2, -1))
+    # one residual at a time: stacked, their temporaries would hold the
+    # matrices several times over at once
+    fro = _fro(a)
+    recon = _fro(congruence_diag(u, lam) - a)
+    ortho = _fro(_adjoint(u) @ u - np.eye(a.shape[-1]))
     # written so that a NaN residual fails too
     bad = ~((recon <= DECOMP_TOL * np.maximum(1.0, fro))
             & (ortho <= DECOMP_TOL))
@@ -386,6 +408,45 @@ def spectral_values(fn, eigenvalues):
     return v.real
 
 
+class PerSlice(tuple):
+    """Parameters of a spectral function, one per slice of a stack's
+    leading axis: slice k takes the k-th (see ``parametrized``)."""
+
+    __slots__ = ()
+
+
+def parametrized(fn, params):
+    """The spectral function lam -> fn(p, lam) of the parameter p.
+
+    For a PerSlice, slice k of lam's leading axis takes fn(params[k], .),
+    each distinct parameter once, on the slices that take it, so every
+    slice has the bits it has alone.  For a list or tuple of parameters
+    (each one or a PerSlice), their values on a new leading axis."""
+    if isinstance(params, PerSlice):
+        return lambda lam: _per_slice(fn, params, lam)
+    if isinstance(params, (list, tuple)) or np.ndim(params):
+        return lambda lam: np.stack([
+            _per_slice(fn, p, lam) if isinstance(p, PerSlice) else fn(p, lam)
+            for p in params])
+    return lambda lam: fn(params, lam)
+
+
+def _per_slice(fn, params, lam):
+    if len(params) != len(lam):
+        raise DimensionError(f"{len(params)} parameters for a stack of "
+                             f"{len(lam)} slices")
+    if all(p == params[0] for p in params):
+        return fn(params[0], lam)
+    slices = {}
+    for k, p in enumerate(params):
+        slices.setdefault(p, []).append(k)
+    parts = [(k, fn(p, lam[k])) for p, k in slices.items()]
+    out = np.empty(lam.shape, np.result_type(*(v for _, v in parts)))
+    for k, v in parts:
+        out[k] = v
+    return out
+
+
 def congruence_diag(c, values):
     """The array C diag(values) C* for each matrix C of a stack and its row
     of values; with C unitary, a spectral calculus."""
@@ -409,20 +470,20 @@ def apply_function(A, fn):
     return out
 
 
+def _power_of(t, lam):
+    return lam ** float(t)
+
+
 def power(A, t):
     """Fractional power of a PD matrix; power(A, 0) = I, power(A, -1) = inverse.
 
     For a sequence of exponents, the stack of A^t over them, on a new
-    leading axis.  Each exponent is applied as its own scalar ``lam ** t``,
-    since numpy computes ``lam ** 0.5``, ``** 2`` and ``** -1`` by exact
-    shortcuts that an array of exponents would not take.
+    leading axis; for a PerSlice, slice k of A to its own exponent (see
+    ``parametrized``).  Each exponent is applied as its own scalar
+    ``lam ** t``, since numpy computes ``lam ** 0.5``, ``** 2`` and
+    ``** -1`` by exact shortcuts that an array of exponents would not take.
     """
-    if np.ndim(t) == 0:
-        t = float(t)
-        return PDMatrix(apply_function(A, lambda lam: lam ** t))
-    ts = [float(x) for x in t]
-    return PDMatrix(apply_function(
-        A, lambda lam: np.stack([lam ** x for x in ts])))
+    return PDMatrix(apply_function(A, parametrized(_power_of, t)))
 
 
 def congruence(C, X):

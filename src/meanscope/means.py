@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (PDMatrix, congruence, congruence_diag, spectral_values,
-                     _require_same_dim)
+from .linalg import (PDMatrix, congruence, congruence_diag, parametrized,
+                     spectral_values, _require_same_dim)
 
 # Below this magnitude the power-mean exponent r is treated as the
 # geometric limit r -> 0 to avoid the 1/r blowup.
@@ -82,6 +82,10 @@ def representing_fn(d):
     return (lambda x: x / f(x)) if d.dual else f
 
 
+def _represent(d, x):
+    return representing_fn(d)(x)
+
+
 def mean(d, A, B):
     """A sigma B = C diag(f(L)) C*, where M = A^{-1/2} B A^{-1/2} = U L U*
     and C = A^{1/2} U: this is A^{1/2} f(M) A^{1/2}, with f(M) never formed.
@@ -90,7 +94,9 @@ def mean(d, A, B):
     stack): each pair takes A's cached decomposition and one validated
     eigendecomposition of its M, all in one call.  For a sequence of
     descriptors the result gets a leading axis, one slice per descriptor,
-    all from those same decompositions.
+    all from those same decompositions.  A ``linalg.PerSlice`` of
+    descriptors, alone or in such a sequence, gives slice k of the pairs'
+    leading axis (a trial) its k-th descriptor, by ``parametrized``.
     """
     _require_same_dim(A, B)
     spec = A.decomposition()
@@ -100,11 +106,7 @@ def mean(d, A, B):
     # beyond HermitianMatrix's input slack; congruence symmetrizes it
     middle = PDMatrix(congruence(inv_half, B)).decomposition()
     c = congruence_diag(spec.unitary, root) @ middle.unitary
-    if isinstance(d, MeanDescriptor):
-        values = spectral_values(representing_fn(d), middle.eigenvalues)
-    else:
-        values = np.stack([spectral_values(representing_fn(x),
-                                           middle.eigenvalues) for x in d])
+    values = spectral_values(parametrized(_represent, d), middle.eigenvalues)
     return PDMatrix(congruence_diag(c, values))
 
 

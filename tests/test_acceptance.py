@@ -15,7 +15,7 @@ import pytest
 from meanscope import laws, means
 from meanscope.cli import main
 from meanscope.laws import check_law, child_seed, sample_instance
-from meanscope.linalg import HermitianMatrix, stack
+from meanscope.linalg import HermitianMatrix, PerSlice, stack
 
 
 def report_line(number, ok, detail):
@@ -233,10 +233,12 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
             for name, r in default_report["laws"].items()} == expected
 
     # an injected sign-flipped law must fail and reproduce from its seed
-    def check(inst, tol):
-        d = inst.sigma
-        lhs = laws.pd_sum(means.mean(d, inst.As, inst.Bs))
-        rhs = means.mean(d, laws.pd_sum(inst.As), laws.pd_sum(inst.Bs))
+    def check(insts, tol):
+        d = PerSlice(inst.sigma for inst in insts)
+        As = stack([inst.As for inst in insts])
+        Bs = stack([inst.Bs for inst in insts])
+        lhs = laws.pd_sum(means.mean(d, As, Bs))
+        rhs = means.mean(d, laws.pd_sum(As), laws.pd_sum(Bs))
         return laws._chain(("flipped",), stack([rhs, lhs]), tol)
 
     laws.register_law("flipped-superadditivity",

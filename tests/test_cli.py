@@ -66,8 +66,9 @@ class TestVerify:
         assert "trials" in err and not out.exists()
 
     def test_law_with_every_trial_skipped_is_no_pass(self, tmp_path, capsys):
-        def check(inst, tol):
-            raise laws.Skip(f"hypothesis fails at n={inst.n}")
+        def check(insts, tol):
+            return [laws.Skip(f"hypothesis fails at n={inst.n}")
+                    for inst in insts]
 
         laws.register_law("wada-skipped", laws.law_spec("wada").sampler,
                           check)
@@ -91,7 +92,7 @@ class TestVerify:
             self, tmp_path, capsys):
         # a trial that checks nothing is no pass
         laws.register_law("wada-empty", laws.law_spec("wada").sampler,
-                          lambda inst, tol: ())
+                          lambda insts, tol: [() for _ in insts])
         try:
             out = tmp_path / "report.json"
             code, stdout, err = run(capsys, "verify", "--laws", "wada-empty",
@@ -616,10 +617,10 @@ def test_verify_trial_schedule(tmp_path, capsys):
         return [laws.LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field)
                 for e in especs]
 
-    def check(inst, tol):
-        seen.append((inst.seed, inst.n, inst.m,
-                     (inst.params["s"], inst.params["t"])))
-        return (laws._scalar_ineq("probe", 0.0, 1.0),)
+    def check(insts, tol):
+        seen.extend((inst.seed, inst.n, inst.m,
+                     (inst.params["s"], inst.params["t"])) for inst in insts)
+        return [(laws._scalar_ineq("probe", 0.0, 1.0),) for _ in insts]
 
     laws.register_law("probe", sample, check, n_cap=4, region="callebaut")
     try:
@@ -682,13 +683,15 @@ def test_parser_is_shared_by_successive_calls(tmp_path, capsys):
 class TestFailurePath:
     def test_flipped_law_fails_and_reproduces(self, tmp_path, capsys):
         # register a deliberately reversed inequality to exercise exit code 1
-        def check(inst, tol):
+        def check(insts, tol):
             from meanscope import means
             from meanscope.laws import _chain, pd_sum
-            from meanscope.linalg import stack
-            d = inst.sigma
-            lhs = pd_sum(means.mean(d, inst.As, inst.Bs))
-            rhs = means.mean(d, pd_sum(inst.As), pd_sum(inst.Bs))
+            from meanscope.linalg import PerSlice, stack
+            d = PerSlice(inst.sigma for inst in insts)
+            As = stack([inst.As for inst in insts])
+            Bs = stack([inst.Bs for inst in insts])
+            lhs = pd_sum(means.mean(d, As, Bs))
+            rhs = means.mean(d, pd_sum(As), pd_sum(Bs))
             return _chain(("flipped",), stack([rhs, lhs]), tol)
 
         laws.register_law("superadditivity-flipped",

@@ -53,8 +53,9 @@ def test_every_link_is_judged_by_the_one_pass_rule(name):
 
 
 def test_check_raising_skip_is_a_skip():
-    def check(inst, tol):
-        raise laws.Skip("hypothesis fails")
+    # a check gives each trial whose instance fails a hypothesis its Skip
+    def check(insts, tol):
+        return [laws.Skip("hypothesis fails") for _ in insts]
 
     laws.register_law("wada-skip", laws.law_spec("wada").sampler, check)
     try:
@@ -382,9 +383,10 @@ class TestHadamardCallebaut:
         assert hadamard_eigs <= len(calls)
         members = matrix_callebaut_members(inst.As, inst.Bs,
                                            inst.params["s"], inst.params["t"])
-        # one submatrix call, on the stack of the tensor chain's members
+        # one submatrix call, on the stack of the tensor chain's members,
+        # the trial axis second
         assert len(blocks) == 1
-        assert np.array_equal(blocks[0].array, members.array)
+        assert np.array_equal(blocks[0].array[:, 0], members.array)
 
 
 class TestPathMonotonicity:
@@ -414,8 +416,8 @@ class TestPathMonotonicity:
             if check_law("path-monotonicity", inst).status != "skip":
                 continue
             checked += 1
-            link = laws._path_monotonicity_link(
-                inst, inst.params["s"], inst.params["t"], laws.DEFAULT_TOL)
+            (link,), = laws._path_monotonicity_links([inst],
+                                                     laws.DEFAULT_TOL)
             failed += not link.holds
         assert failed > 0
 
@@ -502,66 +504,88 @@ def test_run_law_refuses_a_master_seed_outside_its_range(seed, monkeypatch):
         laws.run_law("wada", 0, seed, 1, None, None, "complex", 1e4, 1e-8)
 
 
-def recorded_run(monkeypatch, name, law_index, trials, n, m):
+def recorded_run(monkeypatch, name, law_index, trials, n, m, field):
     """run_law's report entry, the seeds of each sample_instance call it
-    made, and (instance, result) of each trial it checked, in order."""
-    draws, checked = [], []
-    sample, check = laws.sample_instance, laws.check_law
+    made, and the (instance, result) pairs of each check_chunk call, in
+    order; check_law checks its one instance by check_chunk too."""
+    draws, checks = [], []
+    sample, check = laws.sample_instance, laws.check_chunk
 
     def recording_sample(*args, **kwargs):
         seed = kwargs["seed"]
         draws.append(list(seed) if isinstance(seed, list) else [seed])
         return sample(*args, **kwargs)
 
-    def recording_check(law, inst, tol):
-        result = check(law, inst, tol=tol)
-        checked.append((inst, result))
-        return result
+    def recording_check(law, insts, tol):
+        results = check(law, insts, tol=tol)
+        checks.append(list(zip(insts, results, strict=True)))
+        return results
 
     with monkeypatch.context() as patch:
         patch.setattr(laws, "sample_instance", recording_sample)
-        patch.setattr(laws, "check_law", recording_check)
-        entry = laws.run_law(name, law_index, 7, trials, n, m, "complex", 1e4,
+        patch.setattr(laws, "check_chunk", recording_check)
+        entry = laws.run_law(name, law_index, 7, trials, n, m, field, 1e4,
                              laws.DEFAULT_TOL)
-    return entry, draws, checked
+    return entry, draws, checks
+
+
+def outcome(result):
+    """A trial's status, skip reason and links, every margin and scale to
+    the last bit."""
+    return (result.status, result.skip_reason,
+            [(link.label, link.holds, link.margin.hex(),
+              link.verdict.scale.hex()) for link in result.links])
 
 
 @pytest.mark.parametrize("name", laws.law_names())
-@pytest.mark.parametrize("trials, n, m", [(14, None, None), (70, 2, 3)],
-                         ids=["cycle", "fixed"])
-def test_run_law_trials_replay_alone(name, trials, n, m, monkeypatch):
+@pytest.mark.parametrize("trials, n, m, field, sizes", [
+    (14, None, None, "complex", None),
+    (70, 2, 3, "complex", [laws.GROUP_TRIALS, 70 - laws.GROUP_TRIALS]),
+    (40, 1, None, "complex", [10, 10, 10, 10]),
+    (6, 3, 4, "complex", [6]),
+    (14, 2, None, "real", [4, 4, 3, 3]),
+], ids=["cycle", "fixed", "small", "tensor", "real"])
+def test_run_law_trials_replay_alone(name, trials, n, m, field, sizes,
+                                     monkeypatch):
     # run_law draws each (n, m) group's trials together, 64 to a chunk at
-    # most; every trial it checks is the one sample_instance gives alone,
-    # at its own seed, with the same margin and status to the last bit
+    # most, and checks each chunk with one check_chunk call; every trial it
+    # checks is the one sample_instance gives alone, at its own seed, with
+    # the status, skip reason and links check_law gives it alone, to the
+    # last bit.  "small" is n = 1 over the m cycle, chunks of 10; "tensor"
+    # is one chunk of 6 at n = 3, m = 4
     law_index = laws.law_names().index(name)
-    entry, draws, checked = recorded_run(monkeypatch, name, law_index,
-                                         trials, n, m)
+    entry, draws, checks = recorded_run(monkeypatch, name, law_index,
+                                        trials, n, m, field)
     seeds = [laws.child_seed(7, law_index, k) for k in range(trials)]
-    assert [inst.seed for inst, _ in checked] == seeds
-    assert sorted(s for seeds_drawn in draws for s in seeds_drawn) == sorted(
-        seeds)
-    if n is not None:       # every trial requests (2, 3): chunks of 64 and 6
-        assert [len(d) for d in draws] == [laws.GROUP_TRIALS,
-                                           trials - laws.GROUP_TRIALS]
+    # one check call per chunk, on the trials of its draw, in their order
+    assert [[inst.seed for inst, _ in chunk] for chunk in checks] == draws
+    assert sorted(s for drawn in draws for s in drawn) == sorted(seeds)
+    if sizes is not None:
+        assert [len(d) for d in draws] == sizes
     else:                   # trials k and k + 12 request the same (n, m)
         assert max(len(d) for d in draws) >= 2
+    checked = sorted((pair for chunk in checks for pair in chunk),
+                     key=lambda pair: seeds.index(pair[0].seed))
+    assert [inst.seed for inst, _ in checked] == seeds
     boundaries = laws.boundary_params(name)
     for k, (inst, result) in enumerate(checked):
         alone = sample_instance(
-            name, n=inst.n, m=inst.m, fieldname="complex", kappa_max=1e4,
+            name, n=inst.n, m=inst.m, fieldname=field, kappa_max=1e4,
             seed=inst.seed, boundary=boundaries[k] if k < len(boundaries)
             else None)
-        replay = check_law(name, alone)
-        assert (replay.status, replay.margin) == (result.status,
-                                                  result.margin), (k, name)
+        assert outcome(check_law(name, alone)) == outcome(result), (k, name)
         assert inst.params == alone.params
     assert entry["passes"] + entry["fails"] + entry["skips"] == trials
+    if name == "path-monotonicity" and n == 2:
+        # a chunk holds skipped power-path trials among checked ones
+        assert any(len({result.status for _, result in chunk}) == 2
+                   for chunk in checks)
 
 
 def probe_law(monkeypatch, bad_draws, bad_checks):
     """Register "probe", wada with a sampler that fails on the seeds of
-    ``bad_draws`` and a check that fails on those of ``bad_checks``; the
-    list of the seeds checked, in order."""
+    ``bad_draws`` and a check that fails on a chunk that holds one of
+    ``bad_checks``; the list of the seeds of each check call, in order."""
     wada = laws.law_spec("wada")
     checked = []
 
@@ -571,11 +595,12 @@ def probe_law(monkeypatch, bad_draws, bad_checks):
                 PDMatrix(np.diag([1.0, -1.0]))
         return wada.sampler(especs)
 
-    def check(inst, tol):
-        checked.append(inst.seed)
-        if inst.seed in bad_checks:
+    def check(insts, tol):
+        seeds = [inst.seed for inst in insts]
+        checked.append(seeds)
+        if bad_checks & set(seeds):
             raise linalg.NotPositiveDefiniteError("probe check")
-        return wada.check(inst, tol)
+        return wada.check(insts, tol)
 
     monkeypatch.setitem(laws._LAWS, "probe", laws.LawSpec(sample, check,
                                                           n_cap=3))
@@ -583,7 +608,8 @@ def probe_law(monkeypatch, bad_draws, bad_checks):
 
 
 @pytest.mark.parametrize("bad_draws, bad_checks", [
-    ({3, 7}, set()), ({7}, {3}), ({3}, {7}), ({0, 1}, set())])
+    ({3, 7}, set()), ({7}, {3}), ({3}, {7}), ({0, 1}, set()),
+    (set(), {3, 7})])
 def test_failing_chunk_names_the_first_failing_trial(bad_draws, bad_checks,
                                                      monkeypatch):
     # trial k's seed; every trial requests (2, 1), so one chunk holds all ten
@@ -599,8 +625,12 @@ def test_failing_chunk_names_the_first_failing_trial(bad_draws, bad_checks,
         return str(exc.value), checked
 
     chunked, alone = failure(64), failure(1)   # a chunk of one is a trial
-    assert chunked == alone
+    assert chunked[0] == alone[0]
     first = min(k for k, s in enumerate(seeds) if s in bad_draws | bad_checks)
     assert chunked[0].startswith(f"probe: trial seed={seeds[first]} n=2 m=1 "
                                  f"failed in linear algebra")
-    assert chunked[1] == seeds[:first + (seeds[first] in bad_checks)]
+    # trials are checked one at a time up to the first failing one; a chunk
+    # that was drawn whole was checked whole before that
+    singles = [[s] for s in seeds[:first + (seeds[first] in bad_checks)]]
+    assert alone[1] == singles
+    assert chunked[1] == ([] if bad_draws else [seeds]) + singles
