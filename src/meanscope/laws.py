@@ -69,6 +69,7 @@ from .linalg import (
     power,
     rel_residual,
     stack,
+    _exact,
 )
 from .ensembles import (
     SEED_LIMIT,
@@ -228,6 +229,8 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     else:
         seeds, boundaries = [seed], [boundary]
     try:
+        if not seeds:
+            raise InstanceError("no seed to draw")
         if len(boundaries) != len(seeds):
             raise InstanceError(f"{len(boundaries)} boundaries for "
                                 f"{len(seeds)} seeds")
@@ -240,6 +243,9 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
             raise InstanceError(f"n={n} is above its n cap {spec.n_cap}")
         points = boundary_params(name)
         for b in boundaries:
+            if b is not None and not (isinstance(b, (list, tuple))
+                                      and len(b) == 2):
+                raise InstanceError(f"boundary {b!r} is not an (s, t) pair")
             if b is not None and tuple(b) not in points:
                 raise InstanceError(
                     f"boundary {tuple(b)} is not a recorded boundary point "
@@ -269,6 +275,8 @@ def check_chunk(name, insts, tol=DEFAULT_TOL):
     algebra names the chunk's seeds, and a trial whose check returned no
     link is refused, by its seed."""
     spec = law_spec(name)
+    if not insts:
+        raise InstanceError(f"{name}: a chunk holds at least one instance")
     first = insts[0]
     for inst in insts:
         if inst.law != name:
@@ -810,7 +818,7 @@ def _check_hadamard_power(insts, tol):
     diag_part[:, range(n), range(n)] = sum(
         diagonals[:, j] for j in range(m)) * avg
     products = hadamard(stack([p_half, p_t]), stack([p_half, p_1t]))
-    members = stack([*products, HermitianMatrix(diag_part)])
+    members = stack([*products, _exact(diag_part)])
     return _chain(("sqrt-vs-t", "t-vs-diagonal"), members, tol)
 
 
@@ -1056,9 +1064,9 @@ def _sweep_matrix_callebaut_middle(insts, grid):
 
 
 def _sweep_scalar_callebaut_f(insts, grid):
-    return HermitianMatrix([[[[callebaut_f(inst.a_seq, inst.b_seq, t,
-                                           inst.params["sc"])]]
-                             for inst in insts] for t in grid])
+    return _exact(np.array(
+        [[[[callebaut_f(inst.a_seq, inst.b_seq, t, inst.params["sc"])]]
+          for inst in insts] for t in grid], dtype=np.complex128))
 
 
 SWEEPS = {
@@ -1078,6 +1086,9 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
         sw = SWEEPS[name]
     except KeyError:
         raise InstanceError(f"law {name!r} is not sweepable") from None
+    if instance.law != sw.instance_law:
+        raise InstanceError(f"sweep {name}: instance was sampled for "
+                            f"{instance.law!r}, not {sw.instance_law!r}")
     grid = [float(t) for t in grid]
     if not grid:
         raise InstanceError(f"sweep {name}: empty grid checks no link")

@@ -63,13 +63,13 @@ class SpectralDecomposition:
 class HermitianMatrix:
     """An n-by-n self-adjoint complex matrix, or a stack of them.
 
-    Entries of shape (n, n) give one matrix; entries of shape (..., n, n)
-    give a stack, one matrix per index of the leading axes.  Each matrix is
-    validated to be Hermitian within a relative slack of ``HERMITIAN_TOL``
-    and then symmetrized exactly, so ``entries`` always satisfies A = A* to
-    machine precision; an entry above ``SYMMETRIZABLE`` in magnitude, where
-    that could overflow, is refused.  Results exactly Hermitian by
-    construction come from ``_exact``, which checks finiteness only.
+    Entries of shape (n, n) give one matrix, of shape (..., n, n) a stack,
+    one matrix per index of the leading axes.  Entries from outside the
+    computation (a caller's, the CLI's, a fresh random draw) are validated:
+    each matrix must be Hermitian within a relative slack of
+    ``HERMITIAN_TOL``, and becomes its Hermitian part (A + A*) / 2; an entry
+    above ``SYMMETRIZABLE`` in magnitude, where that could overflow, is
+    refused.  A matrix computed from validated ones comes from ``_exact``.
     Instances are immutable; the spectral decomposition is computed lazily,
     for a whole stack at once, and cached.  Indexing the leading axes of a
     stack gives its slices: read-only views of the stack's entries and
@@ -292,13 +292,15 @@ def _require_finite(a):
             f"{_where(_first(~finite))}matrix contains non-finite entries")
 
 
-def _exact(a):
-    """A HermitianMatrix on entries that are exactly Hermitian by
-    construction: sums, real multiples, tensor and entrywise products and
-    principal submatrices of validated matrices, or a symmetrized
-    congruence.  Only finiteness is checked; an entry can still overflow."""
-    _require_finite(a)
-    return _adopt(HermitianMatrix, a, None)
+def _exact(a, spec=None):
+    """The HermitianMatrix on the Hermitian part (a + a*) / 2 of entries
+    computed from validated matrices, with its spectrum (eigenvalues,
+    unitary) when known.  That part is a itself for sums, products and
+    submatrices, and differs from a congruence C diag(v) C* by round-off
+    far below ``HERMITIAN_TOL``, so only finiteness is checked."""
+    h = (a + _adjoint(a)) / 2.0
+    _require_finite(h)
+    return _adopt(HermitianMatrix, h, spec)
 
 
 def _require_same_dim(a, b):
@@ -350,19 +352,19 @@ def eig_hermitian(A):
     """
     a = A.array
     if a.shape[-1] == 1:
-        return _sorted_spectrum(a.real[..., 0], np.ones_like(a))
+        return SpectralDecomposition(
+            *_sorted_spectrum(a.real[..., 0], np.ones_like(a)))
     lam, u = np.linalg.eigh(a)
     return _finish_decomposition(lam, u, A)
 
 
 def _sorted_spectrum(lam, u):
-    """A read-only SpectralDecomposition with the eigenvalues ascending."""
+    """Read-only eigenvalues, ascending, and their unitary."""
     if not (lam[..., 1:] >= lam[..., :-1]).all():
         order = np.argsort(lam, axis=-1, kind="stable")
         lam = np.take_along_axis(lam, order, axis=-1)
         u = np.take_along_axis(u, order[..., None, :], axis=-1)
-    return SpectralDecomposition(_readonly(lam),
-                                 _readonly(np.ascontiguousarray(u)))
+    return _readonly(lam), _readonly(np.ascontiguousarray(u))
 
 
 def _fro(x):
@@ -373,8 +375,7 @@ def _fro(x):
 
 
 def _finish_decomposition(lam, u, original):
-    spec = _sorted_spectrum(lam, u)
-    lam, u = spec.eigenvalues, spec.unitary
+    lam, u = _sorted_spectrum(lam, u)
     a = original.array
     # one residual at a time: stacked, their temporaries would hold the
     # matrices several times over at once
@@ -389,7 +390,7 @@ def _finish_decomposition(lam, u, original):
         raise ConvergenceError(
             f"{_where(i)}eigendecomposition failed validation: "
             f"reconstruction {recon[i]:.3e}, unitarity {ortho[i]:.3e}")
-    return spec
+    return SpectralDecomposition(lam, u)
 
 
 def spectral_values(fn, eigenvalues):
@@ -462,12 +463,9 @@ def apply_function(A, fn):
     """
     spec = A.decomposition()
     values = spectral_values(fn, spec.eigenvalues)
-    out_spec = _sorted_spectrum(values, np.broadcast_to(
+    lam, u = _sorted_spectrum(values, np.broadcast_to(
         spec.unitary, values.shape + values.shape[-1:]))
-    out = HermitianMatrix(congruence_diag(out_spec.unitary,
-                                          out_spec.eigenvalues))
-    out._spec = out_spec
-    return out
+    return _exact(congruence_diag(u, lam), (lam, u))
 
 
 def _power_of(t, lam):
@@ -493,8 +491,7 @@ def congruence(C, X):
         raise DimensionError(f"congruence matrix must be square, got {c.shape}")
     if c.shape[-1] != X.n:
         raise DimensionError(f"dimension mismatch: {c.shape[-1]} vs {X.n}")
-    out = _adjoint(c) @ X.array @ c
-    return _exact((out + _adjoint(out)) / 2.0)
+    return _exact(_adjoint(c) @ X.array @ c)
 
 
 def kron(A, B):

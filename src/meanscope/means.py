@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (PDMatrix, congruence, congruence_diag, parametrized,
-                     spectral_values, _require_same_dim)
+                     spectral_values, _exact, _require_same_dim)
 
 # Below this magnitude the power-mean exponent r is treated as the
 # geometric limit r -> 0 to avoid the 1/r blowup.
@@ -107,7 +107,7 @@ def mean(d, A, B):
     middle = PDMatrix(congruence(inv_half, B)).decomposition()
     c = congruence_diag(spec.unitary, root) @ middle.unitary
     values = spectral_values(parametrized(_represent, d), middle.eigenvalues)
-    return PDMatrix(congruence_diag(c, values))
+    return PDMatrix(_exact(congruence_diag(c, values)))
 
 
 def geomean(A, B):

@@ -195,6 +195,43 @@ def test_failed_sampling_names_the_request():
         del laws._LAWS["failing-sampler"]
 
 
+@pytest.mark.parametrize("law, request_", [
+    ("geo-path-callebaut", lambda: make_instance("geo-path-callebaut", [])),
+    ("geo-path-callebaut", lambda: make_instance(
+        "geo-path-callebaut", [1, 2], boundary=(0.5, 0.5))),
+    ("wada", lambda: make_instance("wada", [1, 2], boundary=(0.5, 0.5))),
+    ("wada", lambda: laws.check_chunk("wada", [])),
+], ids=["no-seed", "one-boundary-for-two-seeds", "no-region",
+        "empty-chunk"])
+def test_malformed_chunk_request_is_refused_by_name(law, request_):
+    # a boundary is an (s, t) pair, one per seed of a chunk, and a chunk
+    # holds an instance: a malformed request is no IndexError or TypeError
+    with pytest.raises(InstanceError, match=f"^{law}: "):
+        request_()
+
+
+def refuse_validation(monkeypatch):
+    """From now on, HermitianMatrix.__init__ raises: what runs after this
+    may build matrices only from validated ones, through linalg._exact."""
+    def refuse(self, entries):
+        raise AssertionError("a computed matrix was validated again")
+
+    monkeypatch.setattr(linalg.HermitianMatrix, "__init__", refuse)
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+@pytest.mark.parametrize("n", [1, 2])
+def test_checks_validate_no_computed_matrix(name, n, monkeypatch):
+    # a chunk's draws are validated where they enter; nothing its check
+    # computes from them goes through the validating constructor again
+    boundary = (laws.boundary_params(name) or [None])[0]
+    insts = make_instance(name, [4, 5, 6], n=n, m=2,
+                          boundary=[boundary, None, None])
+    refuse_validation(monkeypatch)
+    results = laws.check_chunk(name, insts)
+    assert [r.status in ("pass", "skip") for r in results] == [True] * 3
+
+
 def same_bits(x, y):
     return all(u.tobytes() == v.tobytes() for u, v in (
         (x.array, y.array),
@@ -470,6 +507,22 @@ class TestSweeps:
             sweep_law("tensor-g", inst, [0.0, 2.0])
         with pytest.raises(InstanceError):
             sweep_law("sharp-identity", inst, [0.0, 1.0])
+
+    def test_instance_of_another_law_is_refused(self):
+        # a wada instance is a pair, as tensor-f's is: only its law tells
+        # them apart
+        inst = make_instance("wada", 0, n=2)
+        with pytest.raises(InstanceError, match=r"^sweep tensor-f: instance "
+                           r"was sampled for 'wada', not 'tensor-f'"):
+            sweep_law("tensor-f", inst, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("name", sorted(laws.SWEEPS))
+    def test_sweeps_validate_no_computed_matrix(self, name, monkeypatch):
+        sw = laws.SWEEPS[name]
+        inst = make_instance(sw.instance_law, 3, n=2, m=3)
+        refuse_validation(monkeypatch)
+        curve = sweep_law(name, inst, list(np.linspace(*sw.domain, 5)))
+        assert curve.holds and len(curve.points) == 5
 
     @pytest.mark.parametrize("law, grid", [("tensor-g", []),
                                            ("tensor-g", [0.5]),

@@ -9,6 +9,7 @@ import oracle
 from meanscope import linalg
 from meanscope.linalg import (
     CONDITION_CAP,
+    HERMITIAN_TOL,
     ConvergenceError,
     DimensionError,
     FunctionDomainError,
@@ -31,6 +32,7 @@ from meanscope.linalg import (
     stack,
 )
 from meanscope import means
+from meanscope.ensembles import EnsembleSpec, random_invertible, random_pd
 
 
 def random_hermitian(rng, n, complex_field=True):
@@ -197,9 +199,10 @@ class TestEig:
 
 
 class TestExactResults:
-    """+, -, real *, kron, hadamard, kron_diagonal_block, pd_sum and
-    congruence build exactly Hermitian results from validated matrices, so
-    they check finiteness only."""
+    """+, -, real *, kron, hadamard, kron_diagonal_block, pd_sum,
+    congruence, apply_function, power and means.mean build their results
+    from validated matrices as the Hermitian part (X + X*) / 2 of what they
+    compute, and check finiteness only."""
 
     def test_results_are_exactly_hermitian(self):
         rng = np.random.default_rng(17)
@@ -208,15 +211,38 @@ class TestExactResults:
         c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         for out in (a + b, a - b, 0.3 * a, kron(a, b), hadamard(a, b),
                     kron_diagonal_block(kron(a, b), 3), congruence(c, a),
-                    linalg.pd_sum(stack([pa, pb]))):
+                    linalg.pd_sum(stack([pa, pb])), apply_function(a, np.sin),
+                    power(pa, [0.5, -1.0]),
+                    means.mean(means.geometric(), pa, pb)):
             x = out.array
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_spectral_results_are_the_hermitian_part_of_their_product(self, n):
+        # U diag(f(lam)) U*, built from the spectrum the result carries (in
+        # ascending order: 1/lam reverses A's), kept as its Hermitian part
+        # bit for bit and not validated again
+        a = random_pd_raw(np.random.default_rng(n), n, spread=50.0)
+        outs = (apply_function(a, np.log), power(a, 0.5), power(a, -1.0),
+                power(a, [0.3, 2.0]))
+        for out, f in zip(outs, (np.log, np.sqrt, np.reciprocal, None)):
+            spec = out.decomposition()
+            lam, u = spec.eigenvalues, spec.unitary
+            if f is not None:
+                assert np.array_equal(
+                    lam, np.sort(f(a.decomposition().eigenvalues)))
+            raw = (u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2)
+            part = (raw + raw.conj().swapaxes(-1, -2)) / 2.0
+            assert out.array.tobytes() == part.tobytes()
 
     def test_overflow_is_refused(self):
         big = HermitianMatrix([[1e300]])
         huge = PDMatrix([[1e200]])
         near = PDMatrix([[8e307]])      # three of them sum past the float max
-        for build in (lambda: big * 1e10, lambda: (big * 1e8) + (big * 1e8),
+        # 1e308 is finite, but its Hermitian part (a + a*) / 2 overflows,
+        # as it does for an input above SYMMETRIZABLE
+        for build in (lambda: big * 1e10, lambda: big * 1e8,
+                      lambda: (big * 1e8) + (big * 1e8),
                       lambda: big * 1e8 - big * -1e8, lambda: kron(huge, huge),
                       lambda: hadamard(huge, huge),
                       lambda: linalg.pd_sum(stack([near, near, near])),
@@ -224,6 +250,39 @@ class TestExactResults:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     HermitianError, match="non-finite"):
                 build()
+
+
+class TestHermitianPartPremise:
+    """``_exact`` keeps the Hermitian part of a spectral calculus
+    U diag(f(lam)) U* or a congruence C diag(v) C* without testing its
+    asymmetry.  That rests on their round-off asymmetry staying below the
+    input slack HERMITIAN_TOL times the largest entry: at most about
+    n^2 u max|entry| (u = 2^-53), measured below 5e-16 with numpy 2.4 and
+    OpenBLAS on x86-64.  A platform whose products broke the bound fails
+    this test instead of passing unvalidated results on."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rounding_asymmetry_is_below_the_input_slack(self, n, field):
+        # eight draws at the default kappa, as a stack
+        especs = [EnsembleSpec(n=n, field=field, seed=s) for s in range(8)]
+        a, b = (random_pd(especs, i).decomposition() for i in (0, 1))
+        lam, u = a.eigenvalues, a.unitary
+        # log, x - median and sin(log x) change sign over the spectrum
+        fns = (np.sqrt, np.reciprocal, np.log,
+               lambda x: x - np.median(x, axis=-1, keepdims=True),
+               lambda x: np.sin(np.log(x)))
+        products = [linalg.congruence_diag(u, f(lam)) for f in fns]
+        # C diag(v) C* with v > 0, for the C = A^{1/2} U of means.mean and
+        # for a drawn invertible C
+        for c in (linalg.congruence_diag(u, np.sqrt(lam)) @ b.unitary,
+                  random_invertible(especs, 0)):
+            products += [linalg.congruence_diag(c, v)
+                         for v in (b.eigenvalues, np.sqrt(b.eigenvalues))]
+        for x in products:
+            dev = np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            scale = np.abs(x).max(axis=(-2, -1))
+            assert (dev <= HERMITIAN_TOL * scale).all()
 
 
 class TestPdSum:

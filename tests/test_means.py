@@ -215,16 +215,35 @@ class TestMean:
             built.append(self)
             init(self, entries)
 
-        def counted_exact(entries):
-            built.append(exact(entries))
+        def counted_exact(entries, spec=None):
+            built.append(exact(entries, spec))
             return built[-1]
 
-        # a matrix is built validated or, when exactly Hermitian by
-        # construction, through linalg._exact
+        # a matrix is built validated or, when computed from validated
+        # ones, through linalg._exact, which means imports by name
         monkeypatch.setattr(HermitianMatrix, "__init__", counted)
         monkeypatch.setattr(linalg, "_exact", counted_exact)
+        monkeypatch.setattr(means, "_exact", counted_exact)
         out = mean(power_mean(0.5), a, b)
-        assert len(built) == 2 and built[-1] is out
+        assert len(built) == 2 and built[-1].array is out.array
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_result_is_the_hermitian_part_of_its_product(self, n):
+        # C diag(f(L)) C*, for M = A^{-1/2} B A^{-1/2} = U L U* and
+        # C = A^{1/2} U, kept as its Hermitian part bit for bit and not
+        # validated again
+        rng = np.random.default_rng(30 + n)
+        a, b = random_pd(rng, n, spread=30.0), random_pd(rng, n, spread=30.0)
+        spec = a.decomposition()
+        root = np.sqrt(spec.eigenvalues)
+        inv_half = linalg.congruence_diag(spec.unitary, 1.0 / root)
+        middle = congruence(inv_half, b).decomposition()
+        c = linalg.congruence_diag(spec.unitary, root) @ middle.unitary
+        for d in FAMILY:
+            values = representing_fn(d)(middle.eigenvalues)
+            raw = (c * values[None, :]) @ c.conj().T
+            part = (raw + raw.conj().T) / 2.0
+            assert mean(d, a, b).array.tobytes() == part.tobytes(), d
 
     def test_geometric_mean_riccati(self):
         rng = np.random.default_rng(2)
