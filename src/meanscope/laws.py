@@ -102,13 +102,14 @@ class InstanceError(Exception):
     failed), which is no verdict."""
 
 
-def _linalg_failure(law, seed, n, m, exc):
-    """The InstanceError of a trial whose linear algebra failed (a power
-    that squares a large kappa_max past the condition cap, say), or of the
-    trials of a list of seeds drawn or checked together."""
-    trial = "trials" if isinstance(seed, list) else "trial"
-    return InstanceError(f"{law}: {trial} seed={seed} n={n} m={m} failed in "
-                         f"linear algebra: {type(exc).__name__}: {exc}")
+def _linalg_failure(law, seeds, n, m, exc):
+    """The InstanceError of the trials of a list of seeds, drawn or checked
+    together, whose linear algebra failed (a power that squares a large
+    kappa_max past the condition cap, say); one seed names its trial."""
+    trial = (f"trial seed={seeds[0]}" if len(seeds) == 1
+             else f"trials seed={seeds}")
+    return InstanceError(f"{law}: {trial} n={n} m={m} failed in linear "
+                         f"algebra: {type(exc).__name__}: {exc}")
 
 
 class Skip(Exception):
@@ -219,7 +220,8 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     list of their instances, from one sampler call; each is the instance
     its seed gives alone.  A request the law refuses, or an ensemble
     setting EnsembleSpec refuses, raises an InstanceError that names the
-    law; so does a failed sampling, naming the requested seed, n and m."""
+    law; so does a failed sampling, naming the requested seed, n and m (a
+    seed alone or in a list of one as ``trial seed=X``)."""
     spec = law_spec(name)
     chunk = isinstance(seed, (list, tuple))
     if chunk:
@@ -260,8 +262,7 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     except InstanceError as exc:
         raise InstanceError(f"{name}: {exc}") from None
     except LinalgError as exc:
-        raise _linalg_failure(name, seeds if chunk else seed, n, m,
-                              exc) from None
+        raise _linalg_failure(name, seeds, n, m, exc) from None
     for inst, b in zip(insts, boundaries, strict=True):
         inst.law = name
         if b is not None:
@@ -288,8 +289,8 @@ def check_chunk(name, insts, tol=DEFAULT_TOL):
     try:
         entries = list(spec.check(insts, tol))
     except LinalgError as exc:
-        seed = first.seed if len(insts) == 1 else [i.seed for i in insts]
-        raise _linalg_failure(name, seed, first.n, first.m, exc) from None
+        raise _linalg_failure(name, [i.seed for i in insts], first.n, first.m,
+                              exc) from None
     if len(entries) != len(insts):
         raise InstanceError(f"{name}: check gave {len(entries)} results for "
                             f"{len(insts)} trials")
@@ -675,22 +676,22 @@ def _sample_power_lemma(especs):
 
 
 def _check_power_lemma(insts, tol):
+    """Trial by trial, the links A^r + A^-r <= A + A^-1 at each grid
+    exponent r, with the bound formed from the drawn A, and the identities
+    at the grid's two ends: 2I at r = 0 and the bound at r = 1."""
     rs = list(insts[0].params["r_grid"])
     if any(list(inst.params["r_grid"]) != rs for inst in insts):
         raise InstanceError("the instances of a chunk differ in r_grid")
     a = stack([inst.As for inst in insts])[:, 0]
-    # A^r + A^-r as one stack: the bound (r = 1), the grid, and the
-    # degenerate endpoints r = 0, which collapses to 2I, and r = 1, which
-    # collapses to the bound
-    exps = [1.0, *rs, 0.0, 1.0]
-    sums = power(a, exps) + power(a, [-x for x in exps])
-    linked = sums[:-2]
+    neg = power(a, [-x for x in rs])      # the grid runs from 0 to 1
+    values = stack([*(power(a, rs) + neg), a + neg[-1]])
+    bound = len(rs)
     return _join(
-        _links([f"r={r:g}" for r in rs], linked,
-               [(k, 0) for k in range(1, len(rs) + 1)], tol),
-        _eq("r0-degenerate", sums[-2],
+        _links([f"r={r:g}" for r in rs], values,
+               [(k, bound) for k in range(bound)], tol),
+        _eq("r0-degenerate", values[0],
             2.0 * HermitianMatrix.identity(insts[0].n)),
-        _eq("r1-degenerate", sums[-1], linked[0]))
+        _eq("r1-degenerate", values[bound - 1], values[bound]))
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +955,12 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
 
     The trials that request the same (n, m) are drawn together, in chunks
     of at most GROUP_TRIALS, and checked together by ``check_chunk``, when
-    the loop reaches a chunk's first trial; a chunk of one trial is drawn
-    and checked alone (``check_law``).  Results count at each trial's turn,
-    in trial order.  A chunk whose draw or check raises is drawn or checked
-    again one trial at a time, at each trial's turn, so that the first
-    failing trial raises the InstanceError it raises alone."""
+    the loop reaches a chunk's first trial.  Results count at each trial's
+    turn, in trial order.  A trial that no chunk drew and checked (a chunk
+    of one, or a chunk whose draw or check raised) is drawn alone and
+    checked by ``check_law`` at its turn, which gives it the same bits, so
+    that the first failing trial raises the InstanceError it raises
+    alone."""
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < SEED_LIMIT):
         raise InstanceError(f"{name}: master seed must be an integer in "
@@ -973,8 +975,7 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
                  m if m is not None else k % 4 + 1) for k in range(trials)]
     chunks = {chunk[0]: chunk for chunk in _chunks(requests)
               if len(chunk) > 1}
-    drawn = {}          # trial -> its instance, drawn with its chunk
-    checked = {}        # trial -> its result, checked with its chunk
+    done = {}           # trial -> (instance, result), from its chunk
     counts = Counter()
     skip_reasons = Counter()
     worst = None
@@ -984,21 +985,20 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
         if k in chunks:
             chunk = chunks[k]
             try:
-                drawn.update(zip(chunk, sample_instance(
+                insts = sample_instance(
                     name, n=rn, m=rm, fieldname=fieldname,
                     kappa_max=kappa_max, seed=[seeds[i] for i in chunk],
-                    boundary=[bounds[i] for i in chunk])))
-                checked.update(zip(chunk, check_chunk(
-                    name, [drawn[i] for i in chunk], tol=tol)))
+                    boundary=[bounds[i] for i in chunk])
+                done.update(zip(chunk, zip(insts, check_chunk(
+                    name, insts, tol=tol))))
             except InstanceError:
-                pass    # its trials are drawn or checked alone, at their turn
-        inst = drawn.pop(k, None)
-        if inst is None:
+                pass    # its trials are drawn and checked alone, at their turn
+        if k in done:
+            inst, result = done.pop(k)
+        else:
             inst = sample_instance(name, n=rn, m=rm, fieldname=fieldname,
                                    kappa_max=kappa_max, seed=seeds[k],
                                    boundary=bounds[k])
-        result = checked.pop(k, None)
-        if result is None:
             result = check_law(name, inst, tol=tol)
         counts[result.status] += 1
         if result.skipped:
@@ -1109,7 +1109,7 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
         values = values[:, 0]
         lams = values.decomposition().eigenvalues
     except LinalgError as exc:
-        raise _linalg_failure(instance.law, instance.seed, instance.n,
+        raise _linalg_failure(instance.law, [instance.seed], instance.n,
                               instance.m, exc) from None
     points = tuple(CurvePoint(
         t=t, trace=float(trace), lambda_min=float(lam[0]),

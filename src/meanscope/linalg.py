@@ -543,16 +543,13 @@ def loewner_leq(A, B, tol=DEFAULT_TOL):
 
 
 def rel_residual(X, Y):
-    """Relative Frobenius distance, floored at unit scale; per matrix of a
-    stack (a single matrix broadcasts against a stack), each by the norms
-    of its own 2-D arrays, so a slice gets the bits a single matrix gets."""
+    """Relative Frobenius distance _fro(x - y) / max(1, _fro(x), _fro(y)),
+    per matrix of a stack (a single matrix broadcasts against a stack); a
+    slice gets the bits a single matrix gets."""
     _require_same_dim(X, Y)
-    x, y = np.broadcast_arrays(X.array, Y.array)
-    n = x.shape[-1]
-    rel = [float(np.linalg.norm(a - b))
-           / max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-           for a, b in zip(x.reshape(-1, n, n), y.reshape(-1, n, n))]
-    return _float_or_array(np.array(rel).reshape(x.shape[:-2]))
+    x, y = X.array, Y.array
+    return _float_or_array(
+        _fro(x - y) / np.maximum(np.maximum(_fro(x), _fro(y)), 1.0))
 
 
 def pd_sum(X):

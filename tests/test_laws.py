@@ -180,17 +180,19 @@ def test_failed_linear_algebra_names_the_instance():
 def test_failed_sampling_names_the_request():
     # no instance exists yet, so the message names what was asked for; a
     # kappa_max at which random_pd could fail is refused up front, so this
-    # sampler fails on a matrix of its own
+    # sampler fails on a matrix of its own.  A list of one seed names its
+    # one trial, as the seed does
     def sample(especs):
         return [PDMatrix(np.diag([1.0, -1.0, 1.0]))]
 
     laws.register_law("failing-sampler", sample, laws.law_spec("wada").check)
     try:
-        with pytest.raises(InstanceError, match=r"^failing-sampler: trial "
-                           r"seed=1 n=3 m=4 failed in linear algebra: "
-                           r"NotPositiveDefinite"):
-            sample_instance("failing-sampler", n=3, m=4, fieldname="complex",
-                            kappa_max=1e4, seed=1)
+        for seed in (1, [1]):
+            with pytest.raises(InstanceError, match=r"^failing-sampler: trial "
+                               r"seed=1 n=3 m=4 failed in linear algebra: "
+                               r"NotPositiveDefinite"):
+                sample_instance("failing-sampler", n=3, m=4,
+                                fieldname="complex", kappa_max=1e4, seed=seed)
     finally:
         del laws._LAWS["failing-sampler"]
 
@@ -365,6 +367,18 @@ class TestPowerLemma:
         assert -by_label["r1-degenerate"].margin <= 1e-12
         scale = by_label["r=1"].verdict.scale
         assert abs(by_label["r=1"].margin) <= 1e-9 * max(1.0, scale)
+
+    def test_wrong_unit_power_fails_r1_degenerate(self, monkeypatch):
+        # the bound A + A^-1 is formed from the drawn A, not from the power
+        # A^1 whose sum it bounds, so a wrong A^1 is caught
+        def perturbed(a, t):
+            return linalg.power(a, [1.0 + 1e-6 if x == 1.0 else x for x in t])
+
+        monkeypatch.setattr(laws, "power", perturbed)
+        result = check_law("power-lemma", make_instance("power-lemma", 5))
+        by_label = {l.label: l for l in result.links}
+        assert not by_label["r1-degenerate"].holds
+        assert by_label["r0-degenerate"].holds
 
 
 class TestMatrixCallebaut:
@@ -638,11 +652,13 @@ def test_run_law_trials_replay_alone(name, trials, n, m, field, sizes,
 def probe_law(monkeypatch, bad_draws, bad_checks):
     """Register "probe", wada with a sampler that fails on the seeds of
     ``bad_draws`` and a check that fails on a chunk that holds one of
-    ``bad_checks``; the list of the seeds of each check call, in order."""
+    ``bad_checks``; the lists of the seeds of each draw call and of each
+    check call, in order."""
     wada = laws.law_spec("wada")
-    checked = []
+    drawn, checked = [], []
 
     def sample(especs):
+        drawn.append([e.seed for e in especs])
         for e in especs:
             if e.seed in bad_draws:
                 PDMatrix(np.diag([1.0, -1.0]))
@@ -657,7 +673,7 @@ def probe_law(monkeypatch, bad_draws, bad_checks):
 
     monkeypatch.setitem(laws._LAWS, "probe", laws.LawSpec(sample, check,
                                                           n_cap=3))
-    return checked
+    return drawn, checked
 
 
 @pytest.mark.parametrize("bad_draws, bad_checks", [
@@ -671,19 +687,23 @@ def test_failing_chunk_names_the_first_failing_trial(bad_draws, bad_checks,
     bad_checks = {seeds[k] for k in bad_checks}
 
     def failure(group_trials):
-        checked = probe_law(monkeypatch, bad_draws, bad_checks)
+        drawn, checked = probe_law(monkeypatch, bad_draws, bad_checks)
         monkeypatch.setattr(laws, "GROUP_TRIALS", group_trials)
         with pytest.raises(InstanceError) as exc:
             laws.run_law("probe", 0, 5, 10, 2, 1, "complex", 1e4, 1e-8)
-        return str(exc.value), checked
+        return str(exc.value), drawn, checked
 
     chunked, alone = failure(64), failure(1)   # a chunk of one is a trial
     assert chunked[0] == alone[0]
     first = min(k for k, s in enumerate(seeds) if s in bad_draws | bad_checks)
     assert chunked[0].startswith(f"probe: trial seed={seeds[first]} n=2 m=1 "
                                  f"failed in linear algebra")
-    # trials are checked one at a time up to the first failing one; a chunk
-    # that was drawn whole was checked whole before that
+    # the failed chunk was drawn whole once, and checked whole once if its
+    # draw held; then its trials are drawn one at a time up to the first
+    # failing one, and checked one at a time up to the first that fails in
+    # its check
+    drawn_singles = [[s] for s in seeds[:first + 1]]
     singles = [[s] for s in seeds[:first + (seeds[first] in bad_checks)]]
-    assert alone[1] == singles
-    assert chunked[1] == ([] if bad_draws else [seeds]) + singles
+    assert alone[1:] == (drawn_singles, singles)
+    assert chunked[1] == [seeds] + drawn_singles
+    assert chunked[2] == ([] if bad_draws else [seeds]) + singles

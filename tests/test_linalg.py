@@ -736,6 +736,8 @@ class TestStacks:
             kr = kron(x, y)
             sq = power(x[0], [0.5, 2.0, -1.0, 0.3])
             verdicts = loewner_leq(x, y)
+            residuals = rel_residual(x, y)
+            against_one = rel_residual(xs[0], y)    # broadcast on the stack
             for j in range(4):
                 assert np.array_equal(
                     x[j].decomposition().unitary,
@@ -745,6 +747,9 @@ class TestStacks:
                                           means.mean(d, xs[j], ys[j]).array)
                 assert np.array_equal(kr[j].array, kron(xs[j], ys[j]).array)
                 assert verdicts[j] == loewner_leq(xs[j], ys[j])
+                assert residuals[j].hex() == rel_residual(xs[j], ys[j]).hex()
+                assert (against_one[j].hex()
+                        == rel_residual(xs[0], ys[j]).hex())
             for t, p in zip((0.5, 2.0, -1.0, 0.3), sq):
                 assert np.array_equal(p.array, power(xs[0], t).array)
 
