@@ -243,6 +243,11 @@ def cmd_repro(args):
     for label, group in (("A", inst.As), ("B", inst.Bs)):
         for j, mat in enumerate([] if group is None else group):
             dump["matrices"][f"{label}{j}"] = matrix_to_dict(mat)
+    for j, pair in enumerate(inst.ordered or ()):   # L_j <= U_j
+        for label, mat in zip("LU", pair):
+            dump["matrices"][f"{label}{j}"] = matrix_to_dict(mat)
+    if inst.congruence is not None:
+        dump["matrices"]["C"] = matrix_to_dict(inst.congruence)
     if inst.a_seq is not None:
         dump["scalars"] = {"a": list(map(float, inst.a_seq)),
                            "b": list(map(float, inst.b_seq))}

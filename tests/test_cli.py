@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from meanscope import cli, laws
 from meanscope.cli import GRID_MAX_POINTS, SEED_ENV_VAR, main
-from meanscope.linalg import matrix_to_dict
+from meanscope.linalg import HermitianMatrix, matrix_to_dict
 
 
 def run(capsys, *argv):
@@ -282,6 +284,34 @@ class TestRepro:
                                     kappa_max=cli.DEFAULT_KAPPA, seed=4)
         assert dump["matrices"] == {"A0": matrix_to_dict(inst.As[0]),
                                     "B0": matrix_to_dict(inst.Bs[0])}
+
+    @pytest.mark.parametrize("law", laws.law_names())
+    def test_dump_holds_every_matrix_of_the_instance(self, capsys, law):
+        # the links read nothing but the instance, so its dump must hold
+        # each of its matrices (a congruence need not be Hermitian)
+        code, stdout, _ = run(capsys, "repro", "--law", law, "--seed", "1",
+                              "--n", "2", "--m", "3")
+        assert code == 0
+        inst = laws.sample_instance(law, n=2, m=3, fieldname="complex",
+                                    kappa_max=cli.DEFAULT_KAPPA, seed=1)
+        held = []
+
+        def collect(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    collect(y)
+            elif isinstance(x, HermitianMatrix):
+                held.extend(x.array.reshape(-1, inst.n, inst.n))
+            elif isinstance(x, np.ndarray) and x.ndim == 2:
+                held.append(x)
+
+        for f in dataclasses.fields(inst):
+            collect(getattr(inst, f.name))
+        dumped = [np.array([complex(re, im) for re, im in d["entries"]])
+                  .reshape(d["n"], d["n"]).tobytes()
+                  for d in json.loads(stdout)["matrices"].values()]
+        assert sorted(dumped) == sorted(
+            np.asarray(x, dtype=np.complex128).tobytes() for x in held)
 
     def test_unknown_law(self, capsys):
         code, _, err = run(capsys, "repro", "--law", "bogus", "--seed", "1")

@@ -479,6 +479,50 @@ class TestPathMonotonicity:
             check_law("path-monotonicity", inst)
 
 
+def two_sided_grid(law):
+    """The law's pivot -/+ k/8 of its half-domain, k = 0..8: a dyadic grid
+    whose point i is the mirror image of point 16 - i."""
+    sw = laws.SWEEPS[law]
+    half = sw.domain[1] - sw.pivot
+    return [sw.pivot + (k - 8) / 8 * half for k in range(17)]
+
+
+class TestTensorLaws:
+    # at mirrored points of a tensor curve its two tensor terms swap
+    # places, and float addition commutes
+    @pytest.mark.parametrize("law", ["tensor-f", "tensor-g"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_curve_is_mirrored_bit_for_bit(self, law, n, field):
+        insts = sample_instance(law, n=n, m=1, fieldname=field,
+                                kappa_max=1e4, seed=list(range(8)))
+        values = laws.SWEEPS[law].evaluator(insts, two_sided_grid(law)).array
+        assert values.shape[:2] == (17, 8)
+        for i in range(17):
+            for k in range(8):
+                assert values[i, k].tobytes() == values[16 - i, k].tobytes(), (
+                    i, k)
+
+    @pytest.mark.parametrize("law", ["tensor-f", "tensor-g"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_check_links_from_the_pivot_up(self, law, n):
+        grid = two_sided_grid(law)
+        for seed in range(4):
+            inst = make_instance(law, seed, n=n)
+            links = check_law(law, inst).links
+            assert [link.label for link in links] == [
+                f"increasing {t0:g}->{t1:g}"
+                for t0, t1 in zip(grid[8:], grid[9:])]
+            # the check's link j joins points 8+j and 9+j; its mirror, the
+            # sweep's decreasing link from point 7-j to 8-j, is recorded at
+            # the point where it ends, 8-j
+            points = sweep_law(law, inst, grid).points
+            assert all(p.link_holds for p in points)
+            mirrored = [points[8 - j].link_margin for j in range(8)]
+            assert np.array([link.margin for link in links]).tobytes() == (
+                np.array(mirrored).tobytes())
+
+
 class TestSweeps:
     def test_tensor_g_scalar_trace(self):
         inst = make_instance("tensor-g", 0, n=1)

@@ -779,6 +779,14 @@ class TestMatrixIO:
         text = json.dumps(matrix_to_dict(h))
         assert entries_array(json.loads(text))[0, 0] == h.array[0, 0]
 
+    def test_entries_array_roundtrips(self):
+        # a congruence is written from its entries, which need not be
+        # Hermitian
+        c = np.array([[1.0, 2.0 - 1.0j], [0.5j, 3.0]])
+        d = matrix_to_dict(c)
+        assert d["field"] == "complex"
+        assert np.array_equal(entries_array(d), c)
+
     def test_stack_is_refused(self):
         # a stack of three 2x2 matrices is no one matrix a dump can hold
         eye = HermitianMatrix.identity(2)
