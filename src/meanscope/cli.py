@@ -84,8 +84,8 @@ def _resolve_settings(args):
     """Give each setting of the subcommand its value, once: the flag's, else
     the config file's, else (seed only) $MEANSCOPE_SEED's, else the default;
     then check those no sampler checks (laws.sample_instance refuses a bad
-    n, m, field or kappa_max) and the seed, which verify's trials do not
-    carry."""
+    n, m, field or kappa_max, and laws.run_law a bad trial count) and the
+    seed, which verify's trials do not carry."""
     config = _load_config(args.config) if args.config else {}
     refused = sorted(set(config) - set(args.settings))
     if refused:
@@ -117,8 +117,6 @@ def _resolve_settings(args):
         raise UsageError(f"tol must be finite and >= 0, got {args.tol}")
     if args.command == "verify":
         args.laws = _parse_laws(args.laws)
-        if args.trials < 1:
-            raise UsageError(f"trials must be at least 1, got {args.trials}")
 
 
 def _check_out(path):

@@ -102,13 +102,17 @@ class InstanceError(Exception):
     failed), which is no verdict."""
 
 
-def _linalg_failure(law, seeds, n, m, exc):
-    """The InstanceError of the trials of a list of seeds, drawn or checked
-    together, whose linear algebra failed (a power that squares a large
-    kappa_max past the condition cap, say); one seed names its trial."""
+def _trials(law, seeds, n, m):
+    """The prefix naming the trials of a list of seeds; one names its trial."""
     trial = (f"trial seed={seeds[0]}" if len(seeds) == 1
              else f"trials seed={seeds}")
-    return InstanceError(f"{law}: {trial} n={n} m={m} failed in linear "
+    return f"{law}: {trial} n={n} m={m}"
+
+
+def _linalg_failure(law, seeds, n, m, exc):
+    """The InstanceError of trials whose linear algebra failed (a power that
+    squares a large kappa_max past the condition cap, say)."""
+    return InstanceError(f"{_trials(law, seeds, n, m)} failed in linear "
                          f"algebra: {type(exc).__name__}: {exc}")
 
 
@@ -273,8 +277,8 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
 def check_chunk(name, insts, tol=DEFAULT_TOL):
     """The results of a chunk of trials, instances of one law, n, m and
     field, from one call of the law's check, in order.  A failed linear
-    algebra names the chunk's seeds, and a trial whose check returned no
-    link is refused, by its seed."""
+    algebra, or an InstanceError the check raises, names the chunk's seeds,
+    and a trial whose check returned no link is refused, by its seed."""
     spec = law_spec(name)
     if not insts:
         raise InstanceError(f"{name}: a chunk holds at least one instance")
@@ -286,11 +290,14 @@ def check_chunk(name, insts, tol=DEFAULT_TOL):
         if (inst.n, inst.m, inst.field) != (first.n, first.m, first.field):
             raise InstanceError(f"{name}: a chunk holds instances of one n, "
                                 f"m and field")
+    seeds = [inst.seed for inst in insts]
     try:
         entries = list(spec.check(insts, tol))
     except LinalgError as exc:
-        raise _linalg_failure(name, [i.seed for i in insts], first.n, first.m,
-                              exc) from None
+        raise _linalg_failure(name, seeds, first.n, first.m, exc) from None
+    except InstanceError as exc:
+        raise InstanceError(f"{_trials(name, seeds, first.n, first.m)}: "
+                            f"{exc}") from None
     if len(entries) != len(insts):
         raise InstanceError(f"{name}: check gave {len(entries)} results for "
                             f"{len(insts)} trials")
@@ -303,8 +310,8 @@ def check_chunk(name, insts, tol=DEFAULT_TOL):
         links = tuple(entry)
         if not links:
             # a trial that checks nothing is no pass
-            raise InstanceError(f"{name}: trial seed={inst.seed} "
-                                f"n={inst.n} m={inst.m} checked no link")
+            trial = _trials(name, [inst.seed], inst.n, inst.m)
+            raise InstanceError(f"{trial} checked no link")
         results.append(CheckResult(links))
     return results
 
@@ -346,18 +353,18 @@ def _join(*parts):
     return [sum(links, ()) for links in zip(*parts, strict=True)]
 
 
-def _links(labels, values, pairs, tol):
-    """Trial by trial, the links values[i, k] <= values[j, k] of trial k,
-    one per label and index pair (i, j), from one stacked Loewner
-    comparison of the whole chunk.  ``values`` is a stack of chain members
-    with the trial axis second; one eigendecomposition of it, which its
-    slices share, gives every norm."""
+def _links(labels, values, lo, hi, tol):
+    """Trial by trial, the links values[lo][i, k] <= values[hi][i, k] of
+    trial k, one per label i, from one stacked Loewner comparison of the
+    whole chunk.  ``values`` is a stack of chain members with the trial axis
+    second; ``lo`` and ``hi`` index its member axis (a slice gives a view, a
+    single index broadcasts, a list of indices copies).  Its one
+    eigendecomposition, which the slices share, gives every norm."""
     values.decomposition()
     trials = values.stack_shape[1]
-    if not pairs:
+    if not labels:
         return [()] * trials
-    lo, hi = (list(side) for side in zip(*pairs))
-    verdicts = loewner_leq(values[lo], values[hi], tol)   # pair-major
+    verdicts = loewner_leq(values[lo], values[hi], tol)   # link-major
     links = [Link(label, v) for label, v in zip(
         (label for label in labels for _ in range(trials)), verdicts,
         strict=True)]
@@ -366,9 +373,10 @@ def _links(labels, values, pairs, tol):
 
 def _chain(labels, members, tol):
     """Trial by trial, the links members[i] <= members[i+1] between
-    neighbouring members of a stack, one per label."""
-    return _links(labels, members, [(i, i + 1) for i in range(len(labels))],
-                  tol)
+    neighbouring members of a stack, one per label, from two views of it."""
+    if len(members) != len(labels) + 1:
+        raise ValueError(f"{len(labels)} links for {len(members)} members")
+    return _links(labels, members, slice(None, -1), slice(1, None), tol)
 
 
 def _residual_links(label, residuals, tol):
@@ -572,28 +580,22 @@ def _check_geo_path_callebaut(insts, tol):
 
 def _path_exponent(espec):
     rng = seeded_rng(espec.seed, LAW_STREAM, 5)
-    # geometric path by default; occasionally a power path, which triggers
-    # the dual-symmetry hypothesis test and is normally skipped
+    # geometric path by default; occasionally a power path, which fails the
+    # dual-symmetry hypothesis and is skipped
     use_power = bool(rng.integers(8) == 0)
     r = float(rng.uniform(-1.0, 1.0)) if use_power else 0.0
     return {"params": {"r": r}}
 
 
-def _path_dual_symmetry_residual(r, t):
-    """Residual of the hypothesis dual(sigma_t) = sigma_{1-t} on a grid."""
-    return means.representing_gap(means.power_path(r, 1.0 - t),
-                                  means.dual(means.power_path(r, t)),
-                                  np.geomspace(0.1, 10.0, 9))
-
-
 def _check_path_monotonicity(insts, tol):
-    entries = []
-    for inst, s, t in zip(insts, *_region_st(insts)):
-        r = inst.params["r"]
-        hyp = max(_path_dual_symmetry_residual(r, u) for u in (t, s, 0.25))
-        entries.append(None if hyp <= EQUALITY_TOL else Skip(
-            f"dual-symmetry hypothesis fails for r={r} "
-            f"(residual {hyp:.3e})"))
+    """Trial by trial, the link of ``_path_monotonicity_links``, or a Skip
+    where the path fails the hypothesis dual(sigma_u) = sigma_{1-u}: as
+    dual(m_{r,u}) = m_{-r,1-u} (Kubo and Ando, Math. Ann. 1980), it holds
+    exactly on the geodesic, |r| < R_GEOMETRIC_CUTOFF, at every s and t."""
+    _region_st(insts)       # refuses an (s, t) outside the region
+    entries = [None if abs(inst.params["r"]) < means.R_GEOMETRIC_CUTOFF
+               else Skip(f"dual-symmetry hypothesis fails for "
+                         f"r={inst.params['r']}") for inst in insts]
     kept = [inst for inst, entry in zip(insts, entries) if entry is None]
     links = iter(_path_monotonicity_links(kept, tol) if kept else ())
     return [next(links) if entry is None else entry for entry in entries]
@@ -670,25 +672,22 @@ POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 def _sample_power_lemma(especs):
     draw = random_pd(especs, [0])
-    return [LawInstance(seed=e.seed, n=e.n, m=1, field=e.field, As=draw[k],
-                        params={"r_grid": list(POWER_LEMMA_GRID)})
+    return [LawInstance(seed=e.seed, n=e.n, m=1, field=e.field, As=draw[k])
             for k, e in enumerate(especs)]
 
 
 def _check_power_lemma(insts, tol):
-    """Trial by trial, the links A^r + A^-r <= A + A^-1 at each grid
-    exponent r, with the bound formed from the drawn A, and the identities
-    at the grid's two ends: 2I at r = 0 and the bound at r = 1."""
-    rs = list(insts[0].params["r_grid"])
-    if any(list(inst.params["r_grid"]) != rs for inst in insts):
-        raise InstanceError("the instances of a chunk differ in r_grid")
+    """Trial by trial, the links A^r + A^-r <= A + A^-1 at each exponent r
+    of POWER_LEMMA_GRID, with the bound formed from the drawn A, and the
+    identities at the grid's two ends: 2I at r = 0 and the bound at r = 1."""
+    rs = POWER_LEMMA_GRID
     a = stack([inst.As for inst in insts])[:, 0]
     neg = power(a, [-x for x in rs])      # the grid runs from 0 to 1
     values = stack([*(power(a, rs) + neg), a + neg[-1]])
     bound = len(rs)
     return _join(
-        _links([f"r={r:g}" for r in rs], values,
-               [(k, bound) for k in range(bound)], tol),
+        _links([f"r={r:g}" for r in rs], values, slice(None, bound), bound,
+               tol),
         _eq("r0-degenerate", values[0],
             2.0 * HermitianMatrix.identity(insts[0].n)),
         _eq("r1-degenerate", values[bound - 1], values[bound]))
@@ -713,17 +712,19 @@ def _vshape_links(grid, values, pivot, tol):
     floats, so both sides are checked).  One entry per neighbouring pair;
     None for the pair that straddles the pivot.  ``values`` is the stack of
     the curve's values, one per point, with a trial axis of one."""
-    labels, pairs = [], []      # pair (i, j) checks values[i] <= values[j]
+    labels, lo, hi = [], [], []     # values[lo[i]] <= values[hi[i]]
     for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
         if t1 <= pivot + 1e-12:
             labels.append(f"decreasing {t0:g}->{t1:g}")
-            pairs.append((i + 1, i))
+            lo.append(i + 1)
+            hi.append(i)
         elif t0 >= pivot - 1e-12:
             labels.append(f"increasing {t0:g}->{t1:g}")
-            pairs.append((i, i + 1))
+            lo.append(i)
+            hi.append(i + 1)
         else:
             labels.append(None)
-    links = iter(_links([x for x in labels if x], values, pairs, tol)[0])
+    links = iter(_links([x for x in labels if x], values, lo, hi, tol)[0])
     return [None if label is None else next(links) for label in labels]
 
 
@@ -951,11 +952,19 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     of one, or a chunk whose draw or check raised) is drawn alone and
     checked by ``check_law`` at its turn, which gives it the same bits, so
     that the first failing trial raises the InstanceError it raises
-    alone."""
+    alone.  A bad master seed, trial count or tol is an InstanceError
+    naming the law."""
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < SEED_LIMIT):
         raise InstanceError(f"{name}: master seed must be an integer in "
                             f"[0, 2**63), got {seed!r}")
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise InstanceError(f"{name}: trials must be an integer >= 1, got "
+                            f"{trials!r}")
+    if not 0.0 <= tol < np.inf:
+        raise InstanceError(f"{name}: tol must be finite and >= 0, "
+                            f"got {tol!r}")
     started = time.monotonic()
     n_cap = law_spec(name).n_cap
     boundaries = boundary_params(name)
@@ -1083,10 +1092,11 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
     grid = [float(t) for t in grid]
     if not grid:
         raise InstanceError(f"sweep {name}: empty grid checks no link")
-    if any(t1 <= t0 for t0, t1 in zip(grid, grid[1:])):
+    # written so that a NaN point, which compares false, fails them
+    if not all(t0 < t1 for t0, t1 in zip(grid, grid[1:])):
         raise InstanceError(f"sweep {name}: grid must be strictly increasing")
     lo, hi = sw.domain
-    if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
+    if not lo - 1e-12 <= grid[0] <= grid[-1] <= hi + 1e-12:
         raise InstanceError(f"sweep {name}: grid [{grid[0]}, {grid[-1]}] "
                             f"outside domain [{lo}, {hi}]")
     try:

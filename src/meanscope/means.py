@@ -114,15 +114,6 @@ def geomean(A, B):
     return mean(geometric(), A, B)
 
 
-def representing_gap(d1, d2, grid):
-    """Largest relative gap |f1 - f2| / max(1, |f1|) between the
-    representing functions of d1 and d2 over a grid of points."""
-    x = np.asarray(grid, dtype=float)
-    f1 = representing_fn(d1)(x)
-    gap = np.abs(f1 - representing_fn(d2)(x)) / np.maximum(1.0, np.abs(f1))
-    return float(np.max(gap))
-
-
 # ---------------------------------------------------------------------------
 # Report spelling, one per mean: "arithmetic", "harmonic", "geometric",
 # "dual(...)", "wgeo:0.25" (r = 0), "power:0.5" (t = 1/2), otherwise

@@ -142,13 +142,13 @@ class TestVerify:
         for block in report["laws"].values():
             assert sum(block["skip_reasons"].values()) == block["skips"]
             assert 0.0 < block["wall_sec"] <= report["wall_clock_sec"]
-        # one in eight trials samples a power path, which the hypothesis
-        # test skips; its reasons, numbers blanked, tally as one cause
+        # one in eight trials samples a power path, which fails the
+        # dual-symmetry hypothesis; its reasons, numbers blanked, tally as
+        # one cause
         block = report["laws"]["path-monotonicity"]
         assert block["skips"] > 0
         assert block["skip_reasons"] == {
-            "dual-symmetry hypothesis fails for r=# (residual #)":
-                block["skips"]}
+            "dual-symmetry hypothesis fails for r=#": block["skips"]}
         assert report["laws"]["wada"]["skip_reasons"] == {}
 
     def test_determinism(self, tmp_path, capsys):

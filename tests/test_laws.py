@@ -454,6 +454,23 @@ class TestPathMonotonicity:
         assert result.status == "skip"
         assert "hypothesis" in result.skip_reason
 
+    @pytest.mark.parametrize("r, kept", [
+        (0.999 * means.R_GEOMETRIC_CUTOFF, True),
+        (-0.999 * means.R_GEOMETRIC_CUTOFF, True),
+        (means.R_GEOMETRIC_CUTOFF, False),
+        (-means.R_GEOMETRIC_CUTOFF, False)])
+    def test_hypothesis_holds_exactly_on_the_geodesic(self, r, kept):
+        # below the cutoff the path is the geodesic, which is self-dual;
+        # from the cutoff up dual(sigma_u) = sigma_{1-u} fails
+        inst = make_instance("path-monotonicity", 9)
+        inst.params["r"] = r
+        result = check_law("path-monotonicity", inst)
+        if kept:
+            assert result.holds and len(result.links) == 1
+        else:
+            assert result.skip_reason == (f"dual-symmetry hypothesis fails "
+                                          f"for r={r}")
+
     def test_guard_is_load_bearing(self):
         # negative control: on the power-path instances that the
         # dual-symmetry test skips, the unguarded link F(s) <= F(t) fails
@@ -473,10 +490,17 @@ class TestPathMonotonicity:
         assert failed > 0
 
     def test_out_of_region_rejected(self):
+        # the error names the law and the trial, or the chunk's trials
         inst = make_instance("path-monotonicity", 9)
         inst.params.update(s=0.05, t=0.4, r=0.0)
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match=(
+                r"^path-monotonicity: trial seed=9 n=3 m=2: \(s=0.05, "
+                r"t=0.4\) outside the between region$")):
             check_law("path-monotonicity", inst)
+        other = make_instance("path-monotonicity", 10)
+        with pytest.raises(InstanceError, match=(
+                r"^path-monotonicity: trials seed=\[10, 9\] n=3 m=2: ")):
+            laws.check_chunk("path-monotonicity", [other, inst])
 
 
 def two_sided_grid(law):
@@ -566,6 +590,15 @@ class TestSweeps:
         with pytest.raises(InstanceError):
             sweep_law("sharp-identity", inst, [0.0, 1.0])
 
+    @pytest.mark.parametrize("grid, named", [
+        ([np.nan], "outside domain"),
+        ([0.0, np.nan, 1.0], "grid must be strictly increasing")])
+    def test_nan_grid_point_is_refused(self, grid, named):
+        # refused by the grid checks, not in the linear algebra
+        inst = make_instance("tensor-g", 0, n=1)
+        with pytest.raises(InstanceError, match=f"^sweep tensor-g: .*{named}"):
+            sweep_law("tensor-g", inst, grid)
+
     def test_instance_of_another_law_is_refused(self):
         # a wada instance is a pair, as tensor-f's is: only its law tells
         # them apart
@@ -591,6 +624,17 @@ class TestSweeps:
             sweep_law(law, inst, grid)
 
 
+def test_chain_links_neighbouring_members_and_refuses_a_label_count_off():
+    # three members of one trial: two links, from views of the stack
+    members = PDMatrix(np.arange(1.0, 4.0)[:, None, None, None]
+                       * np.eye(2))
+    links = laws._chain(("a", "b"), members, 1e-8)
+    assert [[(x.label, x.margin) for x in t] for t in links] == [
+        [("a", 1.0), ("b", 1.0)]]
+    with pytest.raises(ValueError, match="^1 links for 3 members"):
+        laws._chain(("a",), members, 1e-8)
+
+
 def test_register_law_extends_catalog():
     spec = laws.law_spec("sharp-identity")
     laws.register_law("sharp-identity-copy", spec.sampler, spec.check)
@@ -613,6 +657,33 @@ def test_run_law_refuses_a_master_seed_outside_its_range(seed, monkeypatch):
     with pytest.raises(InstanceError, match=r"^wada: master seed must be an "
                        r"integer in \[0, 2\*\*63\)"):
         laws.run_law("wada", 0, seed, 1, None, None, "complex", 1e4, 1e-8)
+
+
+@pytest.mark.parametrize("trials", [0, -2, True, 2.0, "3"])
+def test_run_law_refuses_a_bad_trial_count(trials, monkeypatch):
+    # 0 would report a law that checked nothing, True run one trial and
+    # 2.0 raise a TypeError
+    def draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(laws, "sample_instance", draw)
+    with pytest.raises(InstanceError, match=r"^wada: trials must be an "
+                       r"integer >= 1, got "):
+        laws.run_law("wada", 0, 1, trials, None, None, "complex", 1e4, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_run_law_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+        tol, monkeypatch):
+    # every margin comparison with a NaN tolerance is false: wada would
+    # report its trials as fails
+    def draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(laws, "sample_instance", draw)
+    with pytest.raises(InstanceError, match=r"^wada: tol must be finite and "
+                       r">= 0, got "):
+        laws.run_law("wada", 0, 1, 2, None, None, "complex", 1e4, tol)
 
 
 def recorded_run(monkeypatch, name, law_index, trials, n, m, field):

@@ -25,13 +25,21 @@ from meanscope.means import (
     power_mean,
     power_path,
     representing_fn,
-    representing_gap,
     weighted_geometric,
 )
+from meanscope.laws import EQUALITY_TOL
 
 
 # where two descriptors' representing functions are compared
 GRID = np.geomspace(0.05, 20.0, 25)
+
+
+def representing_gap(d1, d2, grid):
+    """Largest relative gap |f1 - f2| / max(1, |f1|) between the
+    representing functions of d1 and d2 over a grid of points."""
+    x = np.asarray(grid, dtype=float)
+    f1, f2 = representing_fn(d1)(x), representing_fn(d2)(x)
+    return float(np.max(np.abs(f1 - f2) / np.maximum(1.0, np.abs(f1))))
 
 
 def random_pd(rng, n, spread=3.0):
@@ -97,11 +105,11 @@ class TestRepresentingFn:
             assert np.array_equal(representing_fn(d)(x), expected), d
 
     def test_representing_gap(self):
-        assert means.representing_gap(geometric(), geometric(),
-                                      np.geomspace(0.1, 10.0, 9)) == 0.0
+        assert representing_gap(geometric(), geometric(),
+                                np.geomspace(0.1, 10.0, 9)) == 0.0
         # at x = 4: |2.5 - 2| / 2.5
-        assert means.representing_gap(arithmetic(), geometric(),
-                                      [1.0, 4.0]) == pytest.approx(0.2)
+        assert representing_gap(arithmetic(), geometric(),
+                                [1.0, 4.0]) == pytest.approx(0.2)
 
     def test_power_zero_is_geometric_limit(self):
         assert representing_gap(power_mean(0.0), geometric(), GRID) <= 1e-12
@@ -133,6 +141,34 @@ class TestDual:
     def test_power_negates_exponent(self):
         assert representing_gap(dual(power_mean(0.4)), power_mean(-0.4),
                                 GRID) <= 1e-12
+
+    @pytest.mark.parametrize("r, u", [(0.0, 0.3), (0.05, 0.6), (0.5, 0.25),
+                                      (-0.4, 0.8), (1.0, 0.5), (-1.0, 0.1),
+                                      (0.7, 1.0), (-0.3, 0.0)])
+    def test_dual_of_a_path_point_is_the_mirrored_point(self, r, u):
+        # dual(m_{r,u}) = m_{-r,1-u} (Kubo and Ando, Math. Ann. 1980): the
+        # power-mean path is self-dual, dual(sigma_u) = sigma_{1-u}, only
+        # at r = 0, the premise of path-monotonicity's hypothesis
+        assert representing_gap(dual(power_path(r, u)),
+                                power_path(-r, 1.0 - u), GRID) <= 1e-12
+
+    @pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.3, 0.9), (0.45, 0.2)])
+    def test_dual_symmetry_residual_fails_exactly_off_the_geodesic(self, s, t):
+        # the residual of dual(sigma_u) = sigma_{1-u} that path-monotonicity
+        # once sampled, at u in {t, s, 0.25}: above EQUALITY_TOL wherever
+        # the exponent leaves the geodesic, and within it on the geodesic
+        def residual(r):
+            return max(representing_gap(power_path(r, 1.0 - u),
+                                        dual(power_path(r, u)),
+                                        np.geomspace(0.1, 10.0, 9))
+                       for u in (t, s, 0.25))
+
+        off = np.geomspace(means.R_GEOMETRIC_CUTOFF, 1.0, 60)
+        for r in (*off, *-off):
+            assert residual(r) > EQUALITY_TOL, r
+        for r in (0.0, 0.5 * means.R_GEOMETRIC_CUTOFF,
+                  -0.5 * means.R_GEOMETRIC_CUTOFF):
+            assert residual(r) <= EQUALITY_TOL, r
 
     def test_involution(self):
         for d in FAMILY:
