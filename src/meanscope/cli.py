@@ -32,6 +32,8 @@ class UsageError(Exception):
 
 
 def _parse_grid(text):
+    """The points a + i * step up to b: a last point past b by round-off
+    (within 1e-12) is b itself, and one further past it is dropped."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -46,7 +48,8 @@ def _parse_grid(text):
     count = int(round(steps))
     grid = [a + i * step for i in range(count + 1)]
     if grid[-1] > b + 1e-12:
-        grid = grid[:-1]
+        grid.pop()
+    grid[-1] = min(grid[-1], b)
     return grid
 
 
@@ -193,11 +196,8 @@ def cmd_sweep(args):
             f"law {name!r} is not sweepable; choose from "
             f"{sorted(laws.SWEEPS)}")
     sw = laws.SWEEPS[name]
-    if args.grid:
-        grid = _parse_grid(args.grid)
-    else:
-        lo, hi = sw.domain
-        grid = list(np.linspace(lo, hi, 17))
+    grid = (_parse_grid(args.grid) if args.grid
+            else list(np.linspace(*sw.domain, 17)))
     inst = laws.sample_instance(sw.instance_law, n=args.n, m=args.m,
                                 fieldname=args.field,
                                 kappa_max=args.kappa_max, seed=args.seed)

@@ -109,6 +109,12 @@ def _trials(law, seeds, n, m):
     return f"{law}: {trial} n={n} m={m}"
 
 
+def _refuse_bad_tol(who, tol):
+    """Refuse a tol that would fail (NaN, < 0) or pass (inf) every link."""
+    if not 0.0 <= tol < np.inf:
+        raise InstanceError(f"{who}: tol must be finite and >= 0, got {tol!r}")
+
+
 def _linalg_failure(law, seeds, n, m, exc):
     """The InstanceError of trials whose linear algebra failed (a power that
     squares a large kappa_max past the condition cap, say)."""
@@ -278,8 +284,9 @@ def check_chunk(name, insts, tol=DEFAULT_TOL):
     """The results of a chunk of trials, instances of one law, n, m and
     field, from one call of the law's check, in order.  A failed linear
     algebra, or an InstanceError the check raises, names the chunk's seeds,
-    and a trial whose check returned no link is refused, by its seed."""
+    a trial whose check returned no link its seed, and a bad tol the law."""
     spec = law_spec(name)
+    _refuse_bad_tol(name, tol)
     if not insts:
         raise InstanceError(f"{name}: a chunk holds at least one instance")
     first = insts[0]
@@ -357,9 +364,9 @@ def _links(labels, values, lo, hi, tol):
     """Trial by trial, the links values[lo][i, k] <= values[hi][i, k] of
     trial k, one per label i, from one stacked Loewner comparison of the
     whole chunk.  ``values`` is a stack of chain members with the trial axis
-    second; ``lo`` and ``hi`` index its member axis (a slice gives a view, a
-    single index broadcasts, a list of indices copies).  Its one
-    eigendecomposition, which the slices share, gives every norm."""
+    second; ``lo`` and ``hi`` index its member axis by a slice or a single
+    index, so each is a view of it (a single index broadcasts).  Its one
+    eigendecomposition, which the views share, gives every norm."""
     values.decomposition()
     trials = values.stack_shape[1]
     if not labels:
@@ -705,38 +712,29 @@ def power_tensor_sum(a, b, p, q):
     return kron(power(a, p), power(b, q)) + kron(power(a, q), power(b, p))
 
 
-def _vshape_links(grid, values, pivot, tol):
-    """The links of one instance's sweep curve between neighbouring grid
-    points, with the curve's minimum at the pivot: decreasing left of it,
-    increasing right of it (a grid such as -1:1:0.1 is not mirror-exact in
-    floats, so both sides are checked).  One entry per neighbouring pair;
-    None for the pair that straddles the pivot.  ``values`` is the stack of
-    the curve's values, one per point, with a trial axis of one."""
-    labels, lo, hi = [], [], []     # values[lo[i]] <= values[hi[i]]
-    for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
-        if t1 <= pivot + 1e-12:
-            labels.append(f"decreasing {t0:g}->{t1:g}")
-            lo.append(i + 1)
-            hi.append(i)
-        elif t0 >= pivot - 1e-12:
-            labels.append(f"increasing {t0:g}->{t1:g}")
-            lo.append(i)
-            hi.append(i + 1)
-        else:
-            labels.append(None)
-    links = iter(_links([x for x in labels if x], values, lo, hi, tol)[0])
-    return [None if label is None else next(links) for label in labels]
+def _vshape(grid, values, pivot, tol):
+    """Trial by trial, a tuple of one entry per neighbouring pair of grid
+    points, ``values`` the curve there (trial axis second) with its minimum
+    at the pivot: a decreasing link if the pair ends by pivot + 1e-12, else
+    an increasing one if it starts from pivot - 1e-12, else (the at most
+    one pair straddling the pivot) None.  Each side is one ``_links``."""
+    left = sum(t <= pivot + 1e-12 for t in grid[1:])   # decreasing pairs
+    right = min(left + (grid[left] < pivot - 1e-12), len(grid) - 1)
+    pairs = list(zip(grid, grid[1:]))
+    down = _links([f"decreasing {t0:g}->{t1:g}" for t0, t1 in pairs[:left]],
+                  values, slice(1, left + 1), slice(None, left), tol)
+    up = _links([f"increasing {t0:g}->{t1:g}" for t0, t1 in pairs[right:]],
+                values, slice(right, -1), slice(right + 1, None), tol)
+    return [(*d, *[None] * (right - left), *u) for d, u in zip(down, up)]
 
 
 def _check_tensor(insts, tol):
-    """The law's SWEEPS curve at 9 points from its pivot up, each linked to
-    the next.  Its mirror image below the pivot has the same bits (see
-    power_tensor_sum), so it would repeat these values and links."""
+    """The law's SWEEPS curve at 9 points from its pivot up, all increasing
+    links of ``_vshape``.  Its mirror image below the pivot has the same
+    bits (see power_tensor_sum), so it would repeat these values and links."""
     sw = SWEEPS[insts[0].law]
     grid = np.linspace(sw.pivot, sw.domain[1], 9)
-    return _chain([f"increasing {t0:g}->{t1:g}"
-                   for t0, t1 in zip(grid, grid[1:])],
-                  sw.evaluator(insts, grid), tol)
+    return _vshape(grid, sw.evaluator(insts, grid), sw.pivot, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -962,9 +960,7 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
             or trials < 1):
         raise InstanceError(f"{name}: trials must be an integer >= 1, got "
                             f"{trials!r}")
-    if not 0.0 <= tol < np.inf:
-        raise InstanceError(f"{name}: tol must be finite and >= 0, "
-                            f"got {tol!r}")
+    _refuse_bad_tol(name, tol)      # before any trial is drawn
     started = time.monotonic()
     n_cap = law_spec(name).n_cap
     boundaries = boundary_params(name)
@@ -1080,8 +1076,8 @@ SWEEPS = {
 
 
 def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
-    """Evaluate a sweepable law over a sorted grid, with pairwise links: the
-    evaluator on a chunk of the one instance."""
+    """Evaluate a sweepable law over a strictly increasing grid in its exact
+    domain, linked by ``_vshape``: the evaluator on a chunk of one."""
     try:
         sw = SWEEPS[name]
     except KeyError:
@@ -1089,6 +1085,7 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
     if instance.law != sw.instance_law:
         raise InstanceError(f"sweep {name}: instance was sampled for "
                             f"{instance.law!r}, not {sw.instance_law!r}")
+    _refuse_bad_tol(f"sweep {name}", tol)
     grid = [float(t) for t in grid]
     if not grid:
         raise InstanceError(f"sweep {name}: empty grid checks no link")
@@ -1096,12 +1093,12 @@ def sweep_law(name, instance, grid, tol=DEFAULT_TOL):
     if not all(t0 < t1 for t0, t1 in zip(grid, grid[1:])):
         raise InstanceError(f"sweep {name}: grid must be strictly increasing")
     lo, hi = sw.domain
-    if not lo - 1e-12 <= grid[0] <= grid[-1] <= hi + 1e-12:
+    if not lo <= grid[0] <= grid[-1] <= hi:
         raise InstanceError(f"sweep {name}: grid [{grid[0]}, {grid[-1]}] "
                             f"outside domain [{lo}, {hi}]")
     try:
         values = sw.evaluator([instance], grid)
-        links = [None] + _vshape_links(grid, values, sw.pivot, tol)
+        links = [None, *_vshape(grid, values, sw.pivot, tol)[0]]
         if all(link is None for link in links):
             raise InstanceError(f"sweep {name}: grid {grid} checks no link "
                                 f"(none joins two points on one side of the "

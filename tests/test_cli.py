@@ -217,6 +217,26 @@ class TestSweep:
     def test_largest_grid_is_accepted(self):
         assert len(cli._parse_grid("0:1:1e-4")) == GRID_MAX_POINTS
 
+    def test_last_point_past_the_end_by_round_off_is_the_end(self, tmp_path,
+                                                            capsys):
+        # 0.09 + 13 * 0.07 is 1.0000000000000002, past the domain of
+        # matrix-callebaut-middle; snapped to 1.0 it sweeps
+        grid = cli._parse_grid("0.09:1:0.07")
+        assert len(grid) == 14 and grid[-1] == 1.0
+        assert grid[:-1] == [0.09 + i * 0.07 for i in range(13)]
+        out = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "sweep", "--law", "matrix-callebaut-middle",
+                           "--grid=0.09:1:0.07", "--seed", "1",
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 14 and rows[-1][0] == "1.0"
+
+    def test_last_point_past_the_end_beyond_round_off_is_dropped(self):
+        # 0:1:0.35 rounds to 3 steps, whose end 1.05 is no round-off
+        assert cli._parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
+
     @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:1", "nan:1:0.5"])
     def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
         out = tmp_path / "curve.csv"

@@ -547,6 +547,99 @@ class TestTensorLaws:
                 np.array(mirrored).tobytes())
 
 
+def vshape_reference(grid, values, pivot, tol):
+    """Pair by pair, the link of the V rule about the pivot, from a
+    loewner_leq on single slices: decreasing where the pair ends within
+    1e-12 above the pivot, else increasing where it starts within 1e-12
+    below it, else None; one list per trial."""
+    out = []
+    for k in range(values.stack_shape[1]):
+        links = []
+        for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
+            if t1 <= pivot + 1e-12:
+                label, lo, hi = f"decreasing {t0:g}->{t1:g}", i + 1, i
+            elif t0 >= pivot - 1e-12:
+                label, lo, hi = f"increasing {t0:g}->{t1:g}", i, i + 1
+            else:
+                links.append(None)
+                continue
+            links.append(laws.Link(label, linalg.loewner_leq(
+                values[lo, k], values[hi, k], tol)))
+        out.append(links)
+    return out
+
+
+# grids on the pivot -/+ x times the half-domain: with the pivot as a point,
+# straddling it, all left of it, all right of it, and within 1e-13 of it on
+# both sides, where a pair that is both decreasing and increasing counts as
+# decreasing
+VSHAPE_GRIDS = {
+    "pivot": [(k - 8) / 8 for k in range(17)],
+    "straddling": [-0.875 + 0.25 * k for k in range(8)],
+    "left": [-1.0, -0.7, -0.4, -0.1],
+    "right": [0.05, 0.35, 0.65, 0.95],
+    "precedence": [-1e-13, 1e-13],
+}
+
+
+@pytest.mark.parametrize("law", ["tensor-f", "tensor-g"])
+@pytest.mark.parametrize("shape", sorted(VSHAPE_GRIDS))
+def test_vshape_matches_the_rule_pair_by_pair(law, shape):
+    sw = laws.SWEEPS[law]
+    half = sw.domain[1] - sw.pivot
+    grid = [sw.pivot + x * half for x in VSHAPE_GRIDS[shape]]
+    insts = make_instance(law, [3, 4, 5], n=2)
+    values = sw.evaluator(insts, grid)
+    got = laws._vshape(grid, values, sw.pivot, 1e-8)
+    want = vshape_reference(grid, values, sw.pivot, 1e-8)
+    assert len(got) == len(want) == 3
+    for links, ref in zip(got, want):
+        assert [None if x is None else x.label for x in links] == [
+            None if x is None else x.label for x in ref]
+        assert [None if x is None else (x.margin, x.verdict.scale, x.holds)
+                for x in links] == [
+            None if x is None else (x.margin, x.verdict.scale, x.holds)
+            for x in ref]
+    nones = [i for i, x in enumerate(want[0]) if x is None]
+    assert nones == ([3] if shape == "straddling" else [])
+    if shape == "precedence":
+        assert want[0][0].label.startswith("decreasing ")
+
+
+@pytest.mark.parametrize("name", sorted(laws.SWEEPS))
+def test_sweep_compares_views_of_its_curve(name, monkeypatch):
+    # each side of the V is two slices of the curve's stack, not a copy
+    sw = laws.SWEEPS[name]
+    inst = make_instance(sw.instance_law, 2, n=2, m=3)
+    leq, seen = laws.loewner_leq, []
+
+    def viewing_leq(A, B, tol):
+        seen.append((A.array.flags.owndata, B.array.flags.owndata))
+        return leq(A, B, tol)
+
+    monkeypatch.setattr(laws, "loewner_leq", viewing_leq)
+    grid = list(np.linspace(*sw.domain, 17))
+    assert sweep_law(name, inst, grid).holds
+    assert seen and not any(a or b for a, b in seen), seen
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_library_entries_refuse_a_tolerance_that_is_not_finite(tol):
+    # an infinite tol would pass every link, a NaN or negative one fail it
+    inst = make_instance("wada", 1, n=2)
+    with pytest.raises(InstanceError, match=r"^wada: tol must be finite and "
+                       r">= 0, got "):
+        check_law("wada", inst, tol=tol)
+    with pytest.raises(InstanceError, match=r"^wada: tol must be finite and "
+                       r">= 0, got "):
+        laws.check_chunk("wada", [inst, make_instance("wada", 2, n=2)],
+                         tol=tol)
+    inst = make_instance("tensor-f", 1, n=2)
+    with pytest.raises(InstanceError, match=r"^sweep tensor-f: tol must be "
+                       r"finite and >= 0, got "):
+        sweep_law("tensor-f", inst, [0.0, 0.5, 1.0], tol=tol)
+
+
 class TestSweeps:
     def test_tensor_g_scalar_trace(self):
         inst = make_instance("tensor-g", 0, n=1)
@@ -589,6 +682,16 @@ class TestSweeps:
             sweep_law("tensor-g", inst, [0.0, 2.0])
         with pytest.raises(InstanceError):
             sweep_law("sharp-identity", inst, [0.0, 1.0])
+
+    def test_grid_past_the_domain_by_round_off_is_refused(self):
+        # the domain check is exact: a point past it by any amount is no
+        # point of the curve
+        inst = make_instance("tensor-g", 0, n=1)
+        with pytest.raises(InstanceError, match=r"^sweep tensor-g: grid "
+                           r"\[0.0, 1.0000000000001\] outside domain"):
+            sweep_law("tensor-g", inst, [0.0, 1.0 + 1e-13])
+        with pytest.raises(InstanceError, match="outside domain"):
+            sweep_law("tensor-g", inst, [-1e-13, 1.0])
 
     @pytest.mark.parametrize("grid, named", [
         ([np.nan], "outside domain"),
