@@ -31,9 +31,9 @@ tolerance.  ``check_chunk`` builds each trial's ``CheckResult``, and
 ``check_law`` is its chunk of one; a trial passes iff every link holds.
 
 ``run_law`` owns a law's trial schedule and returns its report entry; it
-draws and checks the trials that request the same (n, m) together, in
-chunks of at most ``GROUP_TRIALS``, and counts their results in trial
-order.
+draws and checks together the trials that agree on the coordinates of
+(n, m) its sampler reads, in chunks of at most ``GROUP_TRIALS``, and counts
+their results in trial order.
 ``InstanceError`` is raised for a request the law refuses, and for a trial
 beyond what the float checks support: one whose linear algebra fails, named
 by its law, seed, n and m so that ``repro`` replays it.
@@ -81,6 +81,7 @@ from .ensembles import (
     random_pd,
     random_pd_tuple,
     sample_region,
+    seed_states,
     seeded_rng,
 )
 
@@ -188,18 +189,20 @@ class LawSpec:
     check: object
     n_cap: int = 6
     region: str = None
+    reads: str = "nm"       # the request coordinates its sampler reads
 
 
 _LAWS = {}
 
 
-def register_law(name, sampler, check, n_cap=6, region=None):
+def register_law(name, sampler, check, n_cap=6, region=None, reads="nm"):
     """Register a law; one with a parameter ``region`` samples at a point
     (s, t) of it.  ``sampler(especs)`` returns one instance per spec, and
     ``check(insts, tol)`` one entry per instance, in order (see the module
-    docstring)."""
-    _LAWS[name] = LawSpec(sampler=sampler, check=check,
-                          n_cap=n_cap, region=region)
+    docstring).  ``reads`` names the request coordinates, of n and m, that
+    the sampler reads: run_law chunks trials that agree on those alone."""
+    _LAWS[name] = LawSpec(sampler=sampler, check=check, n_cap=n_cap,
+                          region=region, reads=reads)
 
 
 def law_names():
@@ -879,13 +882,14 @@ def _check_wada(insts, tol):
 # registry
 # ---------------------------------------------------------------------------
 
-register_law("mean-axioms", _sample_mean_axioms, _check_mean_axioms)
+register_law("mean-axioms", _sample_mean_axioms, _check_mean_axioms,
+             reads="n")
 register_law("superadditivity",
              partial(_sample_sigma, tag=2, draw=_sample_tuples),
              _check_superadditivity)
 register_law("sharp-identity",
              partial(_sample_sigma, tag=3, draw=_sample_pair),
-             _check_sharp_identity)
+             _check_sharp_identity, reads="n")
 register_law("callebaut-operator",
              partial(_sample_sigma, tag=4, draw=_sample_tuples),
              _check_callebaut_operator)
@@ -895,10 +899,11 @@ register_law("path-monotonicity",
 register_law("geo-path-callebaut", _sample_tuples, _check_geo_path_callebaut,
              region="unit")
 register_law("scalar-callebaut", _sample_scalar_callebaut,
-             _check_scalar_callebaut, region="callebaut")
-register_law("power-lemma", _sample_power_lemma, _check_power_lemma)
-register_law("tensor-f", _sample_pair, _check_tensor, n_cap=3)
-register_law("tensor-g", _sample_pair, _check_tensor, n_cap=3)
+             _check_scalar_callebaut, region="callebaut", reads="m")
+register_law("power-lemma", _sample_power_lemma, _check_power_lemma,
+             reads="n")
+register_law("tensor-f", _sample_pair, _check_tensor, n_cap=3, reads="n")
+register_law("tensor-g", _sample_pair, _check_tensor, n_cap=3, reads="n")
 register_law("matrix-callebaut", _sample_tuples, _check_matrix_callebaut,
              n_cap=3, region="callebaut")
 register_law("hadamard-callebaut", _sample_tuples, _check_hadamard_callebaut,
@@ -907,30 +912,39 @@ register_law("hadamard-power", _sample_hadamard_power, _check_hadamard_power,
              region="unit")
 register_law("interpolation-identity",
              partial(_sample_pair, fields=_interpolation_params),
-             _check_interpolation_identity)
+             _check_interpolation_identity, reads="n")
 register_law("path-axioms", partial(_sample_pair, fields=_path_axioms_params),
-             _check_path_axioms)
+             _check_path_axioms, reads="n")
 register_law("wada", partial(_sample_sigma, tag=9, draw=_sample_pair),
-             _check_wada, n_cap=3)
+             _check_wada, n_cap=3, reads="n")
 
 
 def child_seed(master, law_index, trial):
-    """Deterministic 63-bit trial seed; reproducible independently of order."""
+    """The 63-bit seed of trial ``trial`` of the ``law_index``-th law of a
+    run under a master seed.  It keys on the law's position in the run, so
+    the same law draws other trials when other laws run before it."""
     ss = np.random.SeedSequence((int(master), law_index, trial))
     return int(ss.generate_state(2, np.uint64)[0] & (2**63 - 1))
+
+
+def child_seeds(master, law_index, trials):
+    """child_seed(master, law_index, k) for k in range(trials), from one
+    seed_states pass: the first word of each state, masked to 63 bits."""
+    words = seed_states([master], law_index, range(trials))[:, 0]
+    return [int(w) for w in words & np.uint64(SEED_LIMIT - 1)]
 
 
 _NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
 
 
-def _chunks(requests):
-    """The trial indices of each chunk: the trials with equal requests, in
+def _chunks(keys):
+    """The trial indices of each chunk: the trials with equal keys, in
     trial order, at most GROUP_TRIALS to a chunk; listed by first trial."""
     open_chunks, chunks = {}, []
-    for k, request in enumerate(requests):
-        chunk = open_chunks.get(request)
+    for k, key in enumerate(keys):
+        chunk = open_chunks.get(key)
         if chunk is None or len(chunk) == GROUP_TRIALS:
-            chunk = open_chunks[request] = []
+            chunk = open_chunks[key] = []
             chunks.append(chunk)
         chunk.append(k)
     return chunks
@@ -943,14 +957,15 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     k % 4 + 1), the law's region boundaries first; the entry records the
     instance's n and m, and skip reasons with numbers blanked to '#'.
 
-    The trials that request the same (n, m) are drawn together, in chunks
-    of at most GROUP_TRIALS, and checked together by ``check_chunk``, when
-    the loop reaches a chunk's first trial.  Results count at each trial's
-    turn, in trial order.  A trial that no chunk drew and checked (a chunk
-    of one, or a chunk whose draw or check raised) is drawn alone and
-    checked by ``check_law`` at its turn, which gives it the same bits, so
-    that the first failing trial raises the InstanceError it raises
-    alone.  A bad master seed, trial count or tol is an InstanceError
+    The trials whose requests agree on the coordinates the law reads
+    (``register_law``'s ``reads``) are drawn together, at the first one's
+    request, in chunks of at most GROUP_TRIALS, and checked together by
+    ``check_chunk``, when the loop reaches a chunk's first trial.  Results
+    count at each trial's turn, in trial order.  A trial that no chunk drew
+    and checked (a chunk of one, or a chunk whose draw or check raised) is
+    drawn alone, at its own request, and checked by ``check_law`` at its
+    turn, which gives it the same bits, so that the first failing trial
+    raises the InstanceError it raises alone.  A bad master seed, trial count or tol is an InstanceError
     naming the law."""
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < SEED_LIMIT):
@@ -962,15 +977,16 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
                             f"{trials!r}")
     _refuse_bad_tol(name, tol)      # before any trial is drawn
     started = time.monotonic()
-    n_cap = law_spec(name).n_cap
+    spec = law_spec(name)
     boundaries = boundary_params(name)
-    seeds = [child_seed(seed, law_index, k) for k in range(trials)]
+    seeds = child_seeds(seed, law_index, trials)
     bounds = [boundaries[k] if k < len(boundaries) else None
               for k in range(trials)]
-    requests = [(min(n if n is not None else k % 6 + 1, n_cap),
+    requests = [(min(n if n is not None else k % 6 + 1, spec.n_cap),
                  m if m is not None else k % 4 + 1) for k in range(trials)]
-    chunks = {chunk[0]: chunk for chunk in _chunks(requests)
-              if len(chunk) > 1}
+    keys = [tuple(x for x, c in zip(request, "nm") if c in spec.reads)
+            for request in requests]
+    chunks = {chunk[0]: chunk for chunk in _chunks(keys) if len(chunk) > 1}
     done = {}           # trial -> (instance, result), from its chunk
     counts = Counter()
     skip_reasons = Counter()

@@ -1,7 +1,16 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import meanscope
+from meanscope import ensembles
 from meanscope.ensembles import (
+    BATCH_STREAMS,
     REGIONS,
     REGION_BOUNDARY,
     TUPLE_STRIDE,
@@ -11,8 +20,11 @@ from meanscope.ensembles import (
     random_pd,
     random_pd_tuple,
     sample_region,
+    seed_states,
     seeded_rng,
+    seeded_rngs,
 )
+from meanscope.laws import LAW_STREAM, child_seed, child_seeds
 from meanscope.linalg import PDMatrix, loewner_leq
 
 
@@ -226,3 +238,100 @@ class TestRegions:
     def test_unknown_region(self):
         with pytest.raises(ValueError):
             sample_region("nope", 0)
+
+
+# seeds at the edges of one and two 32-bit words, and two others
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 12345, 6055626436053132691]
+# the index of every kind of stream a draw opens: random_pd's (0, i),
+# random_ordered_pair's (1, i), random_invertible's (2, i), sample_region's
+# (3,) and a law's (LAW_STREAM, tag)
+INDEX_FORMS = [(0, [0, 1, 7, 1001, 2**32 - 1]), (1, range(3)), (2, 0), (3,),
+               (LAW_STREAM, [1, 9])]
+
+
+def keys_of(seeds, *index):
+    """The keys (seed, *i) of seeded_rngs, in its order."""
+    return list(itertools.product(seeds, *map(np.ravel, index)))
+
+
+class TestBatchedSeeding:
+    # seeded_rng opens the stream of a key with numpy's SeedSequence; the
+    # batched pass must give the states and the draws numpy gives, key by key
+    @pytest.mark.parametrize("index", INDEX_FORMS)
+    def test_states_are_seed_sequence_states(self, index):
+        states = seed_states(EDGE_SEEDS, *index)
+        keys = keys_of(EDGE_SEEDS, *index)
+        assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+        for key, state in zip(keys, states):
+            want = np.random.SeedSequence(tuple(map(int, key)))
+            assert state.tobytes() == want.generate_state(4, np.uint64).tobytes()
+
+    # below BATCH_STREAMS streams a draw opens each with seeded_rng, from
+    # there on with one seed_states pass
+    @pytest.mark.parametrize("seeds, index", [
+        ([7], (0, range(BATCH_STREAMS - 1))),
+        ([7], (0, range(BATCH_STREAMS))),
+        (EDGE_SEEDS[:2], (1, range(3))),
+        (EDGE_SEEDS, (3,)),
+        (EDGE_SEEDS, (LAW_STREAM, 6)),
+        (EDGE_SEEDS, (0, np.arange(40).reshape(8, 5))),
+    ])
+    def test_generators_draw_as_seeded_rng(self, seeds, index, monkeypatch):
+        passes = []
+        batched = ensembles.seed_states
+
+        def counted(*args):
+            passes.append(args)
+            return batched(*args)
+
+        monkeypatch.setattr(ensembles, "seed_states", counted)
+        keys = keys_of(seeds, *index)
+        rngs = seeded_rngs(seeds, *index)
+        assert len(passes) == (len(keys) >= BATCH_STREAMS)
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            assert (rng.random(3).tobytes()
+                    == seeded_rng(*key).random(3).tobytes()), key
+
+    def test_pcg64_gets_contiguous_states(self, monkeypatch):
+        # PCG64 reads its state's raw buffer: a strided row (a transposed
+        # array's, say) would seed it with other words
+        given = []
+        pcg64 = np.random.PCG64
+
+        def recording(seed_seq):
+            given.append(seed_seq.generate_state(4, np.uint64))
+            return pcg64(seed_seq)
+
+        monkeypatch.setattr(np.random, "PCG64", recording)
+        seeded_rngs(EDGE_SEEDS, 0, range(4))
+        assert len(given) == 4 * len(EDGE_SEEDS)
+        for state in given:
+            assert state.dtype == np.uint64 and state.shape == (4,)
+            assert state.flags.c_contiguous
+
+    def test_a_key_longer_than_four_words_is_refused(self):
+        with pytest.raises(ValueError, match="more than four 32-bit words"):
+            seed_states([2**32], 0, 1, 2)
+        with pytest.raises(ValueError, match="more than four 32-bit words"):
+            seed_states([1], 0, 2**32)
+
+    @pytest.mark.parametrize("master", EDGE_SEEDS)
+    @pytest.mark.parametrize("law_index", [0, 15])
+    @pytest.mark.parametrize("trials", [1, BATCH_STREAMS, 70])
+    def test_trial_seeds_are_child_seeds(self, master, law_index, trials):
+        assert child_seeds(master, law_index, trials) == [
+            child_seed(master, law_index, k) for k in range(trials)]
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy >= 2 loads numpy.random on first use; meanscope does not
+        # use it at import time (numpy 1.x loads it with numpy itself)
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import meanscope; "
+                "print(before, 'numpy.random' in sys.modules)")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(meanscope.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        before, after = out.stdout.split()
+        assert after == before

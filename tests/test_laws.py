@@ -814,6 +814,12 @@ def recorded_run(monkeypatch, name, law_index, trials, n, m, field):
     return entry, draws, checks
 
 
+# the laws whose sampler draws one pair at m = 1 whatever m is asked: they
+# read n alone, so their chunks span the m cycle
+ONE_PAIR_LAWS = ("mean-axioms", "sharp-identity", "power-lemma", "tensor-f",
+                 "tensor-g", "interpolation-identity", "path-axioms", "wada")
+
+
 def outcome(result):
     """A trial's status, skip reason and links, every margin and scale to
     the last bit."""
@@ -837,7 +843,10 @@ def test_run_law_trials_replay_alone(name, trials, n, m, field, sizes,
     # checks is the one sample_instance gives alone, at its own seed, with
     # the status, skip reason and links check_law gives it alone, to the
     # last bit.  "small" is n = 1 over the m cycle, chunks of 10; "tensor"
-    # is one chunk of 6 at n = 3, m = 4
+    # is one chunk of 6 at n = 3, m = 4.  A one-pair law reads no m: its
+    # "small" and "real" trials are one chunk
+    if name in ONE_PAIR_LAWS and m is None and sizes is not None:
+        sizes = [trials]
     law_index = laws.law_names().index(name)
     entry, draws, checks = recorded_run(monkeypatch, name, law_index,
                                         trials, n, m, field)
@@ -865,6 +874,78 @@ def test_run_law_trials_replay_alone(name, trials, n, m, field, sizes,
         # a chunk holds skipped power-path trials among checked ones
         assert any(len({result.status for _, result in chunk}) == 2
                    for chunk in checks)
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+def test_a_coordinate_a_law_does_not_read_leaves_its_instance(name):
+    # run_law chunks trials on the coordinates a law reads, so a coordinate
+    # it does not read must not move one bit of its instance or its check
+    spec = laws.law_spec(name)
+    boundary = (laws.boundary_params(name) or [None])[0]
+    unread = [c for c in "nm" if c not in spec.reads]
+    for other in unread:
+        draws = [sample_instance(name, fieldname="complex", kappa_max=1e4,
+                                 seed=31, boundary=boundary,
+                                 **{"n": 2, "m": 2, other: value})
+                 for value in (1, 3)]
+        a, b = draws
+        assert (a.n, a.m, a.params) == (b.n, b.m, b.params)
+        for key in ("As", "Bs", "congruence", "a_seq", "b_seq"):
+            x, y = getattr(a, key), getattr(b, key)
+            assert (x is None) == (y is None)
+            assert x is None or (np.asarray(getattr(x, "array", x)).tobytes()
+                                 == np.asarray(getattr(y, "array", y)).tobytes())
+        assert outcome(check_law(name, a)) == outcome(check_law(name, b))
+    assert unread == (["m"] if name in ONE_PAIR_LAWS else
+                      ["n"] if name == "scalar-callebaut" else [])
+
+
+@pytest.mark.parametrize("name", [*ONE_PAIR_LAWS, "scalar-callebaut"])
+def test_chunks_span_a_coordinate_the_law_does_not_read(name, monkeypatch):
+    # a one-pair law reads no m, scalar-callebaut no n: over a cycle of the
+    # unread coordinate its trials are one chunk per value of the other,
+    # and every result is the one a fixed request gives, to the last bit
+    law_index = laws.law_names().index(name)
+    cycle, fixed = ({"n": 2, "m": None}, {"n": 2, "m": 1})
+    if name == "scalar-callebaut":
+        cycle, fixed = ({"n": None, "m": 3}, {"n": 1, "m": 3})
+    runs = [recorded_run(monkeypatch, name, law_index, 24,
+                         request["n"], request["m"], "complex")
+            for request in (cycle, fixed)]
+    (entry, draws, checks), (fixed_entry, fixed_draws, fixed_checks) = runs
+    assert [len(d) for d in draws] == [len(d) for d in fixed_draws] == [24]
+    assert ([(inst.seed, inst.n, inst.m, outcome(result))
+             for chunk in checks for inst, result in chunk]
+            == [(inst.seed, inst.n, inst.m, outcome(result))
+                for chunk in fixed_checks for inst, result in chunk])
+    del entry["wall_sec"], fixed_entry["wall_sec"]
+    assert entry == fixed_entry
+
+
+def test_verify_at_seed_12_runs_125_chunks(monkeypatch):
+    # verify's default run: 200 trials of each law on the n and m cycles,
+    # chunked on the coordinates each law reads: a one-pair law one chunk
+    # per n (three at n = 3 for the n-cap-3 laws, 133 trials there),
+    # scalar-callebaut one per m
+    counted = {}
+    chunks = laws._chunks
+
+    class Counted(Exception):
+        pass
+
+    def count(keys):
+        counted[name] = len(chunks(keys))
+        raise Counted       # before any trial is drawn
+
+    monkeypatch.setattr(laws, "_chunks", count)
+    for law_index, name in enumerate(laws.law_names()):
+        with pytest.raises(Counted):
+            laws.run_law(name, law_index, 12, 200, None, None, "complex",
+                         1e4, laws.DEFAULT_TOL)
+    assert sum(counted.values()) == 125
+    assert counted["scalar-callebaut"] == 4
+    for name in ONE_PAIR_LAWS:
+        assert counted[name] == (5 if laws.law_spec(name).n_cap == 3 else 6)
 
 
 def probe_law(monkeypatch, bad_draws, bad_checks):

@@ -4,12 +4,14 @@
 so these tests are as deterministic as the rest of the suite.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanscope import ensembles, means
-from meanscope.laws import EQUALITY_TOL
+from meanscope.laws import EQUALITY_TOL, LAW_STREAM
 from meanscope.linalg import (HermitianMatrix, PDMatrix, congruence,
                               loewner_leq, rel_residual)
 
@@ -82,6 +84,30 @@ def test_random_pd_is_bitwise_deterministic(spec, index):
         n=spec.n, field=spec.field, kappa_max=spec.kappa_max, seed=spec.seed),
         index)
     assert np.array_equal(first.array, again.array)
+
+
+stream_indices = st.one_of(
+    st.tuples(st.integers(0, 2), st.lists(st.integers(0, 2**32 - 1),
+                                          min_size=1, max_size=12)),
+    st.just((3,)),
+    st.tuples(st.just(LAW_STREAM), st.integers(1, 9)))
+
+
+@deterministic
+@given(st.lists(seeds, min_size=1, max_size=12), stream_indices)
+def test_batched_states_are_seed_sequence_states(seed_list, index):
+    # every draw opens its streams through seed_states or seeded_rng, which
+    # must agree with numpy's SeedSequence key by key
+    states = ensembles.seed_states(seed_list, *index)
+    rngs = ensembles.seeded_rngs(seed_list, *index)
+    keys = [(seed, *rest) for seed in seed_list
+            for rest in itertools.product(*map(np.ravel, index))]
+    assert len(states) == len(rngs) == len(keys)
+    for key, state, rng in zip(keys, states, rngs):
+        want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+        assert state.tobytes() == want.tobytes()
+        assert (rng.standard_normal(2).tobytes()
+                == ensembles.seeded_rng(*key).standard_normal(2).tobytes())
 
 
 @deterministic
