@@ -7,6 +7,7 @@ Reports are JSON (structured, round-trippable); curves are CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -307,10 +308,18 @@ def main(argv=None):
         if args.out is not None:
             _check_out(args.out)
         _resolve_settings(args)
-        return args.run(args)
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            status = args.run(args)
     except (UsageError, laws.InstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(shown.getvalue(), end="", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the rest of the output and
+        # the flush at exit go to os.devnull, and the run's status stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .linalg import CONDITION_CAP, PDMatrix, _exact
 TUPLE_STRIDE = 1000
 DEFAULT_KAPPA = 1e4     # the default bound on a draw's condition number
 SEED_LIMIT = 2**63      # a seed is an integer in [0, SEED_LIMIT)
+REGION_STREAM = 3       # the stream sample_region draws (s, t) from
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,20 @@ class EnsembleSpec:
 def seeded_rng(seed, *index):
     """The generator of stream ``index`` under a seed: random_pd draws
     from stream (0, i), random_ordered_pair from (1, i), random_invertible
-    from (2, i), sample_region from (3,) and the laws from
-    (laws.LAW_STREAM, tag)."""
+    from (2, i), sample_region from (REGION_STREAM,) and the laws from
+    (laws.LAW_STREAM, tag).  A key of the run's stream set (open_streams)
+    takes its listed state; any other opens numpy's SeedSequence."""
     key = (int(seed),) + tuple(int(i) for i in index)
+    state = _RUN_STATES.get(key)
+    if state is not None:
+        return _generator(state)
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-# A draw of fewer streams opens each with seeded_rng: a seed_states draw
-# costs about 110 us plus 1-2 us a stream, a seeded_rng 18-25 us, and the
-# two crossed at 7 streams (2-vCPU host, numpy 2.4.6; 0.93x at 7, 1.09x at 6).
+# A draw of fewer streams, not all in the run's stream set, opens each with
+# seeded_rng: a seed_states pass costs about 60 us plus 0.25 us a stream, a
+# seeded_rng 14-22 us; they cross at 6 to 7 streams (2-vCPU host, numpy
+# 2.4.6; one pass took 0.88-1.14x the per-key time at 6, 0.80-0.88x at 7).
 BATCH_STREAMS = 7
 # numpy's SeedSequence is O'Neill's seed_seq_fe (PCG, HMC-CS-2014-0905): hash
 # step k xors in the k-th constant of a run and multiplies by the next; _HASH
@@ -91,14 +96,15 @@ def _hash(words, consts):
     return words ^ words >> _MIX[2]
 
 
-def seed_states(seeds, *index):
-    """``SeedSequence(key).generate_state(4, np.uint64)`` of each key of
-    seeded_rngs, as the rows of one C-contiguous array, from one pass over
-    all of them.  A key's entropy is its seed's one or two 32-bit words,
-    then one word per index, at most four, zero-padded to the pool."""
-    axes = [np.ravel(seeds), *map(np.ravel, index)]
-    grid = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
-    keys = np.array([a[i] for a, i in zip(axes, grid)], dtype=np.uint64)
+def seed_states(keys):
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of each key
+    (seed, *index), as the rows of one C-contiguous array, from one pass
+    over all of them.  A key's entropy is its seed's one or two 32-bit
+    words, then one word per index, zero-padded to the pool of four.  Keys
+    of a pass are zero-padded to the longest, which hashes a shorter key as
+    itself while its words, padding included, number at most four."""
+    keys = np.array(list(itertools.zip_longest(*keys, fillvalue=0)),
+                    dtype=np.int64).view(np.uint64)
     low = (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     high = (keys >> np.uint64(32)).astype(np.uint32)
     if high[1:].any() or len(keys) + high[0].any() > 4:
@@ -131,16 +137,39 @@ def _fixed_state():
     return FixedState
 
 
+def _generator(state):
+    """The generator of a seed_states row."""
+    return np.random.Generator(np.random.PCG64(_fixed_state()(state)))
+
+
+# The run's stream set: the seed_states row of each key (seed, *index) that
+# laws.run_law lists for the trials it is about to draw.  It is module state
+# because the samplers open their streams by key alone; run_law empties it
+# when it ends, and a key it lacks opens as outside a run.
+_RUN_STATES = {}
+
+
+def open_streams(keys=()):
+    """Make the run's stream set that of the keys, from one seed_states pass;
+    with no key, empty it."""
+    _RUN_STATES.clear()
+    if keys:
+        _RUN_STATES.update(zip(keys, seed_states(keys)))
+
+
 def seeded_rngs(seeds, *index):
     """seeded_rng(seed, *i), with its bits, for each seed and each i of the
     product of the index components (numbers or arrays), seeds outermost,
-    in C order; BATCH_STREAMS or more from one seed_states pass."""
-    axes = [np.ravel(seeds), *map(np.ravel, index)]
-    if math.prod(map(len, axes)) < BATCH_STREAMS:
-        return [seeded_rng(*key) for key in itertools.product(*axes)]
-    fixed = _fixed_state()
-    return [np.random.Generator(np.random.PCG64(fixed(state)))
-            for state in seed_states(*axes)]
+    in C order: from the run's stream set when it lists every key, else
+    BATCH_STREAMS or more from one seed_states pass."""
+    keys = list(itertools.product(
+        *(np.ravel(axis).tolist() for axis in (seeds, *index))))
+    states = [_RUN_STATES.get(key) for key in keys]
+    if any(state is None for state in states):
+        if len(keys) < BATCH_STREAMS:
+            return [seeded_rng(*key) for key in keys]
+        states = seed_states(keys)
+    return [_generator(state) for state in states]
 
 
 def _gaussian(rng, n, field):
@@ -274,7 +303,7 @@ def sample_region(region, seed):
         pred = REGIONS[region]
     except KeyError:
         raise ValueError(f"unknown parameter region {region!r}") from None
-    rng = seeded_rng(seed, 3)
+    rng = seeded_rng(seed, REGION_STREAM)
     while True:
         s, t = rng.uniform(0.0, 1.0, size=2)
         if pred(s, t):

@@ -72,7 +72,9 @@ from .linalg import (
     _exact,
 )
 from .ensembles import (
+    REGION_STREAM,
     SEED_LIMIT,
+    TUPLE_STRIDE,
     EnsembleSpec,
     REGION_BOUNDARY,
     REGIONS,
@@ -80,6 +82,7 @@ from .ensembles import (
     random_ordered_pair,
     random_pd,
     random_pd_tuple,
+    open_streams,
     sample_region,
     seed_states,
     seeded_rng,
@@ -95,6 +98,9 @@ LAW_STREAM = 101
 # matrices per stack the cost per matrix stops falling, and the cap bounds
 # the instances held at once.
 GROUP_TRIALS = 64
+# The most streams run_law opens in one seed_states pass, unless one chunk
+# draws more: it bounds the states held at once.
+WINDOW_STREAMS = 4096
 
 
 class InstanceError(Exception):
@@ -190,19 +196,25 @@ class LawSpec:
     n_cap: int = 6
     region: str = None
     reads: str = "nm"       # the request coordinates its sampler reads
+    streams: object = lambda m: ()  # m -> the streams of a trial's draw
 
 
 _LAWS = {}
 
 
-def register_law(name, sampler, check, n_cap=6, region=None, reads="nm"):
+def register_law(name, sampler, check, n_cap=6, region=None, reads="nm",
+                 streams=LawSpec.streams):
     """Register a law; one with a parameter ``region`` samples at a point
     (s, t) of it.  ``sampler(especs)`` returns one instance per spec, and
     ``check(insts, tol)`` one entry per instance, in order (see the module
     docstring).  ``reads`` names the request coordinates, of n and m, that
-    the sampler reads: run_law chunks trials that agree on those alone."""
+    the sampler reads: run_law chunks trials that agree on those alone.
+    ``streams(m)`` lists the streams (stream, index) that the sampler draws
+    a trial from at tuple length m, and run_law opens them ahead in one
+    pass with the region's; a stream it misses is opened alone, with the
+    same bits."""
     _LAWS[name] = LawSpec(sampler=sampler, check=check, n_cap=n_cap,
-                          region=region, reads=reads)
+                          region=region, reads=reads, streams=streams)
 
 
 def law_names():
@@ -425,6 +437,16 @@ def _pick_sigma(rng):
 
 def _no_fields(espec):
     return {}
+
+
+# the streams of a trial's A and B in _sample_pair
+PAIR_STREAMS = ((0, 0), (0, 1))
+
+
+def _tuple_streams(m, tuples=2):
+    """The streams of a trial's first ``tuples`` m-tuples in random_pd_tuple;
+    _sample_tuples draws two."""
+    return [(0, i * TUPLE_STRIDE + j) for i in range(tuples) for j in range(m)]
 
 
 def _sample_pair(especs, fields=_no_fields):
@@ -883,40 +905,52 @@ def _check_wada(insts, tol):
 # ---------------------------------------------------------------------------
 
 register_law("mean-axioms", _sample_mean_axioms, _check_mean_axioms,
-             reads="n")
+             reads="n", streams=lambda m: [
+                 (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0),
+                 (LAW_STREAM, 1)])
 register_law("superadditivity",
              partial(_sample_sigma, tag=2, draw=_sample_tuples),
-             _check_superadditivity)
+             _check_superadditivity,
+             streams=lambda m: [*_tuple_streams(m), (LAW_STREAM, 2)])
 register_law("sharp-identity",
              partial(_sample_sigma, tag=3, draw=_sample_pair),
-             _check_sharp_identity, reads="n")
+             _check_sharp_identity, reads="n",
+             streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 3)])
 register_law("callebaut-operator",
              partial(_sample_sigma, tag=4, draw=_sample_tuples),
-             _check_callebaut_operator)
+             _check_callebaut_operator,
+             streams=lambda m: [*_tuple_streams(m), (LAW_STREAM, 4)])
 register_law("path-monotonicity",
              partial(_sample_tuples, fields=_path_exponent),
-             _check_path_monotonicity, region="between")
+             _check_path_monotonicity, region="between",
+             streams=lambda m: [*_tuple_streams(m), (LAW_STREAM, 5)])
 register_law("geo-path-callebaut", _sample_tuples, _check_geo_path_callebaut,
-             region="unit")
+             region="unit", streams=_tuple_streams)
 register_law("scalar-callebaut", _sample_scalar_callebaut,
-             _check_scalar_callebaut, region="callebaut", reads="m")
+             _check_scalar_callebaut, region="callebaut", reads="m",
+             streams=lambda m: [(LAW_STREAM, 6)])
 register_law("power-lemma", _sample_power_lemma, _check_power_lemma,
-             reads="n")
-register_law("tensor-f", _sample_pair, _check_tensor, n_cap=3, reads="n")
-register_law("tensor-g", _sample_pair, _check_tensor, n_cap=3, reads="n")
+             reads="n", streams=lambda m: PAIR_STREAMS[:1])
+register_law("tensor-f", _sample_pair, _check_tensor, n_cap=3, reads="n",
+             streams=lambda m: PAIR_STREAMS)
+register_law("tensor-g", _sample_pair, _check_tensor, n_cap=3, reads="n",
+             streams=lambda m: PAIR_STREAMS)
 register_law("matrix-callebaut", _sample_tuples, _check_matrix_callebaut,
-             n_cap=3, region="callebaut")
+             n_cap=3, region="callebaut", streams=_tuple_streams)
 register_law("hadamard-callebaut", _sample_tuples, _check_hadamard_callebaut,
-             n_cap=3, region="callebaut")
+             n_cap=3, region="callebaut", streams=_tuple_streams)
 register_law("hadamard-power", _sample_hadamard_power, _check_hadamard_power,
-             region="unit")
+             region="unit", streams=partial(_tuple_streams, tuples=1))
 register_law("interpolation-identity",
              partial(_sample_pair, fields=_interpolation_params),
-             _check_interpolation_identity, reads="n")
+             _check_interpolation_identity, reads="n",
+             streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 7)])
 register_law("path-axioms", partial(_sample_pair, fields=_path_axioms_params),
-             _check_path_axioms, reads="n")
+             _check_path_axioms, reads="n",
+             streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 8)])
 register_law("wada", partial(_sample_sigma, tag=9, draw=_sample_pair),
-             _check_wada, n_cap=3, reads="n")
+             _check_wada, n_cap=3, reads="n",
+             streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 9)])
 
 
 def child_seed(master, law_index, trial):
@@ -930,7 +964,8 @@ def child_seed(master, law_index, trial):
 def child_seeds(master, law_index, trials):
     """child_seed(master, law_index, k) for k in range(trials), from one
     seed_states pass: the first word of each state, masked to 63 bits."""
-    words = seed_states([master], law_index, range(trials))[:, 0]
+    words = seed_states([(int(master), law_index, k)
+                         for k in range(trials)])[:, 0]
     return [int(w) for w in words & np.uint64(SEED_LIMIT - 1)]
 
 
@@ -950,6 +985,22 @@ def _chunks(keys):
     return chunks
 
 
+def _stream_windows(spec, chunks, seeds, requests, bounds):
+    """The streams (seed, *index) that each chunk's trials draw at its first
+    request, the region's included, in windows of whole chunks of at most
+    WINDOW_STREAMS streams (or of one chunk), keyed by first trial."""
+    windows, window = {}, None
+    for chunk in chunks:
+        streams = spec.streams(requests[chunk[0]][1])
+        keys = [(seeds[k], *ix) for k in chunk for ix in streams]
+        keys += [(seeds[k], REGION_STREAM) for k in chunk
+                 if spec.region and bounds[k] is None]
+        if window is None or len(window) + len(keys) > WINDOW_STREAMS:
+            window = windows[chunk[0]] = []
+        window += keys
+    return windows
+
+
 def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     """The report entry of ``trials`` trials of the ``law_index``-th law of
     a run.  Trial k samples at ``child_seed(seed, law_index, k)``, at the
@@ -965,7 +1016,10 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
     and checked (a chunk of one, or a chunk whose draw or check raised) is
     drawn alone, at its own request, and checked by ``check_law`` at its
     turn, which gives it the same bits, so that the first failing trial
-    raises the InstanceError it raises alone.  A bad master seed, trial count or tol is an InstanceError
+    raises the InstanceError it raises alone.  Each window of chunks
+    (``_stream_windows``) opens the streams its trials draw in one pass, at
+    its first trial; the run's stream set is emptied when the run ends or
+    raises.  A bad master seed, trial count or tol is an InstanceError
     naming the law."""
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < SEED_LIMIT):
@@ -986,42 +1040,49 @@ def run_law(name, law_index, seed, trials, n, m, fieldname, kappa_max, tol):
                  m if m is not None else k % 4 + 1) for k in range(trials)]
     keys = [tuple(x for x, c in zip(request, "nm") if c in spec.reads)
             for request in requests]
-    chunks = {chunk[0]: chunk for chunk in _chunks(keys) if len(chunk) > 1}
+    order = _chunks(keys)
+    chunks = {chunk[0]: chunk for chunk in order if len(chunk) > 1}
+    windows = _stream_windows(spec, order, seeds, requests, bounds)
     done = {}           # trial -> (instance, result), from its chunk
     counts = Counter()
     skip_reasons = Counter()
     worst = None
     failing = []
-    for k in range(trials):
-        rn, rm = requests[k]
-        if k in chunks:
-            chunk = chunks[k]
-            try:
-                insts = sample_instance(
-                    name, n=rn, m=rm, fieldname=fieldname,
-                    kappa_max=kappa_max, seed=[seeds[i] for i in chunk],
-                    boundary=[bounds[i] for i in chunk])
-                done.update(zip(chunk, zip(insts, check_chunk(
-                    name, insts, tol=tol))))
-            except InstanceError:
-                pass    # its trials are drawn and checked alone, at their turn
-        if k in done:
-            inst, result = done.pop(k)
-        else:
-            inst = sample_instance(name, n=rn, m=rm, fieldname=fieldname,
-                                   kappa_max=kappa_max, seed=seeds[k],
-                                   boundary=bounds[k])
-            result = check_law(name, inst, tol=tol)
-        counts[result.status] += 1
-        if result.skipped:
-            skip_reasons[_NUMBER.sub("#", result.skip_reason)] += 1
-            continue
-        trial = {"seed": seeds[k], "n": inst.n, "m": inst.m,
-                 "boundary": list(bounds[k]) if bounds[k] else None}
-        if not result.holds:
-            failing.append(trial)
-        if worst is None or result.margin < worst["margin"]:
-            worst = {"margin": result.margin, **trial}
+    try:
+        for k in range(trials):
+            rn, rm = requests[k]
+            if k in windows:
+                open_streams(windows[k])
+            if k in chunks:
+                chunk = chunks[k]
+                try:
+                    insts = sample_instance(
+                        name, n=rn, m=rm, fieldname=fieldname,
+                        kappa_max=kappa_max, seed=[seeds[i] for i in chunk],
+                        boundary=[bounds[i] for i in chunk])
+                    done.update(zip(chunk, zip(insts, check_chunk(
+                        name, insts, tol=tol))))
+                except InstanceError:
+                    pass    # its trials are drawn and checked alone, in turn
+            if k in done:
+                inst, result = done.pop(k)
+            else:
+                inst = sample_instance(name, n=rn, m=rm, fieldname=fieldname,
+                                       kappa_max=kappa_max, seed=seeds[k],
+                                       boundary=bounds[k])
+                result = check_law(name, inst, tol=tol)
+            counts[result.status] += 1
+            if result.skipped:
+                skip_reasons[_NUMBER.sub("#", result.skip_reason)] += 1
+                continue
+            trial = {"seed": seeds[k], "n": inst.n, "m": inst.m,
+                     "boundary": list(bounds[k]) if bounds[k] else None}
+            if not result.holds:
+                failing.append(trial)
+            if worst is None or result.margin < worst["margin"]:
+                worst = {"margin": result.margin, **trial}
+    finally:
+        open_streams()
     return {"trials": trials, "passes": counts["pass"],
             "fails": counts["fail"], "skips": counts["skip"], "worst": worst,
             "failing_seeds": failing,

@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -767,3 +771,28 @@ class TestFailurePath:
             assert dump["margin"] == worst["margin"]
         finally:
             del laws._LAWS["superadditivity-flipped"]
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["verify", "--laws", "wada", "--trials", "2"], 0),
+    (["verify", "--laws", "wada", "--trials", "6", "--tol", "0",
+      "--seed", "1"], 1),
+    (["repro", "--law", "wada", "--seed", "1"], 0),
+    (["repro", "--law", "wada", "--seed", "7759231176004402327", "--n", "3",
+      "--m", "1", "--tol", "0"], 1),
+    (["sweep", "--law", "tensor-f", "--seed", "1"], 0),
+], ids=["verify", "verify-fails", "repro", "repro-fails", "sweep"])
+def test_a_closed_stdout_keeps_the_run_status(argv, status, tmp_path):
+    # a reader that closes stdout at once (`| head`) leaves the run, its
+    # --out file and its exit status as they are, with nothing on stderr
+    out = tmp_path / "out"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "meanscope.cli", *argv,
+                             "--out", str(out)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (status, b"")
+    assert out.stat().st_size > 0

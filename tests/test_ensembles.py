@@ -15,6 +15,7 @@ from meanscope.ensembles import (
     REGION_BOUNDARY,
     TUPLE_STRIDE,
     EnsembleSpec,
+    open_streams,
     random_invertible,
     random_ordered_pair,
     random_pd,
@@ -259,8 +260,8 @@ class TestBatchedSeeding:
     # batched pass must give the states and the draws numpy gives, key by key
     @pytest.mark.parametrize("index", INDEX_FORMS)
     def test_states_are_seed_sequence_states(self, index):
-        states = seed_states(EDGE_SEEDS, *index)
         keys = keys_of(EDGE_SEEDS, *index)
+        states = seed_states(keys)
         assert states.shape == (len(keys), 4) and states.dtype == np.uint64
         for key, state in zip(keys, states):
             want = np.random.SeedSequence(tuple(map(int, key)))
@@ -310,11 +311,41 @@ class TestBatchedSeeding:
             assert state.dtype == np.uint64 and state.shape == (4,)
             assert state.flags.c_contiguous
 
+    def test_keys_of_mixed_lengths_share_a_pass(self):
+        # a run's pass holds region keys (seed, 3) beside (seed, stream, i):
+        # a shorter key is zero-padded to the longest, which hashes it as
+        # itself while it fills at most four words
+        keys = [(seed, *index) for seed in EDGE_SEEDS
+                for index in [(3,), (0, 7), (LAW_STREAM, 9), ()]]
+        for key, state in zip(keys, seed_states(keys), strict=True):
+            want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert state.tobytes() == want.tobytes(), key
+
+    def test_the_run_set_opens_its_keys_with_their_bits(self, monkeypatch):
+        # while a run's stream set lists a key, seeded_rng and seeded_rngs
+        # open it from its listed state and build no SeedSequence
+        keys = [tuple(map(int, key)) for key in
+                keys_of(EDGE_SEEDS, 0, range(3)) + keys_of(EDGE_SEEDS, 3)]
+        want = [seeded_rng(*key).random(3).tobytes() for key in keys]
+        try:
+            open_streams(keys)
+            monkeypatch.setattr(np.random, "SeedSequence", None)
+            got = [seeded_rng(*key).random(3).tobytes() for key in keys]
+            many = [rng.random(3).tobytes() for index in ((0, range(3)), (3,))
+                    for rng in seeded_rngs(EDGE_SEEDS, *index)]
+        finally:
+            open_streams()
+        assert got == many == want
+        assert not ensembles._RUN_STATES
+
     def test_a_key_longer_than_four_words_is_refused(self):
         with pytest.raises(ValueError, match="more than four 32-bit words"):
-            seed_states([2**32], 0, 1, 2)
+            seed_states([(2**32, 0, 1, 2)])
         with pytest.raises(ValueError, match="more than four 32-bit words"):
-            seed_states([1], 0, 2**32)
+            seed_states([(1, 0, 2**32)])
+        # a pass pads each key to the longest: (2**32, 0, 1) would fill five
+        with pytest.raises(ValueError, match="more than four 32-bit words"):
+            seed_states([(1, 0, 1, 2), (2**32, 0, 1)])
 
     @pytest.mark.parametrize("master", EDGE_SEEDS)
     @pytest.mark.parametrize("law_index", [0, 15])

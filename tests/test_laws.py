@@ -1,7 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from meanscope import laws, linalg, means
+from meanscope import ensembles, laws, linalg, means
 from meanscope.laws import (
     InstanceError,
     callebaut_f,
@@ -11,8 +14,8 @@ from meanscope.laws import (
     scalar_callebaut_chain,
     sweep_law,
 )
-from meanscope.ensembles import (TUPLE_STRIDE, EnsembleSpec, random_pd,
-                                 sample_region)
+from meanscope.ensembles import (REGION_STREAM, TUPLE_STRIDE, EnsembleSpec,
+                                 random_pd, sample_region)
 from meanscope.linalg import LoewnerVerdict, PDMatrix, rel_residual
 
 
@@ -1006,3 +1009,133 @@ def test_failing_chunk_names_the_first_failing_trial(bad_draws, bad_checks,
     assert alone[1:] == (drawn_singles, singles)
     assert chunked[1] == [seeds] + drawn_singles
     assert chunked[2] == ([] if bad_draws else [seeds]) + singles
+
+
+def opened_streams(monkeypatch, draw):
+    """The keys (seed, *index) of every stream that draw() opens."""
+    opened = set()
+    one, many = ensembles.seeded_rng, ensembles.seeded_rngs
+
+    def seeded_rng(seed, *index):
+        opened.add((int(seed), *map(int, index)))
+        return one(seed, *index)
+
+    def seeded_rngs(seeds, *index):
+        opened.update(itertools.product(
+            *(np.ravel(axis).tolist() for axis in (seeds, *index))))
+        return many(seeds, *index)
+
+    with monkeypatch.context() as patch:
+        for owner in (ensembles, laws):
+            patch.setattr(owner, "seeded_rng", seeded_rng)
+        patch.setattr(ensembles, "seeded_rngs", seeded_rngs)
+        draw()
+    return opened
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_a_law_lists_the_streams_its_trials_draw(name, m, monkeypatch):
+    # run_law opens ahead the streams a law lists (register_law's streams)
+    # with the region's, and a stream it misses is opened alone: so a stale
+    # list costs speed, never bits.  The list of a chunk that holds a
+    # boundary trial and a drawn one is every stream its draw opens
+    spec = laws.law_spec(name)
+    seeds = [laws.child_seed(3, 0, k) for k in range(2)]
+    bounds = [(laws.boundary_params(name) or [None])[0], None]
+    windows = laws._stream_windows(spec, [[0, 1]], seeds, [(2, m)] * 2,
+                                   bounds)
+    opened = opened_streams(monkeypatch, lambda: sample_instance(
+        name, n=2, m=m, fieldname="complex", kappa_max=1e4, seed=seeds,
+        boundary=bounds))
+    assert list(windows) == [0]
+    assert sorted(windows[0]) == sorted(opened)
+    assert ((seeds[1], REGION_STREAM) in opened) == bool(spec.region)
+    assert (seeds[0], REGION_STREAM) not in opened
+
+
+def counted_seeding(monkeypatch):
+    """Count the SeedSequences built and the seed_states passes made."""
+    counts = {"seed sequences": 0, "passes": 0}
+    states = ensembles.seed_states
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            counts["seed sequences"] += 1
+            super().__init__(*args, **kwargs)
+
+    def seed_states(keys):
+        counts["passes"] += 1
+        return states(keys)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    for owner in (ensembles, laws):
+        monkeypatch.setattr(owner, "seed_states", seed_states)
+    return counts
+
+
+def per_key_entry(monkeypatch, *args):
+    """run_law's entry with the run's stream set left empty, so that every
+    stream is opened as outside a run; wall time dropped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "open_streams", lambda keys=(): None)
+        entry = laws.run_law(*args)
+    del entry["wall_sec"]
+    return entry
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+def test_a_run_opens_its_streams_in_one_pass(name, monkeypatch):
+    # at n = 1, 40 trials: child_seeds' pass and one window's pass, and no
+    # stream opened alone, with the bits of every stream opened alone
+    args = (name, 5, 30001, 40, 1, None, "complex", 1e4, laws.DEFAULT_TOL)
+    want = per_key_entry(monkeypatch, *args)
+    counts = counted_seeding(monkeypatch)
+    entry = laws.run_law(*args)
+    assert counts == {"seed sequences": 0, "passes": 2}
+    assert not ensembles._RUN_STATES
+    del entry["wall_sec"]
+    assert repr(entry) == repr(want)
+
+
+def test_a_long_run_opens_its_streams_window_by_window(monkeypatch):
+    # 1000 trials of ten streams each (two 4-tuples, the law's and the
+    # region's, which the 3 boundary trials do not draw) are 16 chunks, of
+    # about 640 streams but the last: six fit in a window of
+    # WINDOW_STREAMS, so three windows take a pass each after child_seeds',
+    # with the same bits
+    args = ("path-monotonicity", 2, 8, 1000, 1, 4, "complex", 1e4,
+            laws.DEFAULT_TOL)
+    want = per_key_entry(monkeypatch, *args)
+    counts = counted_seeding(monkeypatch)
+    entry = laws.run_law(*args)
+    assert counts == {"seed sequences": 0, "passes": 4}
+    del entry["wall_sec"]
+    assert repr(entry) == repr(want)
+
+
+def test_a_stale_stream_list_costs_no_bits(monkeypatch):
+    # a listed stream that no trial draws is never read, and one it draws
+    # but the list misses is opened alone
+    args = ("wada", 0, 5, 12, None, None, "complex", 1e4, laws.DEFAULT_TOL)
+    want = per_key_entry(monkeypatch, *args)
+    stale = dataclasses.replace(laws.law_spec("wada"), streams=lambda m: [
+        (0, 0), (0, 7), (laws.LAW_STREAM, 9)])
+    monkeypatch.setitem(laws._LAWS, "wada", stale)
+    counts = counted_seeding(monkeypatch)
+    entry = laws.run_law(*args)
+    del entry["wall_sec"]
+    assert repr(entry) == repr(want) and counts["seed sequences"] > 0
+
+
+def test_a_run_that_raises_empties_its_stream_set(monkeypatch):
+    held = []
+
+    def check(name, insts, tol):
+        held.append(len(ensembles._RUN_STATES))
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(laws, "check_chunk", check)
+    with pytest.raises(ZeroDivisionError):
+        laws.run_law("wada", 0, 5, 4, 2, 1, "complex", 1e4, 1e-8)
+    assert held == [4 * 3] and not ensembles._RUN_STATES

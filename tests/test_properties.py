@@ -5,12 +5,14 @@ so these tests are as deterministic as the rest of the suite.
 """
 
 import itertools
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanscope import ensembles, means
+from meanscope import ensembles, laws, means
 from meanscope.laws import EQUALITY_TOL, LAW_STREAM
 from meanscope.linalg import (HermitianMatrix, PDMatrix, congruence,
                               loewner_leq, rel_residual)
@@ -98,10 +100,10 @@ stream_indices = st.one_of(
 def test_batched_states_are_seed_sequence_states(seed_list, index):
     # every draw opens its streams through seed_states or seeded_rng, which
     # must agree with numpy's SeedSequence key by key
-    states = ensembles.seed_states(seed_list, *index)
-    rngs = ensembles.seeded_rngs(seed_list, *index)
     keys = [(seed, *rest) for seed in seed_list
             for rest in itertools.product(*map(np.ravel, index))]
+    states = ensembles.seed_states(keys)
+    rngs = ensembles.seeded_rngs(seed_list, *index)
     assert len(states) == len(rngs) == len(keys)
     for key, state, rng in zip(keys, states, rngs):
         want = np.random.SeedSequence(key).generate_state(4, np.uint64)
@@ -133,3 +135,24 @@ def test_mean_is_congruence_equivariant(d, n, seed):
     lhs = congruence(c, means.mean(d, a, b))
     rhs = means.mean(d, PDMatrix(congruence(c, a)), PDMatrix(congruence(c, b)))
     assert rel_residual(lhs, rhs) <= EQUALITY_TOL
+
+
+@deterministic
+@given(st.sampled_from(laws.law_names()), st.integers(0, 15),
+       st.one_of(st.none(), st.integers(1, 6)),
+       st.one_of(st.none(), st.integers(1, 4)), st.integers(1, 12), seeds,
+       st.sampled_from(["real", "complex"]))
+def test_a_run_has_the_bits_of_streams_opened_alone(name, law_index, n, m,
+                                                    trials, master, field):
+    # run_law opens its trials' streams ahead, in one pass per window; with
+    # its stream set left empty every stream opens alone, to the same entry
+    args = (name, law_index, master, trials, n, m, field, 1e4,
+            laws.DEFAULT_TOL)
+    entries = [laws.run_law(*args)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laws, "open_streams", lambda keys=(): None)
+        entries.append(laws.run_law(*args))
+    for entry in entries:
+        del entry["wall_sec"]
+    first, alone = (json.dumps(entry, sort_keys=True) for entry in entries)
+    assert first == alone
