@@ -10,6 +10,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +191,11 @@ class PDMatrix(HermitianMatrix):
     Construction rejects a matrix unless its smallest eigenvalue exceeds
     its largest divided by ``CONDITION_CAP`` (so it is positive with
     condition number below the cap); a stack is rejected if any of its
-    matrices is.  A HermitianMatrix argument is adopted as is: its
-    read-only entries and any cached decomposition are shared, not copied
-    or recomputed.  Anything else is validated by ``HermitianMatrix``.
+    matrices is.  At n >= 2 with no cached decomposition, one Cholesky of
+    the stack proves it (``_certified``); if that fails, the spectrum
+    decides.  A HermitianMatrix argument is adopted as is: its read-only
+    entries and any cached decomposition are shared.  Anything else is
+    validated by ``HermitianMatrix``.
     """
 
     __slots__ = ()
@@ -202,6 +205,8 @@ class PDMatrix(HermitianMatrix):
             self._a, self._spec = entries._a, entries._spec
         else:
             HermitianMatrix.__init__(self, entries)
+        if self._spec is None and self.n > 1 and _certified(self._a):
+            return
         lam = self.decomposition().eigenvalues
         lo, hi = lam[..., 0], lam[..., -1]
         # also rejects hi <= 0, where lo <= hi <= hi / CONDITION_CAP
@@ -367,30 +372,48 @@ def _sorted_spectrum(lam, u):
     return _readonly(lam), _readonly(np.ascontiguousarray(u))
 
 
-def _fro(x):
-    """The Frobenius norm of each matrix of an (..., n, n) array, by the
-    formula of ``np.linalg.norm(x, axis=(-2, -1))``, with its bits and
-    without its argument handling."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
+def _fro2(x):
+    """The squared Frobenius norm of each matrix of an (..., n, n) array;
+    its root has the bits of ``np.linalg.norm(x, axis=(-2, -1))``."""
+    return np.add.reduce((x.conj() * x).real, axis=(-2, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(n):
+    return _readonly(np.eye(n))
 
 
 def _finish_decomposition(lam, u, original):
     lam, u = _sorted_spectrum(lam, u)
-    a = original.array
+    a, uh = original.array, _adjoint(u)
     # one residual at a time: stacked, their temporaries would hold the
-    # matrices several times over at once
-    fro = _fro(a)
-    recon = _fro(congruence_diag(u, lam) - a)
-    ortho = _fro(_adjoint(u) @ u - np.eye(a.shape[-1]))
+    # matrices several times over at once; squared, as are their bounds
+    recon = _fro2((u * lam[..., None, :]) @ uh - a)
+    ortho = _fro2(uh @ u - _eye(a.shape[-1]))
     # written so that a NaN residual fails too
-    bad = ~((recon <= DECOMP_TOL * np.maximum(1.0, fro))
-            & (ortho <= DECOMP_TOL))
-    if bad.any():
-        i = _first(bad)
+    ok = ((recon <= DECOMP_TOL ** 2 * np.maximum(1.0, _fro2(a)))
+          & (ortho <= DECOMP_TOL ** 2))
+    if not ok.all():
+        i = _first(~ok)
         raise ConvergenceError(
-            f"{_where(i)}eigendecomposition failed validation: "
-            f"reconstruction {recon[i]:.3e}, unitarity {ortho[i]:.3e}")
+            f"{_where(i)}eigendecomposition failed validation: reconstruction "
+            f"{np.sqrt(recon[i]):.3e}, unitarity {np.sqrt(ortho[i]):.3e}")
     return SpectralDecomposition(lam, u)
+
+
+def _certified(a):
+    """Whether one Cholesky of the stack of A - sI completes, which proves
+    lambda_min(A) > ||A||_F / CONDITION_CAP: s is that bound plus Rump's
+    slack for round-off (README, Numerical conventions, derives it)."""
+    n, u, eta = a.shape[-1], 2.0 ** -53, 5e-324   # round-off, least subnormal
+    d = np.abs(a.real.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    s = (np.sqrt(_fro2(a)) * ((1 + 4 * (n * n + 2) * u) / CONDITION_CAP)
+         + (4 * n + 10) * u * d + 2 * n * (2 * n + 2 + d) * eta)
+    try:
+        np.linalg.cholesky(a - s[..., None, None] * _eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectral_values(fn, eigenvalues):
@@ -543,13 +566,13 @@ def loewner_leq(A, B, tol=DEFAULT_TOL):
 
 
 def rel_residual(X, Y):
-    """Relative Frobenius distance _fro(x - y) / max(1, _fro(x), _fro(y)),
+    """Relative Frobenius distance |x - y| / max(1, |x|, |y|),
     per matrix of a stack (a single matrix broadcasts against a stack); a
     slice gets the bits a single matrix gets."""
     _require_same_dim(X, Y)
     x, y = X.array, Y.array
-    return _float_or_array(
-        _fro(x - y) / np.maximum(np.maximum(_fro(x), _fro(y)), 1.0))
+    return _float_or_array(np.sqrt(_fro2(x - y)) / np.maximum(
+        np.maximum(np.sqrt(_fro2(x)), np.sqrt(_fro2(y))), 1.0))
 
 
 def pd_sum(X):

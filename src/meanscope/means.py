@@ -103,8 +103,11 @@ def mean(d, A, B):
     root = np.sqrt(spec.eigenvalues)
     inv_half = congruence_diag(spec.unitary, 1.0 / root)
     # M is Hermitian only up to round-off that grows with cond(A), often
-    # beyond HermitianMatrix's input slack; congruence symmetrizes it
-    middle = PDMatrix(congruence(inv_half, B)).decomposition()
+    # beyond HermitianMatrix's input slack: congruence symmetrizes it.
+    # Decomposed first, it is PD-checked by its spectrum, read at once.
+    m = congruence(inv_half, B)
+    middle = m.decomposition()
+    PDMatrix(m)
     c = congruence_diag(spec.unitary, root) @ middle.unitary
     values = spectral_values(parametrized(_represent, d), middle.eigenvalues)
     return PDMatrix(_exact(congruence_diag(c, values)))

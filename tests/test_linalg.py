@@ -432,6 +432,7 @@ class TestPower:
 
     def test_power_of_decomposed_runs_no_eig(self, monkeypatch):
         a = random_pd_raw(np.random.default_rng(14), 4)
+        a.decomposition()
         calls = count_eigs(monkeypatch)
         p = power(a, 0.3)
         assert isinstance(p, PDMatrix) and p.decomposition() is not None
