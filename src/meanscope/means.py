@@ -25,6 +25,9 @@ from .linalg import (PDMatrix, congruence, congruence_diag, parametrized,
 # Below this magnitude the power-mean exponent r is treated as the
 # geometric limit r -> 0 to avoid the 1/r blowup.
 R_GEOMETRIC_CUTOFF = 1e-8
+# Below this |r|, (1 - t + t x^r)^(1/r) as written errs by about 2e-16/|r|
+# relative, more than exp(log1p(t expm1(r ln x)) / r), at most 3e-15.
+R_LOG1P = 0.1
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,8 @@ def representing_fn(d):
     """Representing function on (0, inf) with f(1) = 1, elementwise on arrays."""
     r, t = d.r, d.t
     f = ((lambda x: x ** t) if abs(r) < R_GEOMETRIC_CUTOFF
-         else lambda x: (1.0 - t + t * x ** r) ** (1.0 / r))
+         else (lambda x: np.exp(np.log1p(t * np.expm1(r * np.log(x))) / r))
+         if abs(r) < R_LOG1P else lambda x: (1.0 - t + t * x ** r) ** (1 / r))
     return (lambda x: x / f(x)) if d.dual else f
 
 

@@ -41,6 +41,15 @@ def _fn(d):
     return (lambda x: x / f(x)) if d.dual else f
 
 
+def representing_values(d, xs, digits):
+    """The representing function of ``d`` at the floats ``xs``, computed
+    in ``digits``-digit arithmetic: near r = 0 the formula loses about
+    |log10 r| digits to cancellation, which 30 do not cover."""
+    with mpmath.workdps(digits):
+        f = _fn(d)
+        return [f(mpmath.mpf(float(x))) for x in xs]
+
+
 def means(descriptors, a, b):
     """A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for each sigma
     described in ``descriptors``, as complex arrays; A^{1/2} is formed once."""

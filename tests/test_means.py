@@ -116,6 +116,22 @@ class TestRepresentingFn:
         assert representing_gap(power_path(0.0, 0.3), weighted_geometric(0.3),
                                 GRID) <= 1e-12
 
+    @pytest.mark.parametrize("r", [*np.geomspace(means.R_GEOMETRIC_CUTOFF,
+                                                 1.0, 9), means.R_LOG1P])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_accurate_for_every_exponent_off_the_geodesic(self, r, sign):
+        # within a few units of 1e-15 of the exact value, from the cutoff
+        # up, on each side of R_LOG1P, over the eigenvalue range a kappa
+        # 1e4 draw reaches; (1 - t + t x^r)^(1/r) as written errs by about
+        # 2e-16/|r|, 2e-8 at the cutoff
+        x = np.geomspace(1e-4, 1e4, 17)
+        for t in (0.3, 0.5, 0.9):
+            for d in (power_path(sign * r, t), dual(power_path(sign * r, t))):
+                exact = oracle.representing_values(d, x, digits=60)
+                got = representing_fn(d)(x)
+                err = max(abs((g - e) / e) for g, e in zip(got, exact))
+                assert err <= 4e-15, (d, float(err))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             weighted_geometric(1.5)
