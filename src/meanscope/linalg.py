@@ -191,11 +191,10 @@ class PDMatrix(HermitianMatrix):
     Construction rejects a matrix unless its smallest eigenvalue exceeds
     its largest divided by ``CONDITION_CAP`` (so it is positive with
     condition number below the cap); a stack is rejected if any of its
-    matrices is.  At n >= 2 with no cached decomposition, one Cholesky of
-    the stack proves it (``_certified``); if that fails, the spectrum
-    decides.  A HermitianMatrix argument is adopted as is: its read-only
-    entries and any cached decomposition are shared.  Anything else is
-    validated by ``HermitianMatrix``.
+    matrices is.  At n >= 2 with no cached spectrum, one Cholesky of the
+    stack proves it (``_certified``), else the spectrum decides.  A
+    HermitianMatrix argument is adopted with its read-only entries and
+    any cached decomposition.  Anything else is validated first.
     """
 
     __slots__ = ()
@@ -403,8 +402,7 @@ def _finish_decomposition(lam, u, original):
 
 def _certified(a):
     """Whether one Cholesky of the stack of A - sI completes, which proves
-    lambda_min(A) > ||A||_F / CONDITION_CAP: s is that bound plus Rump's
-    slack for round-off (README, Numerical conventions, derives it)."""
+    lambda_min(A) > ||A||_F / CONDITION_CAP (README derives the shift s)."""
     n, u, eta = a.shape[-1], 2.0 ** -53, 5e-324   # round-off, least subnormal
     d = np.abs(a.real.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     s = (np.sqrt(_fro2(a)) * ((1 + 4 * (n * n + 2) * u) / CONDITION_CAP)

@@ -22,11 +22,10 @@ import numpy as np
 from .linalg import (PDMatrix, congruence, congruence_diag, parametrized,
                      spectral_values, _exact, _require_same_dim)
 
-# Below this magnitude the power-mean exponent r is treated as the
-# geometric limit r -> 0 to avoid the 1/r blowup.
+# An exponent below R_GEOMETRIC_CUTOFF in magnitude is the geodesic r = 0.
+# Below R_LOG1P, (1 - t + t x^r)^(1/r) errs by about 2e-16/|r| relative,
+# more than exp(log1p(t expm1(r ln x)) / r) does (at most 3e-15).
 R_GEOMETRIC_CUTOFF = 1e-8
-# Below this |r|, (1 - t + t x^r)^(1/r) as written errs by about 2e-16/|r|
-# relative, more than exp(log1p(t expm1(r ln x)) / r), at most 3e-15.
 R_LOG1P = 0.1
 
 
@@ -107,11 +106,9 @@ def mean(d, A, B):
     root = np.sqrt(spec.eigenvalues)
     inv_half = congruence_diag(spec.unitary, 1.0 / root)
     # M is Hermitian only up to round-off that grows with cond(A), often
-    # beyond HermitianMatrix's input slack: congruence symmetrizes it.
-    # Decomposed first, it is PD-checked by its spectrum, read at once.
-    m = congruence(inv_half, B)
-    middle = m.decomposition()
-    PDMatrix(m)
+    # beyond HermitianMatrix's input slack; congruence symmetrizes it
+    middle = (m := congruence(inv_half, B)).decomposition()
+    PDMatrix(m)     # checked by the spectrum read at once, not a Cholesky
     c = congruence_diag(spec.unitary, root) @ middle.unitary
     values = spectral_values(parametrized(_represent, d), middle.eigenvalues)
     return PDMatrix(_exact(congruence_diag(c, values)))
