@@ -564,7 +564,7 @@ def loewner_leq(A, B, tol=DEFAULT_TOL):
 
 
 def rel_residual(X, Y):
-    """Relative Frobenius distance |x - y| / max(1, |x|, |y|),
+    """Relative Frobenius distance ||x - y|| / max(1, ||x||, ||y||),
     per matrix of a stack (a single matrix broadcasts against a stack); a
     slice gets the bits a single matrix gets."""
     _require_same_dim(X, Y)

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from meanscope import ensembles, laws, linalg, means
+from meanscope import cli, ensembles, laws, linalg, means
 from meanscope.laws import (
     InstanceError,
     callebaut_f,
@@ -1139,3 +1140,75 @@ def test_a_run_that_raises_empties_its_stream_set(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         laws.run_law("wada", 0, 5, 4, 2, 1, "complex", 1e4, 1e-8)
     assert held == [4 * 3] and not ensembles._RUN_STATES
+
+
+def certificate_off(patch):
+    """From now on PDMatrix proves no matrix by Cholesky: every check
+    decomposes it, as before the certificate."""
+    patch.setattr(linalg, "_certified", lambda a: False)
+
+
+def curve_bits(curve):
+    return [(p.t, p.trace.hex(), p.lambda_min.hex(), p.lambda_max.hex(),
+             p.link_margin.hex(), p.link_holds) for p in curve.points]
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 1), (3, 3)])
+def test_certificate_costs_no_bits(name, n, m, monkeypatch):
+    # a chunk sampled and checked with and without the certificate: each
+    # spectrum is the same eigh of the same matrix, taken later or sooner
+    def checked():
+        boundary = (laws.boundary_params(name) or [None])[0]
+        insts = make_instance(name, [7, 8], n=n, m=m,
+                              boundary=[boundary, None])
+        return [outcome(r) for r in laws.check_chunk(name, insts)]
+
+    want = checked()
+    certificate_off(monkeypatch)
+    assert checked() == want
+
+
+@pytest.mark.parametrize("name", sorted(laws.SWEEPS))
+def test_certificate_costs_no_sweep_bits(name, monkeypatch):
+    sw = laws.SWEEPS[name]
+    grid = list(np.linspace(*sw.domain, 9))
+
+    def swept():
+        return curve_bits(sweep_law(name, make_instance(sw.instance_law, 3,
+                                                        n=2, m=3), grid))
+
+    want = swept()
+    certificate_off(monkeypatch)
+    assert swept() == want
+
+
+def test_verify_decomposes_two_fifths_fewer_matrices(tmp_path, monkeypatch):
+    # a guard on the matrices eigh solves (n >= 2) in a small verify run:
+    # 862 with the certificate, 1431 without, and the same report
+    def run(out):
+        solved = []
+        eig = linalg.eig_hermitian
+
+        def counted(A):
+            if A.n > 1:
+                solved.append(int(np.prod(A.stack_shape)))
+            return eig(A)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "eig_hermitian", counted)
+            assert cli.main(["verify", "--seed", "12", "--trials", "6",
+                             "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["wall_clock_sec"]
+        for entry in report["laws"].values():
+            del entry["wall_sec"]
+        return sum(solved), report
+
+    solved, report = run(tmp_path / "on.json")
+    with monkeypatch.context() as patch:
+        certificate_off(patch)
+        solved_off, report_off = run(tmp_path / "off.json")
+    assert report == report_off
+    assert 0 < solved <= 862, solved
+    assert solved <= 0.7 * solved_off, (solved, solved_off)

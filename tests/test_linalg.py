@@ -198,6 +198,95 @@ class TestEig:
         assert np.array_equal(d.unitary, np.ones((3, 1, 1)))
 
 
+CORRUPTIONS = {
+    "eigenvalues": lambda lam, u: (lam * (1.0 + 1e-9), u),
+    "scaled-vectors": lambda lam, u: (lam, u * (1.0 + 1e-9)),
+    "swapped-vectors": lambda lam, u: (lam, u[:, ::-1]),
+    "null-vector": lambda lam, u: (
+        lam, u * np.where(abs(lam) < 1e-9, 2.0, 1.0)),
+    "nan-eigenvalue": lambda lam, u: (np.where(lam == lam[2], np.nan, lam), u),
+    "nan-vector": lambda lam, u: (lam, np.where(u == u[1, 1], np.nan, u)),
+}
+
+
+def frobenius_validation(lam, u, a):
+    """The eigendecomposition check by unsquared Frobenius norms, as
+    ``np.linalg.norm`` computes them: the reference that the squared
+    residuals of ``_finish_decomposition`` must decide alike.  The message
+    it would raise, or None when it accepts."""
+    order = np.argsort(lam, axis=-1, kind="stable")
+    if not (lam[..., 1:] >= lam[..., :-1]).all():
+        lam = np.take_along_axis(lam, order, axis=-1)
+        u = np.take_along_axis(u, order[..., None, :], axis=-1)
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    recon = np.linalg.norm((u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2)
+                           - a, axis=(-2, -1))
+    ortho = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(a.shape[-1]),
+                           axis=(-2, -1))
+    bad = ~((recon <= 1e-12 * np.maximum(1.0, fro)) & (ortho <= 1e-12))
+    if not bad.any():
+        return None
+    i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    where = f"slice {','.join(map(str, i))}: " if i else ""
+    return (f"{where}eigendecomposition failed validation: "
+            f"reconstruction {recon[i]:.3e}, unitarity {ortho[i]:.3e}")
+
+
+def validation_message(lam, u, a):
+    try:
+        linalg._finish_decomposition(lam, u, HermitianMatrix(a))
+    except ConvergenceError as exc:
+        return str(exc)
+    return None
+
+
+def at_budget(factor):
+    """(name, lam, u, a) whose one deciding residual is its budget times
+    factor: the reconstruction of diag(1, 2, 3) (budget 1e-12 * sqrt(14)),
+    or the unitarity of a scaled first eigenvector (budget 1e-12), which
+    moves the reconstruction by as much, within its own budget."""
+    a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    lam, u = np.array([1.0, 2.0, 3.0]), np.eye(3, dtype=complex)
+    recon = lam.copy()
+    recon[0] += factor * 1e-12 * np.sqrt(14.0)
+    eps = np.sqrt(1.0 + factor * 1e-12) - 1.0     # (1 + eps)^2 - 1
+    ortho = u.copy()
+    ortho[0, 0] += eps
+    return [(f"reconstruction*{factor}", recon, u, a),
+            (f"unitarity*{factor}", lam, ortho, a)]
+
+
+class TestValidationMatchesTheFrobeniusRule:
+    """Squared residuals against the squared budget accept what the
+    Frobenius norms against the budget accept, and name the same residuals
+    when they refuse."""
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corruptions(self, name):
+        h = random_hermitian(np.random.default_rng(2), 6)
+        h = h - h.decomposition().eigenvalues[0] * HermitianMatrix.identity(6)
+        lam, u = CORRUPTIONS[name](*np.linalg.eigh(h.array))
+        want = frobenius_validation(lam, u, h.array)
+        assert want is not None
+        assert validation_message(lam, u, h.array) == want
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_residuals_at_the_budget(self, factor):
+        for name, lam, u, a in at_budget(factor):
+            want = frobenius_validation(lam, u, a)
+            assert (want is None) == (factor < 1.0), name
+            assert validation_message(lam, u, a) == want, name
+
+    def test_a_stack_names_the_slice_the_rule_names(self):
+        name, lam, u, a = at_budget(1.0 + 1e-3)[1]
+        lams = np.stack([lam] * 4)
+        us = np.stack([np.eye(3, dtype=complex)] * 4)
+        us[2] = u
+        want = frobenius_validation(lams, us, np.stack([a] * 4))
+        assert want.startswith("slice 2: ")
+        assert validation_message(lams, us, np.stack([a] * 4)) == want
+
+
 class TestExactResults:
     """+, -, real *, kron, hadamard, kron_diagonal_block, pd_sum,
     congruence, apply_function, power and means.mean build their results
@@ -343,6 +432,109 @@ class TestPDMatrix:
         a = PDMatrix(h)
         assert a.array is h.array and a.decomposition() is spec
         assert calls == []
+
+
+def certificates(monkeypatch):
+    """Record the outcome of every Cholesky certificate from now on."""
+    outcomes = []
+    certified = linalg._certified
+
+    def recorded(a):
+        outcomes.append(certified(a))
+        return outcomes[-1]
+
+    monkeypatch.setattr(linalg, "_certified", recorded)
+    return outcomes
+
+
+def rotated(lams, seed):
+    """Q diag(lam) Q* for a random unitary Q, one matrix per row of lams."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for lam in lams:
+        g = rng.standard_normal((len(lam),) * 2) \
+            + 1j * rng.standard_normal((len(lam),) * 2)
+        q, _ = np.linalg.qr(g)
+        out.append((q * np.asarray(lam, float)) @ q.conj().T)
+    return np.stack(out)
+
+
+def eigen_verdict(monkeypatch, make):
+    """The message of the NotPositiveDefiniteError that ``make()`` raises
+    with the certificate off, so that the spectrum decides."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_certified", lambda a: False)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            make()
+    return str(err.value)
+
+
+class TestCertificate:
+    """A PDMatrix without a spectrum is proved PD within the cap by one
+    Cholesky of the stack; a stack it fails is decided by its spectrum,
+    with the message the spectrum gives."""
+
+    def test_certified_matrix_is_decomposed_once_on_first_read(
+            self, monkeypatch):
+        entries = rotated([[1.0, 2.0, 30.0]] * 4, seed=40)
+        outcomes = certificates(monkeypatch)
+        calls = count_eigs(monkeypatch)
+        a = PDMatrix(entries)
+        assert outcomes == [True] and calls == []
+        spec = a[1].decomposition()     # a slice's read decomposes itself
+        assert calls == [3]
+        assert a.norm_2().shape == (4,) and calls == [3, 3]
+        assert a.decomposition() is a.decomposition() and calls == [3, 3]
+        assert spec.eigenvalues.tobytes() \
+            == a.decomposition().eigenvalues[1].tobytes()
+
+    def test_one_by_one_takes_its_exact_spectrum(self, monkeypatch):
+        outcomes = certificates(monkeypatch)
+        PDMatrix(np.array([2.0, 3.0]).reshape(2, 1, 1))
+        assert outcomes == []
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_cond_just_above_the_cap_names_its_slice(self, monkeypatch, k):
+        lams = [[1.0, 5.0, 20.0]] * 3
+        lams[k] = [1.0, 3.0, 1.001 * CONDITION_CAP]
+        entries = rotated(lams, seed=41)
+        PDMatrix(np.delete(entries, k, axis=0))
+        want = eigen_verdict(monkeypatch, lambda: PDMatrix(entries))
+        assert want.startswith(f"slice {k}: not positive definite within "
+                               f"condition cap 1e+12: eigenvalue range [")
+        outcomes = certificates(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            PDMatrix(entries)
+        assert outcomes == [False] and str(err.value) == want
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_indefinite_computed_matrix_names_its_slice(self, monkeypatch, k):
+        # each slice a difference of PD draws, computed by linalg._exact;
+        # slice k has a negative eigenvalue
+        lams = np.full((4, 3), 2.0)
+        lams[k, 0] = 0.5
+        a = PDMatrix(rotated(lams, seed=42))
+        b = PDMatrix(rotated([[1.0, 1.0, 1.0]] * 4, seed=43))
+        want = eigen_verdict(monkeypatch, lambda: PDMatrix(a - b))
+        assert want.startswith(f"slice {k}: not positive definite")
+        outcomes = certificates(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            PDMatrix(a - b)
+        assert outcomes == [False] and str(err.value) == want
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_mean_with_a_non_positive_function_is_refused(
+            self, monkeypatch, value):
+        # f(x) = value at the smallest eigenvalue of M, x elsewhere: the
+        # result C diag(f(L)) C* is singular or indefinite
+        rng = np.random.default_rng(44)
+        a, b = random_pd_raw(rng, 3), random_pd_raw(rng, 3)
+        monkeypatch.setattr(means, "_represent", lambda d, x: np.where(
+            x == x.min(), value, x))
+        outcomes = certificates(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError, match="eigenvalue range"):
+            means.mean(means.geometric(), a, b)
+        assert outcomes[-1] is False
 
 
 class TestApplyFunction:
