@@ -440,10 +440,10 @@ class PerSlice(tuple):
 def parametrized(fn, params):
     """The spectral function lam -> fn(p, lam) of the parameter p.
 
-    For a PerSlice, slice k of lam's leading axis takes fn(params[k], .),
-    each distinct parameter once, on the slices that take it, so every
-    slice has the bits it has alone.  For a list or tuple of parameters
-    (each one or a PerSlice), their values on a new leading axis."""
+    For a PerSlice, slice k of lam's leading axis takes fn(params[k], .)
+    on that slice alone, so every slice has the bits it has alone.  For a
+    list or tuple of parameters (each one or a PerSlice), their values on
+    a new leading axis."""
     if isinstance(params, PerSlice):
         return lambda lam: _per_slice(fn, params, lam)
     if isinstance(params, (list, tuple)) or np.ndim(params):
@@ -454,19 +454,14 @@ def parametrized(fn, params):
 
 
 def _per_slice(fn, params, lam):
+    """fn(params[k], lam[k]) for each slice k of lam's leading axis, stacked:
+    each slice takes the call it takes when it is checked alone."""
     if len(params) != len(lam):
         raise DimensionError(f"{len(params)} parameters for a stack of "
                              f"{len(lam)} slices")
-    if all(p == params[0] for p in params):
+    if len(params) == 1:
         return fn(params[0], lam)
-    slices = {}
-    for k, p in enumerate(params):
-        slices.setdefault(p, []).append(k)
-    parts = [(k, fn(p, lam[k])) for p, k in slices.items()]
-    out = np.empty(lam.shape, np.result_type(*(v for _, v in parts)))
-    for k, v in parts:
-        out[k] = v
-    return out
+    return np.stack([fn(p, x) for p, x in zip(params, lam)])
 
 
 def congruence_diag(c, values):

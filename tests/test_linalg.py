@@ -646,6 +646,72 @@ class TestPower:
         assert np.linalg.norm(lhs - a.array) <= 1e-10 * a.norm_2()
 
 
+# exponents with numpy's exact shortcuts (0.5, 2, -1) among others
+REPEATED_EXPONENTS = (0.5, 0.5, 2.0, -1.0, 2.0, 0.3, 0.3, 0.5)
+DISTINCT_EXPONENTS = (0.5, 2.0, -1.0, 0.3, 1.7, -0.45, 0.0, 1.0)
+
+
+def decomposed_stack(n, k, seed=3):
+    a = random_pd(EnsembleSpec(n=n, seed=seed), np.arange(k))
+    a.decomposition()
+    return a
+
+
+class TestPerSlice:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("ts", [REPEATED_EXPONENTS, DISTINCT_EXPONENTS],
+                             ids=["repeated", "distinct"])
+    def test_slice_takes_its_own_exponent_bitwise(self, n, ts):
+        a = decomposed_stack(n, len(ts))
+        out = power(a, linalg.PerSlice(ts))
+        assert out.stack_shape == (len(ts),)
+        for k, t in enumerate(ts):
+            alone = power(a[k], t)
+            assert np.array_equal(out[k].array, alone.array), (k, t)
+            assert np.array_equal(out[k].decomposition().eigenvalues,
+                                  alone.decomposition().eigenvalues), (k, t)
+
+    def test_one_slice_stack(self):
+        a = decomposed_stack(3, 1)
+        out = power(a, linalg.PerSlice([0.3]))
+        assert np.array_equal(out.array, power(a, 0.3).array)
+        assert np.array_equal(out[0].array, power(a[0], 0.3).array)
+
+    def test_each_slice_gets_its_own_call(self):
+        ts = linalg.PerSlice(REPEATED_EXPONENTS)
+        lam = np.arange(len(ts) * 3, dtype=float).reshape(len(ts), 3) + 1.0
+        calls = []
+
+        def fn(p, x):
+            calls.append((p, x.copy()))
+            return x ** p
+
+        out = linalg.parametrized(fn, ts)(lam)
+        assert [p for p, _ in calls] == list(ts)
+        assert all(np.array_equal(x, row) for (_, x), row in zip(calls, lam))
+        assert np.array_equal(out, [row ** t for row, t in zip(lam, ts)])
+
+    def test_list_form_stacks_the_same_slices(self):
+        ts = DISTINCT_EXPONENTS
+        a = decomposed_stack(3, len(ts))
+        out = power(a, [0.5, linalg.PerSlice(ts)])
+        assert out.stack_shape == (2, len(ts))
+        assert np.array_equal(out[0].array, power(a, 0.5).array)
+        assert np.array_equal(out[1].array,
+                              power(a, linalg.PerSlice(ts)).array)
+        for k, t in enumerate(ts):
+            assert np.array_equal(out[1, k].array, power(a[k], t).array)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_length_other_than_the_stack_is_refused(self, count):
+        a = decomposed_stack(2, 4)
+        with pytest.raises(DimensionError, match=rf"^{count} parameters for "
+                           r"a stack of 4 slices$"):
+            power(a, linalg.PerSlice([0.5] * count))
+        with pytest.raises(DimensionError, match="parameters for a stack"):
+            power(a, [2.0, linalg.PerSlice([0.5] * count)])
+
+
 class TestCongruence:
     def test_identity(self):
         x = HermitianMatrix([[2.0, 1.0], [1.0, 2.0]])

@@ -27,7 +27,7 @@ from meanscope.means import (
     representing_fn,
     weighted_geometric,
 )
-from meanscope.laws import EQUALITY_TOL
+from meanscope.laws import EQUALITY_TOL, SIGMA_ROSTER
 
 
 # where two descriptors' representing functions are compared
@@ -324,6 +324,46 @@ class TestMean:
             expected = 3.0 * f(7.0 / 3.0)
             got = mean(d, a, b).array[0, 0].real
             assert got == pytest.approx(expected, rel=1e-13)
+
+
+# one point per path branch: the geodesic, the log1p range and beyond
+PATH_POINTS = (power_path(0.0, 0.3), power_path(1e-9, 0.6),
+               power_path(0.004, 0.2), power_path(-0.3, 0.75),
+               power_path(0.8, 0.45), power_path(-1.0, 0.1),
+               dual(power_path(0.5, 0.35)))
+
+
+def pair_stack(n, k, seed=6):
+    spec = ensembles.EnsembleSpec(n=n, seed=seed)
+    return (ensembles.random_pd(spec, np.arange(k)),
+            ensembles.random_pd(spec, np.arange(k, 2 * k)))
+
+
+class TestPerSliceMean:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("ds", [SIGMA_ROSTER * 2, PATH_POINTS],
+                             ids=["roster", "path-points"])
+    def test_slice_is_the_mean_of_that_slice_alone(self, n, ds):
+        a, b = pair_stack(n, len(ds))
+        out = mean(linalg.PerSlice(ds), a, b)
+        assert out.stack_shape == (len(ds),)
+        for k, d in enumerate(ds):
+            alone = mean(d, a[k], b[k])
+            assert np.array_equal(out[k].array, alone.array), (k, d)
+
+    def test_list_form_stacks_the_same_slices(self):
+        ds = linalg.PerSlice(PATH_POINTS)
+        a, b = pair_stack(3, len(ds))
+        out = mean([geometric(), ds], a, b)
+        assert out.stack_shape == (2, len(ds))
+        assert np.array_equal(out[0].array, mean(geometric(), a, b).array)
+        assert np.array_equal(out[1].array, mean(ds, a, b).array)
+
+    def test_length_other_than_the_stack_is_refused(self):
+        a, b = pair_stack(2, 3)
+        with pytest.raises(linalg.DimensionError,
+                           match=r"^2 parameters for a stack of 3 slices$"):
+            mean(linalg.PerSlice(PATH_POINTS[:2]), a, b)
 
 
 class TestPathPoint:
