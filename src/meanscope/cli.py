@@ -33,8 +33,8 @@ class UsageError(Exception):
 
 
 def _parse_grid(text):
-    """The points a + i * step up to b: a last point past b by round-off
-    (within 1e-12) is b itself, and one further past it is dropped."""
+    """The points a + i * step up to b: a last point within round-off of b
+    (1e-12, on either side) is b itself, and one further past b is dropped."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -50,7 +50,8 @@ def _parse_grid(text):
     grid = [a + i * step for i in range(count + 1)]
     if grid[-1] > b + 1e-12:
         grid.pop()
-    grid[-1] = min(grid[-1], b)
+    if abs(grid[-1] - b) <= 1e-12:
+        grid[-1] = b
     return grid
 
 

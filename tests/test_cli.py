@@ -237,6 +237,26 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 14 and rows[-1][0] == "1.0"
 
+    def test_last_point_short_of_the_end_by_round_off_is_the_end(
+            self, tmp_path, capsys):
+        # 0 + 3 * 0.3 is 0.8999999999999999, short of 0.9 by round-off
+        grid = cli._parse_grid("0:0.9:0.3")
+        assert grid == [0.0, 0.3, 0.6, 0.9]
+        out = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "sweep", "--law", "tensor-g",
+                           "--grid=0:0.9:0.3", "--seed", "1",
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 4 and rows[-1][0] == "0.9"
+
+    def test_last_point_short_of_the_end_beyond_round_off_stays(self):
+        # 0:1:0.3 ends at 0.8999999999999999, a whole 0.1 short of 1
+        grid = cli._parse_grid("0:1:0.3")
+        assert grid == [0.0 + i * 0.3 for i in range(4)]
+        assert grid[-1] == 0.8999999999999999
+
     def test_last_point_past_the_end_beyond_round_off_is_dropped(self):
         # 0:1:0.35 rounds to 3 steps, whose end 1.05 is no round-off
         assert cli._parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
