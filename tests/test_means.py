@@ -359,12 +359,6 @@ class TestPerSliceMean:
         assert np.array_equal(out[0].array, mean(geometric(), a, b).array)
         assert np.array_equal(out[1].array, mean(ds, a, b).array)
 
-    def test_length_other_than_the_stack_is_refused(self):
-        a, b = pair_stack(2, 3)
-        with pytest.raises(linalg.DimensionError,
-                           match=r"^2 parameters for a stack of 3 slices$"):
-            mean(linalg.PerSlice(PATH_POINTS[:2]), a, b)
-
 
 class TestPathPoint:
     def test_arithmetic_path_scalars(self):
