@@ -240,11 +240,10 @@ def cmd_repro(args):
         ],
         "matrices": {},
     }
-    for label, group in (("A", inst.As), ("B", inst.Bs)):
+    # the stacks A and B, and mean-axioms' L and U with L_j <= U_j
+    for label, group in (("A", inst.As), ("B", inst.Bs),
+                         *zip("LU", inst.ordered or ())):
         for j, mat in enumerate([] if group is None else group):
-            dump["matrices"][f"{label}{j}"] = matrix_to_dict(mat)
-    for j, pair in enumerate(inst.ordered or ()):   # L_j <= U_j
-        for label, mat in zip("LU", pair):
             dump["matrices"][f"{label}{j}"] = matrix_to_dict(mat)
     if inst.congruence is not None:
         dump["matrices"]["C"] = matrix_to_dict(inst.congruence)

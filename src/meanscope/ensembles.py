@@ -4,10 +4,9 @@ Matrices are built as Q diag(lambda) Q* with Q from the QR factorization of
 a seeded Gaussian matrix and eigenvalues log-uniform in
 [1/sqrt(kappa), sqrt(kappa)], so the condition number is bounded by
 construction.  Every generator is a pure function of (spec, index): the
-same seed always reproduces the same bits.  Each draw also takes a sequence
-of specs that differ only in seed, and then draws them all in one stack
-with a leading axis over the specs, whose slices have the bits of the
-draws under each spec alone.
+same seed always reproduces the same bits.  A spec's seed is one seed or a
+tuple of seeds; a tuple draws one stack with a leading axis over its seeds,
+whose slices have the bits of the draws under each seed alone.
 """
 
 from __future__ import annotations
@@ -34,12 +33,15 @@ class EnsembleSpec:
     m: int = 1
     field: str = "complex"
     kappa_max: float = DEFAULT_KAPPA
-    seed: int = 0
+    seed: int | tuple = 0   # one seed, or a tuple: a stack over its seeds
 
     def __post_init__(self):
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not seeds:
+            raise ValueError("a tuple of seeds holds at least one seed")
         # a bool is an int, and a numpy integer is none but counts as one
         for name, value in (("dimension", self.n), ("tuple length m", self.m),
-                            ("seed", self.seed)):
+                            *(("seed", s) for s in seeds)):
             if isinstance(value, bool) or not isinstance(
                     value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -48,8 +50,12 @@ class EnsembleSpec:
         if not 1 <= self.m <= TUPLE_STRIDE:
             raise ValueError(
                 f"tuple length m must be in [1, {TUPLE_STRIDE}], got {self.m}")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
+        for s in seeds:
+            if not 0 <= s < SEED_LIMIT:
+                raise ValueError(f"seed must be in [0, 2**63), got {s}")
+        if isinstance(self.seed, tuple):
+            # numpy integers of mixed kinds would stack as floats
+            object.__setattr__(self, "seed", tuple(map(int, seeds)))
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         # a draw's condition number comes near kappa_max, which PDMatrix
@@ -189,32 +195,23 @@ def _haar_unitary(g):
 
 
 def _streams(spec, index, stream):
-    """The ensemble of a draw, the generators of its matrices and the stack
-    shape of the draw.  The matrix of index i under a seed draws from that
-    seed's stream (stream, i).  A sequence of specs that differ only in seed
-    adds a leading axis over them to the shape of ``index``; the generators
-    run over the seeds, then the indices in C order."""
-    if isinstance(spec, EnsembleSpec):
-        specs, shape = (spec,), np.shape(index)
-    else:
-        specs, shape = spec, (len(spec),) + np.shape(index)
-        spec = specs[0]
-        ensemble = (spec.n, spec.m, spec.field, spec.kappa_max)
-        if any((s.n, s.m, s.field, s.kappa_max) != ensemble for s in specs):
-            raise ValueError("a stacked draw takes specs that differ only "
-                             "in seed")
-    return spec, seeded_rngs([s.seed for s in specs], stream, index), shape
+    """The generators of a draw's matrices and its stack shape.  The matrix
+    of index i under a seed draws from that seed's stream (stream, i).  A
+    tuple of seeds adds a leading axis over them to the shape of ``index``;
+    the generators run over the seeds, then the indices in C order."""
+    return (seeded_rngs(spec.seed, stream, index),
+            np.shape(spec.seed) + np.shape(index))
 
 
 def random_pd(spec, index=0):
     """A random positive definite matrix from the ensemble, drawn from
-    stream (0, index).  For an array of indices, or a sequence of specs,
-    the stack of those matrices (see ``_streams``), each from its own
-    stream, with one QR, one product and one validation for the whole
-    stack: a slice has the bits of the single draw.  At n = 1 a draw is a
-    real diagonal, exactly Hermitian and its own spectrum, so it runs no
+    stream (0, index).  For an array of indices, or a tuple of seeds, the
+    stack of those matrices (see ``_streams``), each from its own stream,
+    with one QR, one product and one validation for the whole stack: a
+    slice has the bits of the single draw.  At n = 1 a draw is a real
+    diagonal, exactly Hermitian and its own spectrum, so it runs no
     asymmetry test."""
-    spec, rngs, shape = _streams(spec, index, 0)
+    rngs, shape = _streams(spec, index, 0)
     n = spec.n
     half_log = 0.5 * np.log(spec.kappa_max)
     lam = np.array([np.exp(rng.uniform(-half_log, half_log, size=n))
@@ -232,18 +229,17 @@ def random_pd_tuple(spec, index=0):
     """m independent PD matrices (for the summed inequality instances), as
     one random_pd stack of m; for a sequence of tuple indices, one draw of
     shape (len(index), m), a stack of m per index, after the leading axis
-    of a sequence of specs."""
-    m = spec.m if isinstance(spec, EnsembleSpec) else spec[0].m
+    of a tuple of seeds."""
     return random_pd(spec, np.add.outer(np.multiply(index, TUPLE_STRIDE),
-                                        np.arange(m)))
+                                        np.arange(spec.m)))
 
 
 def random_ordered_pair(spec, index=0):
     """(A, B) with A <= B: B = A + G*G for a seeded Gaussian G from stream
-    (1, index); for an array of indices or a sequence of specs, a stack of
-    A and one of B."""
+    (1, index); for an array of indices or a tuple of seeds, a stack of A
+    and one of B."""
     a = random_pd(spec, index)
-    spec, rngs, _ = _streams(spec, index, 1)
+    rngs, _ = _streams(spec, index, 1)
     g = np.array([_gaussian(rng, spec.n, spec.field) for rng in rngs])
     bump = g.conj().swapaxes(-1, -2) @ g * (0.25 / spec.n)
     b = PDMatrix(a.array + bump.reshape(a.array.shape))
@@ -252,9 +248,9 @@ def random_ordered_pair(spec, index=0):
 
 def random_invertible(spec, index=0):
     """A well-conditioned invertible matrix for congruence transforms, from
-    stream (2, index); for an array of indices or a sequence of specs, the
+    stream (2, index); for an array of indices or a tuple of seeds, the
     stack of them."""
-    spec, rngs, shape = _streams(spec, index, 2)
+    rngs, shape = _streams(spec, index, 2)
     n = spec.n
     draws = [(_gaussian(rng, n, spec.field), _gaussian(rng, n, spec.field),
               np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=n)))

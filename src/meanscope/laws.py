@@ -2,13 +2,13 @@
 
 A law is declared once, by ``register_law(name, sampler, check)``:
 
-- ``sampler(especs)`` draws one instance (random matrices and the law's
-  own parameters) from each of a sequence of ``EnsembleSpec``s that differ
-  only in seed, and returns them in order.  It draws the matrices of all
-  of them as one stack per kind of draw, so that one QR, one product and
-  one validation serve them all; each matrix and each parameter still
-  comes from its own seed's stream, so an instance has the bits it has
-  when drawn alone.  ``sample_instance`` names the instances after their
+- ``sampler(espec)`` draws one instance (random matrices and the law's
+  own parameters) for each seed of an ``EnsembleSpec`` whose seed is a
+  tuple, and returns them in order.  It draws the matrices of all of them
+  as one stack per kind of draw, so that one QR, one product and one
+  validation serve them all; each matrix and each parameter still comes
+  from its own seed's stream, so an instance has the bits it has when
+  drawn alone.  ``sample_instance`` names the instances after their
   law and, for a law with a parameter region, records the point (s, t) it
   drew, or the recorded boundary point it was given, as ``params["s"]``
   and ``params["t"]``.
@@ -183,7 +183,7 @@ class LawInstance:
     Bs: HermitianMatrix = None
     sigma: object = None
     params: dict = field(default_factory=dict)
-    ordered: tuple = None        # ((A, B), (C, D)) with A <= B and C <= D
+    ordered: tuple = None        # stacks (A, C), (B, D): A <= B, C <= D
     congruence: np.ndarray = None
     a_seq: np.ndarray = None     # positive scalar sequences
     b_seq: np.ndarray = None
@@ -205,7 +205,7 @@ _LAWS = {}
 def register_law(name, sampler, check, n_cap=6, region=None, reads="nm",
                  streams=LawSpec.streams):
     """Register a law; one with a parameter ``region`` samples at a point
-    (s, t) of it.  ``sampler(especs)`` returns one instance per spec, and
+    (s, t) of it.  ``sampler(espec)`` returns one instance per seed, and
     ``check(insts, tol)`` one entry per instance, in order (see the module
     docstring).  ``reads`` names the request coordinates, of n and m, that
     the sampler reads: run_law chunks trials that agree on those alone.
@@ -242,11 +242,12 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
     that ``sample_region`` draws, or at ``boundary``, which must be one of
     its ``boundary_params``.  For a list or tuple of seeds, with None or a
     matching sequence of boundaries (each None or a recorded point), the
-    list of their instances, from one sampler call; each is the instance
-    its seed gives alone.  A request the law refuses, or an ensemble
-    setting EnsembleSpec refuses, raises an InstanceError that names the
-    law; so does a failed sampling, naming the requested seed, n and m (a
-    seed alone or in a list of one as ``trial seed=X``)."""
+    list of their instances, from one EnsembleSpec holding their seeds and
+    one sampler call; each is the instance its seed gives alone.  A
+    request the law refuses, or an ensemble setting EnsembleSpec refuses,
+    raises an InstanceError that names the law; so does a failed sampling,
+    naming the requested seed, n and m (a seed alone or in a list of one
+    as ``trial seed=X``)."""
     spec = law_spec(name)
     chunk = isinstance(seed, (list, tuple))
     if chunk:
@@ -262,8 +263,8 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
             raise InstanceError(f"{len(boundaries)} boundaries for "
                                 f"{len(seeds)} seeds")
         try:
-            especs = [EnsembleSpec(n=n, m=m, field=fieldname,
-                                   kappa_max=kappa_max, seed=s) for s in seeds]
+            espec = EnsembleSpec(n=n, m=m, field=fieldname,
+                                 kappa_max=kappa_max, seed=tuple(seeds))
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
         if n > spec.n_cap:
@@ -283,7 +284,7 @@ def sample_instance(name, n, m, fieldname, kappa_max, seed, boundary=None):
         if spec.region:
             boundaries = [sample_region(spec.region, s) if b is None else b
                           for s, b in zip(seeds, boundaries)]
-        insts = spec.sampler(especs)
+        insts = spec.sampler(espec)
     except InstanceError as exc:
         raise InstanceError(f"{name}: {exc}") from None
     except LinalgError as exc:
@@ -435,7 +436,7 @@ def _pick_sigma(rng):
     return SIGMA_ROSTER[int(rng.integers(len(SIGMA_ROSTER)))]
 
 
-def _no_fields(espec):
+def _no_fields(seed):
     return {}
 
 
@@ -449,32 +450,32 @@ def _tuple_streams(m, tuples=2):
     return [(0, i * TUPLE_STRIDE + j) for i in range(tuples) for j in range(m)]
 
 
-def _sample_pair(especs, fields=_no_fields):
+def _sample_pair(espec, fields=_no_fields):
     """Instances on one random pair A, B each: stacks of one, from one draw
-    for all of them; ``fields(espec)`` gives each its other fields."""
-    draw = random_pd(especs, [[0], [1]])
-    return [LawInstance(seed=e.seed, n=e.n, m=1, field=e.field,
-                        As=draw[k, 0], Bs=draw[k, 1], **fields(e))
-            for k, e in enumerate(especs)]
+    for all of them; ``fields(seed)`` gives each its other fields."""
+    draw = random_pd(espec, [[0], [1]])
+    return [LawInstance(seed=s, n=espec.n, m=1, field=espec.field,
+                        As=draw[k, 0], Bs=draw[k, 1], **fields(s))
+            for k, s in enumerate(espec.seed)]
 
 
-def _sample_tuples(especs, fields=_no_fields):
+def _sample_tuples(espec, fields=_no_fields):
     """Instances on random m-tuples A_j, B_j each: stacks of m, from one
-    draw for all of them; ``fields(espec)`` gives each its other fields."""
-    draw = random_pd_tuple(especs, [0, 1])
-    return [LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field,
-                        As=draw[k, 0], Bs=draw[k, 1], **fields(e))
-            for k, e in enumerate(especs)]
+    draw for all of them; ``fields(seed)`` gives each its other fields."""
+    draw = random_pd_tuple(espec, [0, 1])
+    return [LawInstance(seed=s, n=espec.n, m=espec.m, field=espec.field,
+                        As=draw[k, 0], Bs=draw[k, 1], **fields(s))
+            for k, s in enumerate(espec.seed)]
 
 
-def _sample_sigma(especs, tag, draw):
+def _sample_sigma(espec, tag, draw):
     """The matrices ``draw`` samples, each instance with a roster mean sigma
     picked by its law stream's generator ``tag``."""
-    def fields(espec):
-        sigma = _pick_sigma(seeded_rng(espec.seed, LAW_STREAM, tag))
+    def fields(seed):
+        sigma = _pick_sigma(seeded_rng(seed, LAW_STREAM, tag))
         return {"sigma": sigma,
                 "params": {"sigma": means.format_descriptor(sigma)}}
-    return draw(especs, fields)
+    return draw(espec, fields)
 
 
 def _path_sums(ds, As, Bs):
@@ -520,18 +521,17 @@ def _region_st(insts):
 # mean-axioms: normalization, congruence equivariance, joint monotonicity
 # ---------------------------------------------------------------------------
 
-def _sample_mean_axioms(especs):
-    lower, upper = random_ordered_pair(especs, [0, 1])
-    draw = random_pd(especs, [[2], [3]])
-    cmats = random_invertible(especs, 0)
+def _sample_mean_axioms(espec):
+    lower, upper = random_ordered_pair(espec, [0, 1])
+    draw = random_pd(espec, [[2], [3]])
+    cmats = random_invertible(espec, 0)
     insts = []
-    for k, e in enumerate(especs):
-        (a, c), (b, d) = lower[k], upper[k]
-        sigma = _pick_sigma(seeded_rng(e.seed, LAW_STREAM, 1))
+    for k, s in enumerate(espec.seed):
+        sigma = _pick_sigma(seeded_rng(s, LAW_STREAM, 1))
         insts.append(LawInstance(
-            seed=e.seed, n=e.n, m=1, field=e.field,
+            seed=s, n=espec.n, m=1, field=espec.field,
             As=draw[k, 0], Bs=draw[k, 1], sigma=sigma,
-            ordered=((a, b), (c, d)), congruence=cmats[k],
+            ordered=(lower[k], upper[k]), congruence=cmats[k],
             params={"sigma": means.format_descriptor(sigma)}))
     return insts
 
@@ -540,14 +540,15 @@ def _check_mean_axioms(insts, tol):
     n = insts[0].n
     x, y = _pairs(insts)
     c = np.stack([inst.congruence for inst in insts])
-    a, b, cc, dd = (stack([inst.ordered[i][j] for inst in insts])
-                    for i in (0, 1) for j in (0, 1))
+    # the lower stacks (A, C) and the upper stacks (B, D), A <= B, C <= D
+    lower, upper = (stack([inst.ordered[i] for inst in insts]) for i in (0, 1))
     eye = stack([PDMatrix.identity(n)] * len(insts))
     cx, cy = PDMatrix(congruence(c, stack([x, y])))
     # I s I, x s y, (C*xC) s (C*yC), A s C and B s D of each trial, the
     # trial axis leading, in one call
-    values = means.mean(_sigmas(insts), stack([eye, x, cx, a, b], axis=1),
-                        stack([eye, y, cy, cc, dd], axis=1))
+    values = means.mean(_sigmas(insts),
+                        stack([eye, x, cx, lower[:, 0], upper[:, 0]], axis=1),
+                        stack([eye, y, cy, lower[:, 1], upper[:, 1]], axis=1))
     return _join(
         _eq("normalization", values[:, 0], HermitianMatrix.identity(n),
             tol=1e-13),
@@ -610,8 +611,8 @@ def _check_geo_path_callebaut(insts, tol):
 # path-monotonicity: F(s) <= F(t) for s between t and 1-t
 # ---------------------------------------------------------------------------
 
-def _path_exponent(espec):
-    rng = seeded_rng(espec.seed, LAW_STREAM, 5)
+def _path_exponent(seed):
+    rng = seeded_rng(seed, LAW_STREAM, 5)
     # geometric path by default; occasionally a power path, which fails the
     # dual-symmetry hypothesis and is skipped
     use_power = bool(rng.integers(8) == 0)
@@ -664,17 +665,17 @@ def callebaut_f(a, b, r, s):
                  np.sum(a ** (s - r) * b ** (s + r)))
 
 
-def _sample_scalar_callebaut(especs):
+def _sample_scalar_callebaut(espec):
     insts = []
-    for e in especs:
-        rng = seeded_rng(e.seed, LAW_STREAM, 6)
-        half_log = 0.5 * np.log(e.kappa_max)
-        a = np.exp(rng.uniform(-half_log, half_log, size=e.m))
-        b = np.exp(rng.uniform(-half_log, half_log, size=e.m))
+    half_log = 0.5 * np.log(espec.kappa_max)
+    for s in espec.seed:
+        rng = seeded_rng(s, LAW_STREAM, 6)
+        a = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
+        b = np.exp(rng.uniform(-half_log, half_log, size=espec.m))
         r1, r2 = sorted(rng.uniform(0.0, 1.0, size=2))
         sc = float(rng.uniform(0.0, 1.0))
         insts.append(LawInstance(
-            seed=e.seed, n=1, m=e.m, field="real", a_seq=a, b_seq=b,
+            seed=s, n=1, m=espec.m, field="real", a_seq=a, b_seq=b,
             params={"r1": float(r1), "r2": float(r2), "sc": sc}))
     return insts
 
@@ -702,10 +703,10 @@ def _check_scalar_callebaut(insts, tol):
 POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
-def _sample_power_lemma(especs):
-    draw = random_pd(especs, [0])
-    return [LawInstance(seed=e.seed, n=e.n, m=1, field=e.field, As=draw[k])
-            for k, e in enumerate(especs)]
+def _sample_power_lemma(espec):
+    draw = random_pd(espec, [0])
+    return [LawInstance(seed=s, n=espec.n, m=1, field=espec.field,
+                        As=draw[k]) for k, s in enumerate(espec.seed)]
 
 
 def _check_power_lemma(insts, tol):
@@ -815,10 +816,10 @@ def _check_hadamard_callebaut(insts, tol):
 # hadamard-power: the averaged-powers corollary (B_j = I)
 # ---------------------------------------------------------------------------
 
-def _sample_hadamard_power(especs):
-    draw = random_pd_tuple(especs, 0)
-    return [LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field, As=draw[k])
-            for k, e in enumerate(especs)]
+def _sample_hadamard_power(espec):
+    draw = random_pd_tuple(espec, 0)
+    return [LawInstance(seed=s, n=espec.n, m=espec.m, field=espec.field,
+                        As=draw[k]) for k, s in enumerate(espec.seed)]
 
 
 def _check_hadamard_power(insts, tol):
@@ -843,8 +844,8 @@ def _check_hadamard_power(insts, tol):
 # interpolation-identity: geodesic reparametrization of the geometric path
 # ---------------------------------------------------------------------------
 
-def _interpolation_params(espec):
-    p, q, r = seeded_rng(espec.seed, LAW_STREAM, 7).uniform(0.0, 1.0, size=3)
+def _interpolation_params(seed):
+    p, q, r = seeded_rng(seed, LAW_STREAM, 7).uniform(0.0, 1.0, size=3)
     return {"params": {"p": float(p), "q": float(q), "r": float(r)}}
 
 
@@ -861,8 +862,8 @@ def _check_interpolation_identity(insts, tol):
 # path-axioms: endpoints, interpolation midpoint, continuity
 # ---------------------------------------------------------------------------
 
-def _path_axioms_params(espec):
-    rng = seeded_rng(espec.seed, LAW_STREAM, 8)
+def _path_axioms_params(seed):
+    rng = seeded_rng(seed, LAW_STREAM, 8)
     r = float(rng.uniform(-1.0, 1.0))
     p, q = rng.uniform(0.0, 1.0, size=2)
     return {"params": {"r": r, "p": float(p), "q": float(q)}}

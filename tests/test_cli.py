@@ -687,9 +687,9 @@ def test_verify_trial_schedule(tmp_path, capsys):
     # boundaries, the instance holds the point sample_instance drew
     seen = []
 
-    def sample(especs):
-        return [laws.LawInstance(seed=e.seed, n=e.n, m=e.m, field=e.field)
-                for e in especs]
+    def sample(espec):
+        return [laws.LawInstance(seed=s, n=espec.n, m=espec.m,
+                                 field=espec.field) for s in espec.seed]
 
     def check(insts, tol):
         seen.extend((inst.seed, inst.n, inst.m,

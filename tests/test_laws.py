@@ -127,10 +127,12 @@ def test_bad_ensemble_setting_is_refused(setting, named):
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
 def test_seed_outside_its_range_is_refused(seed):
-    # masked to 63 bits, -1 would draw the instance of 2**63 - 1
-    with pytest.raises(InstanceError,
-                       match=r"^superadditivity: seed must be in \[0, 2\*\*63\)"):
-        make_instance("superadditivity", seed, n=2)
+    # masked to 63 bits, -1 would draw the instance of 2**63 - 1; in a
+    # chunk, the message names the seed refused
+    for seeds in (seed, [4, seed, 6]):
+        with pytest.raises(InstanceError, match=r"^superadditivity: seed must "
+                           rf"be in \[0, 2\*\*63\), got {seed}$"):
+            make_instance("superadditivity", seeds, n=2)
     assert make_instance("superadditivity", 2**63 - 1, n=2).seed == 2**63 - 1
 
 
@@ -261,12 +263,71 @@ def test_instances_hold_their_drawn_stacks(name, n):
         assert isinstance(mats, PDMatrix) and mats.stack_shape == (inst.m,)
         for j, x in enumerate(mats):
             assert same_bits(x, random_pd(espec, i + j))
+    if name == "mean-axioms":
+        # its ordered pairs are the drawn stacks too: L_j <= U_j at index j
+        for mats, drawn in zip(inst.ordered, ensembles.random_ordered_pair(
+                espec, [0, 1]), strict=True):
+            assert mats.stack_shape == (2,)
+            assert all(same_bits(x, y) for x, y in zip(mats, drawn))
+
+
+@pytest.mark.parametrize("name", laws.law_names())
+def test_a_chunk_draws_from_one_ensemble_spec(name, monkeypatch):
+    # the trials of a chunk differ only in seed: one spec, checked once,
+    # holds all their seeds, and each instance gets its own
+    built = []
+    check = EnsembleSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec.seed)
+        check(spec)
+
+    monkeypatch.setattr(EnsembleSpec, "__post_init__", counted)
+    seeds = list(range(100, 140))
+    insts = make_instance(name, seeds, n=2)
+    assert built == [tuple(seeds)]
+    assert [inst.seed for inst in insts] == seeds
 
 
 def test_sigma_roster_keeps_its_strings():
     assert [means.format_descriptor(d) for d in laws.SIGMA_ROSTER] == [
         "arithmetic", "harmonic", "geometric", "power:0.5", "power:-0.5",
         "wgeo:0.25", "dual(power:0.5)"]
+
+
+def links_by_label(name, seeds, n, m):
+    """Each label's links over a chunk of the law's trials, in trial order."""
+    results = laws.check_chunk(name, make_instance(name, seeds, n=n, m=m))
+    by_label = {}
+    for result in results:
+        for link in result.links:
+            by_label.setdefault(link.label, []).append(link)
+    return by_label
+
+
+# mean-axioms' normalization and hadamard-callebaut's
+# submatrix-consistency-0 read margin 0.0 on working code, by construction;
+# a corrupted kernel must move them past their 1e-13 tolerance while the
+# law's other links still hold, or they could never fail
+TWIN_SEEDS = list(range(4000, 4016))
+
+
+class TestMeanAxioms:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_normalization_fails_on_a_scaled_representing_function(
+            self, n, monkeypatch):
+        links = links_by_label("mean-axioms", TWIN_SEEDS, n, 1)
+        assert [l.margin for l in links["normalization"]] == [0.0] * 16
+        representing_fn = means.representing_fn
+        monkeypatch.setattr(means, "representing_fn", lambda d: (
+            lambda x, f=representing_fn(d): f(x) * (1 + 1e-9)))
+        links = links_by_label("mean-axioms", TWIN_SEEDS, n, 1)
+        for link in links["normalization"]:
+            assert not link.holds
+            assert link.margin == pytest.approx(-1e-9, rel=1e-6)
+        # both sides of the other two axioms scale alike
+        assert all(l.holds for l in links["congruence-equivariance"])
+        assert all(l.holds for l in links["joint-monotonicity"])
 
 
 class TestSharpIdentity:
@@ -413,6 +474,22 @@ class TestHadamardCallebaut:
         for link in sub:
             assert -link.margin <= 1e-13
 
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_submatrix_consistency_fails_on_a_perturbed_block(
+            self, n, m, monkeypatch):
+        sub = [f"submatrix-consistency-{i}" for i in range(4)]
+        links = links_by_label("hadamard-callebaut", TWIN_SEEDS, n, m)
+        assert [l.margin for l in links[sub[0]]] == [0.0] * 16
+        block = laws.kron_diagonal_block
+        monkeypatch.setattr(laws, "kron_diagonal_block",
+                            lambda tm, n: block(tm, n) * (1 + 1e-12))
+        links = links_by_label("hadamard-callebaut", TWIN_SEEDS, n, m)
+        for label in sub:
+            assert not any(l.holds for l in links[label])
+            assert max(l.margin for l in links[label]) < -laws.SUBMATRIX_TOL
+        # the chain itself reads the Hadamard members only
+        for label in laws._CHAIN_LABELS:
+            assert all(l.holds for l in links[label])
 
     def test_shares_sums_with_tensor_chain(self, monkeypatch):
         inst = make_instance("hadamard-callebaut", 0, n=3, m=4)
@@ -960,12 +1037,11 @@ def probe_law(monkeypatch, bad_draws, bad_checks):
     wada = laws.law_spec("wada")
     drawn, checked = [], []
 
-    def sample(especs):
-        drawn.append([e.seed for e in especs])
-        for e in especs:
-            if e.seed in bad_draws:
-                PDMatrix(np.diag([1.0, -1.0]))
-        return wada.sampler(especs)
+    def sample(espec):
+        drawn.append(list(espec.seed))
+        if bad_draws & set(espec.seed):
+            PDMatrix(np.diag([1.0, -1.0]))
+        return wada.sampler(espec)
 
     def check(insts, tol):
         seeds = [inst.seed for inst in insts]

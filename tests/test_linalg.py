@@ -354,8 +354,8 @@ class TestHermitianPartPremise:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_rounding_asymmetry_is_below_the_input_slack(self, n, field):
         # eight draws at the default kappa, as a stack
-        especs = [EnsembleSpec(n=n, field=field, seed=s) for s in range(8)]
-        a, b = (random_pd(especs, i).decomposition() for i in (0, 1))
+        espec = EnsembleSpec(n=n, field=field, seed=tuple(range(8)))
+        a, b = (random_pd(espec, i).decomposition() for i in (0, 1))
         lam, u = a.eigenvalues, a.unitary
         # log, x - median and sin(log x) change sign over the spectrum
         fns = (np.sqrt, np.reciprocal, np.log,
@@ -365,7 +365,7 @@ class TestHermitianPartPremise:
         # C diag(v) C* with v > 0, for the C = A^{1/2} U of means.mean and
         # for a drawn invertible C
         for c in (linalg.congruence_diag(u, np.sqrt(lam)) @ b.unitary,
-                  random_invertible(especs, 0)):
+                  random_invertible(espec, 0)):
             products += [linalg.congruence_diag(c, v)
                          for v in (b.eigenvalues, np.sqrt(b.eigenvalues))]
         for x in products:

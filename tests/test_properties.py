@@ -4,6 +4,7 @@
 so these tests are as deterministic as the rest of the suite.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -112,17 +113,35 @@ def test_batched_states_are_seed_sequence_states(seed_list, index):
                 == ensembles.seeded_rng(*key).standard_normal(2).tobytes())
 
 
+def arrays(draw):
+    """The arrays of a draw: a stack, an array or a pair of stacks."""
+    return [getattr(x, "array", x)
+            for x in (draw if isinstance(draw, tuple) else (draw,))]
+
+
 @deterministic
-@given(specs, st.lists(st.integers(0, 2000), min_size=1, max_size=4))
-def test_stacked_draw_slices_are_single_draws(spec, indices):
-    # a trial draws its instance's matrices as one stack, and repro replays
-    # a trial from its seed: each slice has the bits of its single draw
+@given(specs, st.lists(st.integers(0, 2000), min_size=1, max_size=4),
+       st.lists(seeds, min_size=1, max_size=4), st.integers(1, 3))
+def test_stacked_draw_slices_are_single_draws(spec, indices, chunk, m):
+    # a trial draws its instance's matrices as one stack, a chunk its
+    # trials' draws as one stack over a tuple of seeds, and repro replays a
+    # trial from its seed: each slice has the bits of its single draw
     for x, i in zip(ensembles.random_pd(spec, indices), indices):
         y = ensembles.random_pd(spec, i)
         dx, dy = x.decomposition(), y.decomposition()
         for u, v in ((x.array, y.array), (dx.eigenvalues, dy.eigenvalues),
                      (dx.unitary, dy.unitary)):
             assert u.tobytes() == v.tobytes()
+    stacked = dataclasses.replace(spec, m=m, seed=tuple(chunk))
+    for draw in (ensembles.random_pd, ensembles.random_pd_tuple,
+                 ensembles.random_ordered_pair, ensembles.random_invertible):
+        whole = arrays(draw(stacked, indices))
+        for k, seed in enumerate(chunk):
+            alone = arrays(draw(dataclasses.replace(stacked, seed=seed),
+                                indices))
+            for x, y in zip(whole, alone, strict=True):
+                assert x.shape == (len(chunk),) + y.shape
+                assert x[k].tobytes() == y.tobytes()
 
 
 @deterministic
