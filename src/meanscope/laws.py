@@ -381,9 +381,8 @@ def _links(labels, values, lo, hi, tol):
     trial k, one per label i, from one stacked Loewner comparison of the
     whole chunk.  ``values`` is a stack of chain members with the trial axis
     second; ``lo`` and ``hi`` index its member axis by a slice or a single
-    index, so each is a view of it (a single index broadcasts).  Its one
-    eigendecomposition, which the views share, gives every norm."""
-    values.decomposition()
+    index, so each is a view of it (a single index broadcasts).  No member
+    is decomposed unless a verdict reads its norm (see ``loewner_leq``)."""
     trials = values.stack_shape[1]
     if not labels:
         return [()] * trials

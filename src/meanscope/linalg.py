@@ -225,7 +225,8 @@ class LoewnerVerdict:
 
     ``margin`` is the smallest eigenvalue of B - A; the comparison passes
     when the margin is no worse than -tolerance * max(1, scale) with
-    scale = ||A||_2 + ||B||_2.
+    scale = ||A||_2 + ||B||_2.  A margin >= -tolerance passes at any scale,
+    so ``loewner_leq`` computes such a verdict's scale when it is read.
     """
 
     holds: bool
@@ -239,6 +240,21 @@ class LoewnerVerdict:
         margin, scale = float(margin), float(scale)
         return cls(holds=margin >= -tolerance * max(1.0, scale),
                    margin=margin, scale=scale, tolerance=tolerance)
+
+    @classmethod
+    def _passed(cls, margin, tolerance, scales, k):
+        """A passing verdict whose scale is scales()[k], read on first use."""
+        out = object.__new__(cls)
+        out.__dict__.update(holds=True, margin=float(margin),
+                            tolerance=tolerance, _scale=(scales, k))
+        return out
+
+    def __getattr__(self, name):
+        # only a verdict from _passed lacks its scale, until its first read
+        if name != "scale" or "_scale" not in self.__dict__:
+            raise AttributeError(name)
+        scales, k = self.__dict__.pop("_scale")
+        return self.__dict__.setdefault("scale", float(scales()[k]))
 
 
 def _readonly(x):
@@ -547,15 +563,38 @@ def loewner_leq(A, B, tol=DEFAULT_TOL):
 
     With stacks (a single matrix broadcasts against a stack) the result is
     a list of verdicts, one per matrix in C order, whose margins come from
-    one stacked eigendecomposition of B - A.
+    one stacked eigendecomposition of B - A.  Their scales take one more,
+    of A and B: at once if a margin is below -tol, else on a scale's read.
     """
     _require_same_dim(A, B)
     margin = (B - A).decomposition().eigenvalues[..., 0]
-    scale = A.norm_2() + B.norm_2()
-    if np.ndim(margin) == 0:
-        return LoewnerVerdict.judge(margin, scale, tol)
-    return [LoewnerVerdict.judge(m, s, tol) for m, s in
-            zip(margin.flat, np.broadcast_to(scale, margin.shape).flat)]
+    shape, margins = np.shape(margin), np.ravel(margin)
+    scales = functools.cache(
+        lambda: np.broadcast_to(_norm_sum(A, B), shape).ravel())
+    # written so that a NaN margin or tol takes the eager branch
+    if tol >= 0 and (margins >= -tol).all():
+        verdicts = [LoewnerVerdict._passed(m, tol, scales, k)
+                    for k, m in enumerate(margins)]
+    else:
+        verdicts = [LoewnerVerdict.judge(m, s, tol)
+                    for m, s in zip(margins, scales())]
+    return verdicts if shape else verdicts[0]
+
+
+def _norm_sum(A, B):
+    """A.norm_2() + B.norm_2(), the spectra they lack from one eig_hermitian
+    call: eigh solves each matrix of a stack alone, as it does by itself."""
+    bare = [X for X in (A, B) if X._spec is None]
+    if bare:
+        flat = [X.array.reshape(-1, X.n, X.n) for X in bare]
+        both = _adopt(HermitianMatrix, np.concatenate(flat), None)
+        spec = eig_hermitian(both)
+        cuts = np.cumsum([len(x) for x in flat])[:-1]
+        for X, lam, u in zip(bare, np.split(spec.eigenvalues, cuts),
+                             np.split(spec.unitary, cuts)):
+            X._spec = SpectralDecomposition(lam.reshape(X.array.shape[:-1]),
+                                            u.reshape(X.array.shape))
+    return A.norm_2() + B.norm_2()
 
 
 def rel_residual(X, Y):

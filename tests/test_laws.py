@@ -627,6 +627,23 @@ class TestTensorLaws:
             assert np.array([link.margin for link in links]).tobytes() == (
                 np.array(mirrored).tobytes())
 
+    def test_chunk_decomposes_no_member_when_every_link_holds(
+            self, monkeypatch):
+        # 6 trials, 8 links and 9 members each, at dimension n^2 = 9: a
+        # link whose margin passes needs no norm, so eigh solves the 48
+        # differences and none of the 54 members
+        insts = make_instance("tensor-f", list(range(6)), n=3)
+        eig, dims = linalg.eig_hermitian, []
+
+        def counted(A):
+            dims.extend([A.n] * int(np.prod(A.stack_shape)))
+            return eig(A)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", counted)
+        entries = laws.check_chunk("tensor-f", insts)
+        assert all(result.holds for result in entries)
+        assert dims.count(9) == 48
+
 
 def vshape_reference(grid, values, pivot, tol):
     """Pair by pair, the link of the V rule about the pivot, from a

@@ -840,6 +840,74 @@ class TestLoewner:
         assert v == LoewnerVerdict.judge(v.margin, a.norm_2() + b.norm_2(),
                                          1e-3)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-8])
+    @pytest.mark.parametrize("single_a", [False, True])
+    @pytest.mark.parametrize("shifts", [
+        (0.5, -0.5, 1e-9, -1e-9, 0.0),      # both signs: the scale decides
+        (0.5, 1e-9, -1e-9, 0.0),            # within 1e-8 of 0
+        (0.5, 0.25, 1e-3),                  # all positive: no scale is read
+    ], ids=["both-signs", "within-tol", "positive"])
+    def test_every_verdict_is_judged_at_its_scale(self, shifts, single_a,
+                                                  tol):
+        # whether its scale was read at once or on demand, each verdict is
+        # judge's at ||A||_2 + ||B||_2 of its matrices decomposed apart
+        rng = np.random.default_rng(24)
+        a = random_stack(rng, len(shifts), 3)
+        b = a + np.multiply.outer(shifts, np.eye(3))
+        if single_a:                        # broadcast against B's stack
+            a = a[0]
+            b = a + np.multiply.outer(shifts, np.eye(3))
+        verdicts = loewner_leq(HermitianMatrix(a), HermitianMatrix(b), tol)
+        assert len(verdicts) == len(shifts)
+        for v, x, y in zip(verdicts, np.broadcast_to(a, b.shape), b):
+            scale = HermitianMatrix(x).norm_2() + HermitianMatrix(y).norm_2()
+            want = LoewnerVerdict.judge(v.margin, scale, tol)
+            assert v == want and v.scale.hex() == want.scale.hex()
+            assert repr(v) == repr(want)
+        assert all(v.holds for v in verdicts) == (min(shifts) >= -tol)
+
+    def test_a_nan_margin_never_holds(self, monkeypatch):
+        # a NaN compares false with every bound, an infinite one too
+        a = random_stack(np.random.default_rng(25), 3, 3)
+        eig, calls = linalg.eig_hermitian, []
+
+        def nan_margin(X):
+            calls.append(X)
+            spec = eig(X)
+            if len(calls) > 1:              # the norms, after B - A
+                return spec
+            lam = spec.eigenvalues.copy()
+            lam[1, 0] = np.nan
+            return linalg.SpectralDecomposition(lam, spec.unitary)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", nan_margin)
+        for tol in (0.0, 1e-8, np.inf, np.nan):
+            calls.clear()
+            verdicts = loewner_leq(HermitianMatrix(a),
+                                   HermitianMatrix(a + np.eye(3)), tol)
+            assert np.isnan(verdicts[1].margin) and not verdicts[1].holds
+            assert verdicts[0].holds == verdicts[2].holds == (
+                not np.isnan(tol))
+
+    def test_first_scale_read_runs_one_eig_call(self, monkeypatch):
+        # no margin is below -tol: the verdicts read no norm, and the first
+        # scale read decomposes A and B, for every verdict, in one call
+        rng = np.random.default_rng(26)
+        a = random_stack(rng, 4, 3)
+        b = a + np.eye(3)
+        A, B = HermitianMatrix(a), HermitianMatrix(b)
+        calls = count_eigs(monkeypatch)
+        verdicts = loewner_leq(A, B)
+        assert calls == [3] and all(v.holds for v in verdicts)
+        verdicts[2].scale
+        assert calls == [3, 3]
+        assert [v.scale for v in verdicts] == list(A.norm_2() + B.norm_2())
+        assert calls == [3, 3]
+        # a margin below -tol: the scales are read at once, in one call
+        calls.clear()
+        verdicts = loewner_leq(HermitianMatrix(b), HermitianMatrix(a))
+        assert calls == [3, 3] and not any(v.holds for v in verdicts)
+
 
 def random_stack(rng, k, n):
     """k random Hermitian matrices of dimension n, as an array."""
