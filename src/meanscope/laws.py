@@ -431,12 +431,26 @@ SIGMA_ROSTER = (
 )
 
 
-def _pick_sigma(rng):
-    return SIGMA_ROSTER[int(rng.integers(len(SIGMA_ROSTER)))]
+def _sigma(seed, tag):
+    """A sampler's ``fields`` for a law over every mean: the roster mean
+    sigma that the seed's law stream generator ``tag`` picks, and its
+    descriptor as ``params["sigma"]``; ``partial(_sigma, tag=...)``."""
+    rng = seeded_rng(seed, LAW_STREAM, tag)
+    sigma = SIGMA_ROSTER[int(rng.integers(len(SIGMA_ROSTER)))]
+    return {"sigma": sigma,
+            "params": {"sigma": means.format_descriptor(sigma)}}
 
 
 def _no_fields(seed):
     return {}
+
+
+def _instances(espec, m, As, Bs=None, fields=_no_fields):
+    """One instance per seed of ``espec``, in order, at tuple length m: the
+    k-th on slice k of the drawn stacks, with the fields ``fields(seed)``."""
+    return [LawInstance(seed=s, n=espec.n, m=m, field=espec.field, As=As[k],
+                        Bs=None if Bs is None else Bs[k], **fields(s))
+            for k, s in enumerate(espec.seed)]
 
 
 # the streams of a trial's A and B in _sample_pair
@@ -450,31 +464,17 @@ def _tuple_streams(m, tuples=2):
 
 
 def _sample_pair(espec, fields=_no_fields):
-    """Instances on one random pair A, B each: stacks of one, from one draw
-    for all of them; ``fields(seed)`` gives each its other fields."""
+    """Instances on one random pair A, B each (stacks of one, m = 1), from
+    one draw for all of them, with ``fields`` as in ``_instances``."""
     draw = random_pd(espec, [[0], [1]])
-    return [LawInstance(seed=s, n=espec.n, m=1, field=espec.field,
-                        As=draw[k, 0], Bs=draw[k, 1], **fields(s))
-            for k, s in enumerate(espec.seed)]
+    return _instances(espec, 1, draw[:, 0], draw[:, 1], fields)
 
 
 def _sample_tuples(espec, fields=_no_fields):
-    """Instances on random m-tuples A_j, B_j each: stacks of m, from one
-    draw for all of them; ``fields(seed)`` gives each its other fields."""
+    """Instances on random m-tuples A_j, B_j each (stacks of m), from one
+    draw for all of them, with ``fields`` as in ``_instances``."""
     draw = random_pd_tuple(espec, [0, 1])
-    return [LawInstance(seed=s, n=espec.n, m=espec.m, field=espec.field,
-                        As=draw[k, 0], Bs=draw[k, 1], **fields(s))
-            for k, s in enumerate(espec.seed)]
-
-
-def _sample_sigma(espec, tag, draw):
-    """The matrices ``draw`` samples, each instance with a roster mean sigma
-    picked by its law stream's generator ``tag``."""
-    def fields(seed):
-        sigma = _pick_sigma(seeded_rng(seed, LAW_STREAM, tag))
-        return {"sigma": sigma,
-                "params": {"sigma": means.format_descriptor(sigma)}}
-    return draw(espec, fields)
+    return _instances(espec, espec.m, draw[:, 0], draw[:, 1], fields)
 
 
 def _path_sums(ds, As, Bs):
@@ -524,15 +524,11 @@ def _sample_mean_axioms(espec):
     lower, upper = random_ordered_pair(espec, [0, 1])
     draw = random_pd(espec, [[2], [3]])
     cmats = random_invertible(espec, 0)
-    insts = []
-    for k, s in enumerate(espec.seed):
-        sigma = _pick_sigma(seeded_rng(s, LAW_STREAM, 1))
-        insts.append(LawInstance(
-            seed=s, n=espec.n, m=1, field=espec.field,
-            As=draw[k, 0], Bs=draw[k, 1], sigma=sigma,
-            ordered=(lower[k], upper[k]), congruence=cmats[k],
-            params={"sigma": means.format_descriptor(sigma)}))
-    return insts
+    return [LawInstance(seed=s, n=espec.n, m=1, field=espec.field,
+                        As=draw[k, 0], Bs=draw[k, 1],
+                        ordered=(lower[k], upper[k]), congruence=cmats[k],
+                        **_sigma(s, 1))
+            for k, s in enumerate(espec.seed)]
 
 
 def _check_mean_axioms(insts, tol):
@@ -703,9 +699,7 @@ POWER_LEMMA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
 def _sample_power_lemma(espec):
-    draw = random_pd(espec, [0])
-    return [LawInstance(seed=s, n=espec.n, m=1, field=espec.field,
-                        As=draw[k]) for k, s in enumerate(espec.seed)]
+    return _instances(espec, 1, random_pd(espec, [0]))
 
 
 def _check_power_lemma(insts, tol):
@@ -816,9 +810,7 @@ def _check_hadamard_callebaut(insts, tol):
 # ---------------------------------------------------------------------------
 
 def _sample_hadamard_power(espec):
-    draw = random_pd_tuple(espec, 0)
-    return [LawInstance(seed=s, n=espec.n, m=espec.m, field=espec.field,
-                        As=draw[k]) for k, s in enumerate(espec.seed)]
+    return _instances(espec, espec.m, random_pd_tuple(espec, 0))
 
 
 def _check_hadamard_power(insts, tol):
@@ -909,15 +901,15 @@ register_law("mean-axioms", _sample_mean_axioms, _check_mean_axioms,
                  (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0),
                  (LAW_STREAM, 1)])
 register_law("superadditivity",
-             partial(_sample_sigma, tag=2, draw=_sample_tuples),
+             partial(_sample_tuples, fields=partial(_sigma, tag=2)),
              _check_superadditivity,
              streams=lambda m: [*_tuple_streams(m), (LAW_STREAM, 2)])
 register_law("sharp-identity",
-             partial(_sample_sigma, tag=3, draw=_sample_pair),
+             partial(_sample_pair, fields=partial(_sigma, tag=3)),
              _check_sharp_identity, reads="n",
              streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 3)])
 register_law("callebaut-operator",
-             partial(_sample_sigma, tag=4, draw=_sample_tuples),
+             partial(_sample_tuples, fields=partial(_sigma, tag=4)),
              _check_callebaut_operator,
              streams=lambda m: [*_tuple_streams(m), (LAW_STREAM, 4)])
 register_law("path-monotonicity",
@@ -948,7 +940,7 @@ register_law("interpolation-identity",
 register_law("path-axioms", partial(_sample_pair, fields=_path_axioms_params),
              _check_path_axioms, reads="n",
              streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 8)])
-register_law("wada", partial(_sample_sigma, tag=9, draw=_sample_pair),
+register_law("wada", partial(_sample_pair, fields=partial(_sigma, tag=9)),
              _check_wada, n_cap=3, reads="n",
              streams=lambda m: [*PAIR_STREAMS, (LAW_STREAM, 9)])
 

@@ -463,6 +463,25 @@ def test_seed_outside_its_range_is_usage_error(tmp_path, capsys, monkeypatch,
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--law", "tensor-g", "--grid", "abc"],
+     "bad grid 'abc', expected a:b:step"),
+    (["verify", "--laws", "wada", "--config", "{missing}"],
+     "cannot read config {missing}: [Errno 2] No such file or directory: "
+     "'{missing}'"),
+    (["repro", "--law", "geo-path-callebaut", "--boundary", "0.5"],
+     "bad boundary '0.5', expected s,t"),
+], ids=["grid", "config", "boundary"])
+def test_unparsable_input_is_usage_error(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *(x.format(missing=missing) for x in argv),
+                            "--out", str(out))
+    assert code == 2
+    assert err == f"error: {message.format(missing=missing)}\n"
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("text, named", [
     ('"seed"', "str"),
     ('["wada"]', "list"),

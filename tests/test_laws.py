@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -834,6 +835,25 @@ def test_chain_links_neighbouring_members_and_refuses_a_label_count_off():
         [("a", 1.0), ("b", 1.0)]]
     with pytest.raises(ValueError, match="^1 links for 3 members"):
         laws._chain(("a",), members, 1e-8)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: sample_instance("wada", n=2, m=1, fieldname="complex",
+                             kappa_max=1e4, seed=[1, 2], boundary=[None]),
+     "wada: 1 boundaries for 2 seeds"),
+    (lambda: laws.check_chunk("wada", [make_instance("wada", 1, n=2),
+                                        make_instance("wada", 2, n=3)]),
+     "wada: a chunk holds instances of one n, m and field"),
+    (lambda: laws.check_chunk("probe", make_instance("probe", [1, 2], n=2)),
+     "probe: check gave 1 results for 2 trials"),
+], ids=["boundaries", "mixed-n", "short-check"])
+def test_malformed_chunk_is_refused(refused, message, monkeypatch):
+    # "probe" is wada with a check that returns one entry too few
+    wada = laws.law_spec("wada")
+    monkeypatch.setitem(laws._LAWS, "probe", dataclasses.replace(
+        wada, check=lambda insts, tol: wada.check(insts, tol)[:-1]))
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        refused()
 
 
 def test_register_law_extends_catalog():

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -731,6 +732,32 @@ class TestCongruence:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             congruence(np.eye(3), HermitianMatrix.identity(2))
+
+
+class TestShapeRefusals:
+    """Each shape a constructor or an operation cannot take is refused with
+    a message naming the shape."""
+
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: HermitianMatrix(np.zeros((0, 0))),
+         "dimension must be at least 1"),
+        (lambda: HermitianMatrix(np.zeros((0, 2, 2))),
+         "empty stack of shape (0, 2, 2)"),
+        (lambda: stack([]), "empty stack"),
+        (lambda: stack([HermitianMatrix.identity(2),
+                        HermitianMatrix.identity(3)]),
+         "cannot stack matrices of shapes [(2, 2), (3, 3)]"),
+        (lambda: stack([HermitianMatrix.identity(2)], axis=1),
+         "no stack axis 1 for matrices of shape (2, 2)"),
+        (lambda: congruence(np.ones((2, 3)), HermitianMatrix.identity(2)),
+         "congruence matrix must be square, got (2, 3)"),
+        (lambda: kron_diagonal_block(HermitianMatrix.identity(4), 3),
+         "expected dimension 9, got 4"),
+    ], ids=["dimension-0", "empty-stack", "stack-none", "stack-mixed",
+            "stack-axis", "congruence-2x3", "block-4-at-3"])
+    def test_message_names_the_shape(self, refused, message):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            refused()
 
 
 class TestKronHadamard:
